@@ -326,7 +326,12 @@ let rec mkdir_p dir =
   else begin
     let parent = Filename.dirname dir in
     if parent <> dir then mkdir_p parent;
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.is_directory dir -> ()
+    try Sys.mkdir dir 0o755
+    with Sys_error msg ->
+      if not (Sys.file_exists dir && Sys.is_directory dir) then begin
+        Printf.eprintf "drqos_cli: cannot create directory: %s\n" msg;
+        exit 1
+      end
   end
 
 let sweep_cmd =
@@ -512,13 +517,7 @@ let topo_cmd =
     Arg.(value & flag & info [ "dot" ] ~doc:"Emit the graph in DOT format.")
   in
   let run seed nodes topo dot =
-    let rng = Prng.create seed in
-    let g =
-      match scenario_topology nodes topo with
-      | Scenario.Waxman spec -> Waxman.generate rng spec
-      | Scenario.Transit_stub spec -> (Transit_stub.generate rng spec).Transit_stub.graph
-      | Scenario.Fixed g -> g
-    in
+    let g = Scenario.build_graph (Prng.create seed) (scenario_topology nodes topo) in
     if dot then begin
       print_endline "graph drqos {";
       Graph.iter_edges (fun _ u v -> Printf.printf "  n%d -- n%d;\n" u v) g;
@@ -1261,14 +1260,7 @@ let serve_cmd =
       prerr_endline "drqos_cli: --slo must be positive";
       exit 2
     | _ -> ());
-    let rng = Prng.create seed in
-    let g =
-      match scenario_topology nodes topo with
-      | Scenario.Waxman spec -> Waxman.generate rng spec
-      | Scenario.Transit_stub spec ->
-        (Transit_stub.generate rng spec).Transit_stub.graph
-      | Scenario.Fixed g -> g
-    in
+    let g = Scenario.build_graph (Prng.create seed) (scenario_topology nodes topo) in
     let net = Net_state.create ~capacity g in
     let config = Drcomm.Config.make ~policy () in
     let log = if verbose then prerr_endline else ignore in
@@ -1559,6 +1551,10 @@ let loadgen_cmd =
       prerr_endline "drqos_cli: --slo must be positive";
       exit 2
     | _ -> ());
+    (* Unusable output paths fail before the first request, not after
+       the whole replay. *)
+    Option.iter mkdir_p out_dir;
+    let trace_oc = Option.map (fun path -> (path, open_out_or_exit path)) trace_out in
     let obs = Obs.create ~metrics:(Metrics.create ()) () in
     let workers = Array.make (max 1 jobs) None in
     let tracing = trace_out <> None in
@@ -1643,10 +1639,9 @@ let loadgen_cmd =
     (* The client-side request log: one req_client line per operation,
        rid = schedule index — what [drqos_cli latency] joins against the
        daemon's req_begin/req_stage/req_end records. *)
-    (match trace_out with
+    (match trace_oc with
     | None -> ()
-    | Some path ->
-      let oc = open_out_or_exit path in
+    | Some (path, oc) ->
       Array.iteri
         (fun i verb ->
           if verb <> "" && latencies.(i) >= 0. then begin
@@ -1697,7 +1692,6 @@ let loadgen_cmd =
     (match out_dir with
     | None -> ()
     | Some dir ->
-      (try Sys.mkdir dir 0o755 with Sys_error _ when Sys.is_directory dir -> ());
       let bench = Filename.concat dir "BENCH_serve.json" in
       let oc = open_out_or_exit bench in
       Jsonx.output oc

@@ -286,26 +286,29 @@ let set_level t ch lvl =
     note_level t ch lvl
   end
 
-let retreat t ch = set_level t ch 0
-
-(* Distinct channels holding a primary reservation on any of [links],
-   except [exclude] — mark-stamp dedupe, no per-call tables. *)
-let channels_on_links t ?(exclude = []) links =
+(* Distinct channels that [iter] yields on any of [links], except
+   [exclude] — mark-stamp dedupe, no per-call tables.  Newest-first:
+   the last channel found heads the list. *)
+let distinct_on t ?(exclude = []) iter links =
   let gen = next_mark t in
   List.iter (fun ch -> ch.mark <- gen) exclude;
   let out = ref [] in
-  List.iter
-    (fun dl ->
-      Link_state.iter_primary_channels
-        (fun id _ ->
-          let ch = resolve t id in
-          if ch.mark <> gen then begin
-            ch.mark <- gen;
-            out := ch :: !out
-          end)
-        (Net_state.link t.net dl))
-    links;
+  let visit id =
+    let ch = resolve t id in
+    if ch.mark <> gen then begin
+      ch.mark <- gen;
+      out := ch :: !out
+    end
+  in
+  List.iter (fun dl -> iter visit (Net_state.link t.net dl)) links;
   !out
+
+(* The per-link walks: every primary, or only those holding extras (a
+   link without extras allocates nothing). *)
+let primaries f l = Link_state.iter_primary_channels (fun id _ -> f id) l
+
+let extras f l =
+  if Link_state.extras_count l > 0 then Link_state.iter_extras (fun id _ -> f id) l
 
 (* ------------------------------------------------------------------ *)
 (* Water-filling redistribution                                        *)
@@ -408,8 +411,7 @@ let transitions_of ~chained snap =
    directly-chained channels' paths, that are not directly chained
    themselves (the paper's third-channel definition). *)
 let indirect_set t ~direct =
-  let direct_links = List.concat_map (fun ch -> ch.primary) direct in
-  channels_on_links t ~exclude:direct direct_links
+  distinct_on t ~exclude:direct primaries (List.concat_map (fun ch -> ch.primary) direct)
 
 (* ------------------------------------------------------------------ *)
 (* Route discovery dispatch                                            *)
@@ -425,21 +427,13 @@ let find_backup_route ?banned_edges t req ~primary_edges =
   | `Sequential candidates ->
     Sequential.backup_route ?banned_edges t.net req ~candidates ~primary_edges
 
-(* Register one backup path's reservations. *)
-let register_backup_path ?floor t ch blinks =
-  let floor = Option.value ~default:ch.qos.Qos.b_min floor in
-  List.iter
-    (fun dl ->
-      Link_state.register_backup (Net_state.link t.net dl) ~channel:ch.id ~b_min:floor
-        ~primary_edges:ch.primary_edges)
-    blinks
-
 let unregister_backup_path t ch blinks =
   List.iter
     (fun dl -> Link_state.unregister_backup (Net_state.link t.net dl) ~channel:ch.id)
     blinks
 
-(* All-or-nothing registration: roll back the prefix on failure. *)
+(* Register one backup path's reservations, all-or-nothing: roll back
+   the prefix on failure. *)
 let try_register_backup_path ?floor t ch blinks =
   let floor = Option.value ~default:ch.qos.Qos.b_min floor in
   let registered = ref [] in
@@ -452,9 +446,7 @@ let try_register_backup_path ?floor t ch blinks =
       blinks;
     true
   with Invalid_argument _ ->
-    List.iter
-      (fun dl -> Link_state.unregister_backup (Net_state.link t.net dl) ~channel:ch.id)
-      !registered;
+    unregister_backup_path t ch !registered;
     false
 
 (* Establish further backup channels until the configured count is
@@ -479,9 +471,11 @@ let top_up_backups t ch =
       | None -> continue := false
       | Some bpath ->
         let blinks = Dirlink.of_path (Net_state.graph t.net) bpath in
-        register_backup_path t ch blinks;
-        ch.backups <- ch.backups @ [ blinks ];
-        incr added
+        if try_register_backup_path t ch blinks then begin
+          ch.backups <- ch.backups @ [ blinks ];
+          incr added
+        end
+        else continue := false
     done;
     !added
   end
@@ -489,30 +483,19 @@ let top_up_backups t ch =
 (* ------------------------------------------------------------------ *)
 (* Admission                                                           *)
 
-(* Fast-path retreat for report-free admission: only channels actually
-   holding extras on [links] retreat (a retreat of a floor-level channel
-   is a no-op anyway), found through the per-link extras index. *)
-let retreat_extras_on t links =
-  let gen = next_mark t in
-  let hit = ref [] in
-  List.iter
-    (fun dl ->
-      let l = Net_state.link t.net dl in
-      if Link_state.extras_count l > 0 then
-        Link_state.iter_extras
-          (fun id _ ->
-            let ch = resolve t id in
-            if ch.mark <> gen then begin
-              ch.mark <- gen;
-              hit := ch :: !hit
-            end)
-          l)
-    links;
-  List.iter
+(* The one retreat (§3.1): every channel but [exclude] holding extras on
+   [links] falls to its floor.  Retreating a floor-level channel is a
+   no-op, so the per-link extras index finds every channel that moves.
+   Each retreated path is dirtied whole — the spare it frees lies on all
+   of it.  Returns the retreated channels with their earlier levels. *)
+let retreat_extras_on t ?exclude links =
+  List.map
     (fun ch ->
-      retreat t ch;
-      add_dirty_path t ch.primary)
-    !hit
+      let before = ch.level in
+      set_level t ch 0;
+      add_dirty_path t ch.primary;
+      (ch, before))
+    (distinct_on t ?exclude extras links)
 
 let admit ?(want_indirect = true) ?(want_report = true) t ~src ~dst ~qos =
   hot_span t "drcomm.admit" @@ fun () ->
@@ -547,28 +530,17 @@ let admit ?(want_indirect = true) ?(want_report = true) t ~src ~dst ~qos =
     let existing = t.n_live in
     (* Directly-chained channels retreat to their floors (§3.1), making
        room for the new floor physically (extras may have filled the
-       links).  Without a report only the channels holding extras are
-       visited — the retreat itself is identical. *)
-    let direct, direct_snap, indirect_snap =
-      if want_report then begin
-        let direct = channels_on_links t plinks in
-        let direct_snap = snapshot_levels direct in
-        let indirect =
-          if want_indirect then indirect_set t ~direct else []
-        in
-        let indirect_snap = snapshot_levels indirect in
-        List.iter
-          (fun ch ->
-            retreat t ch;
-            add_dirty_path t ch.primary)
-          direct;
-        (direct, direct_snap, indirect_snap)
-      end
-      else begin
-        retreat_extras_on t plinks;
-        ([], [], [])
-      end
+       links).  The report's census is a read-only walk taken first: it
+       counts sharers already at their floor too, which the extras index
+       does not hold. *)
+    let direct_snap, indirect_snap =
+      if not want_report then ([], [])
+      else
+        let direct = distinct_on t primaries plinks in
+        ( snapshot_levels direct,
+          if want_indirect then snapshot_levels (indirect_set t ~direct) else [] )
     in
+    ignore (retreat_extras_on t plinks);
     List.iter
       (fun dl ->
         Link_state.reserve_primary (Net_state.link t.net dl) ~channel:id ~b_min:floor)
@@ -614,7 +586,7 @@ let admit ?(want_indirect = true) ?(want_report = true) t ~src ~dst ~qos =
       let report =
         {
           existing;
-          direct_count = List.length direct;
+          direct_count = List.length direct_snap;
           indirect_count = List.length indirect_snap;
           transitions =
             transitions_of ~chained:`Direct direct_snap
@@ -648,8 +620,7 @@ let unregister_backup_links t ch =
 let terminate ?(report = true) t handle =
   let ch = find handle in
   let direct_snap =
-    if report then
-      snapshot_levels (channels_on_links t ~exclude:[ ch ] ch.primary)
+    if report then snapshot_levels (distinct_on t ~exclude:[ ch ] primaries ch.primary)
     else []
   in
   let existing = t.n_live - 1 in
@@ -682,13 +653,11 @@ let change_qos t handle qos' =
   let old_floor = old_qos.Qos.b_min in
   let new_floor = qos'.Qos.b_min in
   let backups = ch.backups in
-  (* Reclaim extras on the channel's links (including its own). *)
-  let sharing = channels_on_links t ch.primary in
-  List.iter
-    (fun c ->
-      retreat t c;
-      add_dirty_path t c.primary)
-    sharing;
+  (* Reclaim extras on the channel's links (including its own).  Its own
+     path is dirtied even from its floor: the floor swap below changes
+     the spare on every link of it. *)
+  ignore (retreat_extras_on t ch.primary);
+  add_dirty_path t ch.primary;
   (* Swap the primary floor link by link, tracking progress for
      rollback. *)
   let swapped = ref [] in
@@ -776,8 +745,9 @@ let try_new_backup t ch =
 
 (* Convert one of [ch]'s backups into its primary.  The single-failure
    guarantee makes the floors fit; extras on the backup links are
-   retreated first (they were borrowing the pool).  The channel's other
-   backups are re-registered against the new primary's edges (their pool
+   retreated first (they were borrowing the pool) and pushed onto the
+   newest-first accumulator [retreated].  The channel's other backups
+   are re-registered against the new primary's edges (their pool
    accounting was keyed by the old primary).  Returns [false] if floors
    do not fit (multi-failure corner) — the caller then drops the
    connection. *)
@@ -795,29 +765,8 @@ let activate_backup t ch blinks ~retreated =
     let remaining = List.filter (fun b -> b != blinks) ch.backups in
     unregister_backup_path t ch blinks;
     (* Primaries sharing the activated links release their extras
-       (§3.1: the pool they were borrowing is being called in).  Found
-       through the per-link extras index: a link full of floor-level
-       primaries costs nothing here. *)
-    let gen = next_mark t in
-    let hit = ref [] in
-    List.iter
-      (fun dl ->
-        let l = Net_state.link t.net dl in
-        if Link_state.extras_count l > 0 then
-          Link_state.iter_extras
-            (fun id _ ->
-              let other = resolve t id in
-              if other.id <> ch.id && other.mark <> gen then begin
-                other.mark <- gen;
-                hit := other :: !hit
-              end)
-            l)
-      blinks;
-    List.iter
-      (fun other ->
-        retreated := (other, other.level) :: !retreated;
-        retreat t other)
-      !hit;
+       (§3.1: the pool they were borrowing is being called in). *)
+    retreated := List.rev_append (retreat_extras_on t ~exclude:[ ch ] blinks) !retreated;
     List.iter
       (fun dl ->
         Link_state.reserve_primary ~force:true (Net_state.link t.net dl) ~channel:ch.id
@@ -859,33 +808,14 @@ let fail_edge t e =
        primary victim holds a reservation on either direction, a backup
        victim has a backup registered there (and no primary across the
        edge).  No global scan. *)
-    let gen = next_mark t in
-    let victims_primary = ref [] and victims_backup = ref [] in
-    let each_direction f =
-      f (2 * e);
-      f ((2 * e) + 1)
+    let both = [ 2 * e; (2 * e) + 1 ] in
+    let victims_primary = distinct_on t primaries both in
+    let victims_backup =
+      distinct_on t ~exclude:victims_primary Link_state.iter_backup_channels both
     in
-    each_direction (fun dl ->
-        Link_state.iter_primary_channels
-          (fun id _ ->
-            let ch = resolve t id in
-            if ch.mark <> gen then begin
-              ch.mark <- gen;
-              victims_primary := ch :: !victims_primary
-            end)
-          (Net_state.link t.net dl));
-    each_direction (fun dl ->
-        Link_state.iter_backup_channels
-          (fun id ->
-            let ch = resolve t id in
-            if ch.mark <> gen then begin
-              ch.mark <- gen;
-              victims_backup := ch :: !victims_backup
-            end)
-          (Net_state.link t.net dl));
     let by_id a b = compare a.id b.id in
-    let victims_primary = List.sort by_id !victims_primary in
-    let victims_backup = List.sort by_id !victims_backup in
+    let victims_primary = List.sort by_id victims_primary in
+    let victims_backup = List.sort by_id victims_backup in
     let crosses blinks = List.exists (fun dl -> Dirlink.edge dl = e) blinks in
     let retreated = ref [] in
     let recoveries = ref [] in
@@ -903,7 +833,10 @@ let fail_edge t e =
             `Dropped
           end
           else
-            match admit ~want_indirect:false t ~src:ch.src ~dst:ch.dst ~qos:ch.qos with
+            match
+              admit ~want_indirect:false ~want_report:false t ~src:ch.src ~dst:ch.dst
+                ~qos:ch.qos
+            with
             | Admitted (nch, _) -> `Restored (nch.backups <> [])
             | Rejected _ ->
               t.dropped <- t.dropped + 1;
@@ -955,17 +888,7 @@ let fail_edge t e =
         recoveries := { victim = ch; outcome = `Backup_lost replaced } :: !recoveries)
       victims_backup;
     let retreated_snap = List.rev !retreated in
-    (* A bystander retreated by an activation freed spare on its whole
-       path, not just on the activated links — its other links must be
-       water-filled too, exactly as admission treats direct sharers. *)
-    List.iter (fun (ch, _) -> add_dirty_path t ch.primary) retreated_snap;
     maybe_redistribute t;
-    let transitions =
-      List.map
-        (fun (ch, before) ->
-          { channel = ch; before; after = ch.level; chained = `Direct })
-        retreated_snap
-    in
     {
       recoveries = List.rev !recoveries;
       event =
@@ -973,7 +896,7 @@ let fail_edge t e =
           existing;
           direct_count = List.length retreated_snap;
           indirect_count = 0;
-          transitions;
+          transitions = transitions_of ~chained:`Direct retreated_snap;
         };
     }
   end

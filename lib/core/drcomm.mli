@@ -173,14 +173,15 @@ val admit :
   dst:int ->
   qos:Qos.t ->
   admit_result
-(** Establish a DR-connection.  [src <> dst]; both in range.
-    [~want_indirect:false] (default [true]) skips computing the
-    indirectly-chained set; [~want_report:false] (default [true])
-    additionally skips the directly-chained census — the retreats still
-    happen (through the per-link extras index, visiting only channels
-    that actually hold extras), but the returned report carries empty
-    transition lists.  Use it on the bulk-loading and churn hot paths
-    where the report is discarded. *)
+(** Establish a DR-connection.  [src <> dst]; both in range.  Every
+    channel holding extras on the new primary's links retreats to its
+    floor, found through the per-link extras index — the same retreat
+    whatever the flags say.  The flags choose only whether the report's
+    read-only census runs first: [~want_report:false] (default [true])
+    skips it, so the report carries zero counts and empty transition
+    lists; [~want_indirect:false] (default [true]) skips only its
+    indirectly-chained half.  Use [~want_report:false] on the
+    bulk-loading and churn hot paths where the report is discarded. *)
 
 (** {1 Redistribution control}
 
@@ -217,7 +218,8 @@ val redistribute_all : t -> unit
 
 val terminate : ?report:bool -> t -> channel_id -> report
 (** Tear down a connection and redistribute.  [~report:false] (default
-    [true]) skips the directly-chained census (empty transition list).
+    [true]) skips the read-only directly-chained census (zero count,
+    empty transition list); the teardown itself is the same either way.
     Raises [Not_found] for an unknown or already-terminated handle. *)
 
 val change_qos : t -> channel_id -> Qos.t -> [ `Changed | `Rejected ]

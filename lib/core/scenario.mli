@@ -15,6 +15,9 @@ type topology =
   | Transit_stub of Transit_stub.spec
   | Fixed of Graph.t
 
+val build_graph : Prng.t -> topology -> Graph.t
+(** Generate the topology from [rng]; a [Fixed] graph is returned as is. *)
+
 type config = {
   topology : topology;
   capacity : Bandwidth.t;

@@ -19,22 +19,28 @@ let subcommands =
     "serve"; "loadgen"; "latency";
   ]
 
-let stderr_mentions_usage cmd =
+(* Exit code and stderr text of [cmd] (stdout discarded). *)
+let run_stderr cmd =
   let tmp = Filename.temp_file "drqos_cli" ".stderr" in
-  ignore (Sys.command (Printf.sprintf "%s >/dev/null 2>%s" cmd tmp));
+  let code = Sys.command (Printf.sprintf "%s >/dev/null 2>%s" cmd tmp) in
   let ic = open_in tmp in
   let n = in_channel_length ic in
   let text = really_input_string ic n in
   close_in ic;
   Sys.remove tmp;
+  (code, text)
+
+(* Case-insensitive substring test. *)
+let mentions needle text =
   let lower = String.lowercase_ascii text in
-  let needle = "usage" in
   let nl = String.length needle in
   let rec scan i =
     i + nl <= String.length lower
     && (String.sub lower i nl = needle || scan (i + 1))
   in
   scan 0
+
+let stderr_mentions_usage cmd = mentions "usage" (snd (run_stderr cmd))
 
 let test_unknown_flag_exits_2 () =
   List.iter
@@ -116,6 +122,29 @@ let test_bad_trace_path_exits_1 () =
        (Printf.sprintf
           "%s run --offered 5 --churn 5 --warmup 0 --metrics /no/such/dir/m.json"
           cli))
+
+let test_loadgen_bad_output_fails_first () =
+  (* Regression: loadgen created --out (non-recursively) and opened
+     --trace only after the whole replay, so a bad path surfaced after
+     every request had been sent.  Both now fail before the first
+     request: with no daemon listening, a path error on stderr (rather
+     than the connect error the 100 retries end in) proves no
+     connection was attempted. *)
+  let file = Filename.temp_file "drqos_cli" ".file" in
+  let loadgen flag path =
+    run_stderr
+      (Printf.sprintf "%s loadgen --quick --socket %s.missing.sock %s %s" cli
+         file flag (Filename.concat file path))
+  in
+  let out_code, out_err = loadgen "--out" "sub" in
+  let trace_code, trace_err = loadgen "--trace" "client.jsonl" in
+  Sys.remove file;
+  Alcotest.(check int) "--out under a regular file exits 1" 1 out_code;
+  Alcotest.(check bool) "--out error names the path" true
+    (mentions "not a directory" out_err);
+  Alcotest.(check int) "--trace under a regular file exits 1" 1 trace_code;
+  Alcotest.(check bool) "--trace error names the path" true
+    (mentions "not a directory" trace_err)
 
 (* --- drqos_cli top --- *)
 
@@ -270,6 +299,8 @@ let () =
             test_bad_heartbeat_path_leaves_no_trace_file;
           Alcotest.test_case "bad trace/metrics paths exit 1" `Quick
             test_bad_trace_path_exits_1;
+          Alcotest.test_case "loadgen bad output fails before replay" `Quick
+            test_loadgen_bad_output_fails_first;
         ] );
       ( "top",
         [

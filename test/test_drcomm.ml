@@ -885,6 +885,93 @@ let test_batched_flush_matches_global_pass () =
   Drcomm.check_invariants a;
   Drcomm.check_invariants b
 
+(* The report flags choose only whether the read-only census runs: twin
+   services driven through one operation sequence — one with reports,
+   one without — must hold identical allocations after every step. *)
+let test_report_modes_reach_same_state () =
+  let rng = Prng.create 37 in
+  let g = Waxman.generate rng (Waxman.spec ~nodes:20 ~alpha:0.5 ~beta:0.3 ()) in
+  let cfg = Drcomm.Config.make ~require_backup:false () in
+  let make () = Drcomm.create ~config:cfg (Net_state.create ~capacity:2000 g) in
+  let a = make () and b = make () in
+  let allocation t =
+    List.map
+      (fun id -> (Drcomm.Channel_id.to_int id, Drcomm.reserved_bandwidth t id))
+      (List.sort Drcomm.Channel_id.compare (Drcomm.active_channels t))
+  in
+  (* The same live connection in both twins: equal slot layouts. *)
+  let pick () =
+    let i = Prng.int rng (Drcomm.count a) in
+    (Drcomm.nth_channel a i, Drcomm.nth_channel b i)
+  in
+  let qos_choices =
+    [| qos5; Qos.make ~b_min:200 ~b_max:400 ~increment:100 (); Qos.single_value 300 |]
+  in
+  for step = 1 to 300 do
+    (match Prng.int rng 100 with
+    | d when d < 40 ->
+      let src, dst = Prng.sample_distinct_pair rng (Graph.node_count g) in
+      let admitted = function Drcomm.Admitted _ -> true | Drcomm.Rejected _ -> false in
+      Alcotest.(check bool)
+        (Printf.sprintf "step %d: same admission" step)
+        (admitted (Drcomm.admit a ~src ~dst ~qos:qos5))
+        (admitted (Drcomm.admit ~want_report:false b ~src ~dst ~qos:qos5))
+    | d when d < 65 && Drcomm.count a > 0 ->
+      let ca, cb = pick () in
+      ignore (Drcomm.terminate a ca);
+      ignore (Drcomm.terminate ~report:false b cb)
+    | d when d < 75 && Drcomm.count a > 0 ->
+      let ca, cb = pick () in
+      let qos = qos_choices.(Prng.int rng (Array.length qos_choices)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "step %d: same renegotiation" step)
+        (Drcomm.change_qos a ca qos = `Changed)
+        (Drcomm.change_qos b cb qos = `Changed)
+    | d when d < 88 ->
+      let e = Prng.int rng (Graph.edge_count g) in
+      ignore (Drcomm.fail_edge a e);
+      ignore (Drcomm.fail_edge b e)
+    | _ -> (
+      match Net_state.failed_edges (Drcomm.net a) with
+      | [] -> ()
+      | es ->
+        let e = Prng.pick_list rng es in
+        Drcomm.repair_edge a e;
+        Drcomm.repair_edge b e));
+    Alcotest.(check (list (pair int int)))
+      (Printf.sprintf "step %d: same allocation" step)
+      (allocation a) (allocation b);
+    Invariants.check_incremental_equivalence a;
+    Invariants.check_incremental_equivalence b
+  done;
+  Drcomm.check_invariants a;
+  Drcomm.check_invariants b
+
+(* Why the census cannot come from the extras index: a sharer sitting at
+   its floor holds no extras, yet it is directly chained to the arrival
+   and the report must count it. *)
+let test_census_counts_floor_sharers () =
+  let g = Graph.create 3 in
+  ignore (Graph.add_edge g 0 1);
+  ignore (Graph.add_edge g 1 2);
+  let t = Drcomm.create ~config:no_backups (Net_state.create ~capacity:300 g) in
+  let x, _ = admit_ok t ~src:0 ~dst:2 ~qos:qos5 in
+  let y, _ = admit_ok t ~src:1 ~dst:2 ~qos:qos5 in
+  (* Link 1->2 holds floors 100 + 100; equal share hands the one spare
+     increment to the lower id, leaving Y elastic but at its floor. *)
+  Alcotest.(check int) "fixture: X one level up" 1 (Drcomm.level t x);
+  Alcotest.(check int) "fixture: Y at its floor" 0 (Drcomm.level t y);
+  let _, report = admit_ok t ~src:1 ~dst:2 ~qos:qos5 in
+  Alcotest.(check int) "both sharers counted" 2 report.Drcomm.direct_count;
+  let before ch =
+    match List.find_opt (fun tr -> tr.Drcomm.channel = ch) report.Drcomm.transitions with
+    | Some tr -> tr.Drcomm.before
+    | None -> Alcotest.fail "sharer missing from the transitions"
+  in
+  Alcotest.(check int) "X retreated from level 1" 1 (before x);
+  Alcotest.(check int) "Y counted from its floor" 0 (before y);
+  Drcomm.check_invariants t
+
 let test_soak_short () = soak 11 150
 let test_soak_other_seed () = soak 23 150
 let test_soak_two_backups () = soak ~backups:2 31 150
@@ -985,6 +1072,10 @@ let () =
             test_dirty_set_covers_retreated_paths;
           Alcotest.test_case "batched flush = global pass" `Quick
             test_batched_flush_matches_global_pass;
+          Alcotest.test_case "report modes reach the same state" `Quick
+            test_report_modes_reach_same_state;
+          Alcotest.test_case "census counts floor-level sharers" `Quick
+            test_census_counts_floor_sharers;
         ] );
       ( "soak",
         [
