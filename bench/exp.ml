@@ -4,7 +4,7 @@
 
 (* Scale of the sweeps: [Full] runs the paper's exact points; [Quick]
    shrinks loads and measurement windows ~4x for smoke runs. *)
-type scale = Full | Quick
+type scale = Perf_record.scale = Full | Quick
 
 let churn = function Full -> 2000 | Quick -> 500
 let warmup = function Full -> 400 | Quick -> 100
@@ -30,24 +30,8 @@ let row widths cells =
    them). *)
 let out_dir = ref None
 
-let rec mkdir_p dir =
-  if Sys.file_exists dir then begin
-    if not (Sys.is_directory dir) then
-      failwith (Printf.sprintf "%s exists and is not a directory" dir)
-  end
-  else begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    (* A concurrent creator is fine; anything else is not. *)
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.is_directory dir -> ()
-  end
-
 let set_out_dir dir =
-  match mkdir_p dir with
-  | () ->
-    out_dir := Some dir;
-    Ok ()
-  | exception (Failure msg | Sys_error msg) -> Error msg
+  Result.map (fun () -> out_dir := Some dir) (Cliopt.mkdir_p dir)
 
 let in_out_dir file =
   match !out_dir with Some dir -> Filename.concat dir file | None -> file
@@ -209,76 +193,55 @@ let paper_config ~scale ~offered ~increment ~seed =
 
    - <name>.metrics.json — scale, jobs, per-phase timings (with
      p50/p95/p99), event counts, and span aggregates;
-   - BENCH_<name>.json — the compact perf record `perfdiff` compares:
-     wall time, main-domain GC deltas, and the span aggregates.
+   - BENCH_<name>.json — the compact perf record `perfdiff` compares
+     (see Perf_record): wall time, main-domain GC deltas, and the span
+     aggregates.
 
    These files anchor cross-PR performance trajectories: later
    optimisation work diffs them against earlier runs
    (scripts/perf_diff.sh).  Worker-domain spans reach the profiler
-   through Sweep's fork/absorb; the GC deltas are main-domain only
-   (Gc.quick_stat is per-domain), so allocation inside workers shows up
-   in the span aggregates, not under "gc". *)
-let write_json path doc =
-  let oc = open_out path in
-  Jsonx.output oc doc;
-  output_char oc '\n';
-  close_out oc
+   through Sweep's fork/absorb; the GC deltas are main-domain only, so
+   allocation inside workers shows up in the span aggregates, not under
+   "gc".
 
-(* [extra] (evaluated after [f]) appends experiment-specific fields to
-   the BENCH_<name>.json record — e.g. the scale bench's ops/sec-vs-live
-   curve.  `perfdiff` ignores fields it does not know. *)
-let with_manifest ?(extra = fun () -> []) name scale f =
+   [plateaus] (evaluated after [f]) adds the scale bench's
+   ops/sec-vs-live curve to the record. *)
+let with_manifest ?plateaus name scale f =
   let obs =
     Obs.create ~metrics:(Metrics.create ()) ~spans:(Span.create ())
       ~heavy:(Heavy.create ()) ()
   in
   Obs.set_default obs;
-  let g0 = Gc.quick_stat () in
-  let t0 = Clock.now () in
-  let result = Fun.protect ~finally:(fun () -> Obs.set_default Obs.null) f in
-  let wall_s = Clock.elapsed_since t0 in
-  let g1 = Gc.quick_stat () in
-  let scale_str = match scale with Full -> "full" | Quick -> "quick" in
-  let spans_json = Span.to_json (Obs.spans obs) in
+  let (result, wall_s), gc =
+    Perf_record.with_gc (fun () ->
+        let t0 = Clock.now () in
+        let result = Fun.protect ~finally:(fun () -> Obs.set_default Obs.null) f in
+        (result, Clock.elapsed_since t0))
+  in
   let path = in_out_dir (name ^ ".metrics.json") in
-  write_json path
+  let oc = open_out path in
+  Jsonx.output oc
     (Jsonx.Obj
        [
          ("experiment", Jsonx.String name);
-         ("scale", Jsonx.String scale_str);
+         ("scale", Jsonx.String (match scale with Full -> "full" | Quick -> "quick"));
          ("churn_events", Jsonx.Int (churn scale));
          ("warmup_events", Jsonx.Int (warmup scale));
          ("jobs", Jsonx.Int !jobs);
          ("wall_s", Jsonx.Float wall_s);
          ("metrics", Obs.metrics_json obs);
-         ("spans", spans_json);
+         ("spans", Span.to_json (Obs.spans obs));
        ]);
+  output_char oc '\n';
+  close_out oc;
   Printf.printf "(metrics manifest written to %s)\n" path;
   let bench_path = in_out_dir ("BENCH_" ^ name ^ ".json") in
-  write_json bench_path
-    (Jsonx.Obj
-       ([
-          ("experiment", Jsonx.String name);
-          ("scale", Jsonx.String scale_str);
-          ("jobs", Jsonx.Int !jobs);
-          ("wall_s", Jsonx.Float wall_s);
-          ( "gc",
-            Jsonx.Obj
-              [
-                ( "minor_words",
-                  Jsonx.Float (g1.Gc.minor_words -. g0.Gc.minor_words) );
-                ( "promoted_words",
-                  Jsonx.Float (g1.Gc.promoted_words -. g0.Gc.promoted_words) );
-                ( "major_words",
-                  Jsonx.Float (g1.Gc.major_words -. g0.Gc.major_words) );
-                ( "minor_collections",
-                  Jsonx.Int (g1.Gc.minor_collections - g0.Gc.minor_collections) );
-                ( "major_collections",
-                  Jsonx.Int (g1.Gc.major_collections - g0.Gc.major_collections) );
-              ] );
-          ("spans", spans_json);
-        ]
-       @ extra ()));
+  Out_channel.with_open_text bench_path (fun oc ->
+      Perf_record.write oc
+        (Perf_record.bench ~experiment:name ~scale ~jobs:!jobs ~wall_s ~gc
+           ~spans:(Obs.spans obs)
+           ?plateaus:(Option.map (fun f -> f ()) plateaus)
+           ()));
   Printf.printf "(perf record written to %s)\n" bench_path;
   result
 

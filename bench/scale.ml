@@ -199,23 +199,18 @@ let sweep scale =
      plateau runs cheaper while the heap and link sets are still small.";
   stats
 
-let bench_extra stats =
-  [
-    ( "plateaus",
-      Jsonx.List
-        (List.map
-           (fun p ->
-             Jsonx.Obj
-               [
-                 ("live", Jsonx.Int p.carried);
-                 ("ops", Jsonx.Int p.ops);
-                 ("ops_per_sec", Jsonx.Float (ops_per_sec p));
-                 ("us_per_op", Jsonx.Float (us_per_op p));
-               ])
-           stats) );
-  ]
-
 let run scale =
   let stats = ref [] in
-  Exp.with_manifest ~extra:(fun () -> bench_extra !stats) "scale" scale
+  Exp.with_manifest
+    ~plateaus:(fun () ->
+      List.map
+        (fun p ->
+          {
+            Perf_record.live = p.carried;
+            ops = p.ops;
+            ops_per_sec = ops_per_sec p;
+            us_per_op = us_per_op p;
+          })
+        !stats)
+    "scale" scale
     (fun () -> stats := sweep scale)

@@ -114,15 +114,41 @@ let make_obs ?(profile = false) ?heavy ?flight ~trace ~metrics () =
   Obs.install obs;
   obs
 
+let write_file path f =
+  let oc = open_out_or_exit path in
+  f oc;
+  close_out oc
+
+let write_json path doc =
+  write_file path (fun oc ->
+      Jsonx.output oc doc;
+      output_char oc '\n')
+
 let write_metrics_manifest obs ~path ~meta =
   let spans =
     if Obs.profiling obs then [ ("spans", Span.to_json (Obs.spans obs)) ] else []
   in
-  let doc = Jsonx.Obj (meta @ [ ("metrics", Obs.metrics_json obs) ] @ spans) in
-  let oc = open_out_or_exit path in
-  Jsonx.output oc doc;
-  output_char oc '\n';
-  close_out oc
+  write_json path (Jsonx.Obj (meta @ [ ("metrics", Obs.metrics_json obs) ] @ spans))
+
+let usage_error_if bad msg =
+  if bad then begin
+    prerr_endline ("drqos_cli: " ^ msg);
+    exit 2
+  end
+
+let or_exit = function
+  | Ok v -> v
+  | Error msg ->
+    Printf.eprintf "drqos_cli: %s\n" msg;
+    exit 1
+
+let mkdir_p dir = or_exit (Cliopt.mkdir_p dir)
+
+(* Replay trace files for the read-only commands; unreadable or
+   malformed input exits 1. *)
+let load_traces paths = or_exit (Analysis.load paths)
+
+let rec take k = function x :: rest when k > 0 -> x :: take (k - 1) rest | _ -> []
 
 let scenario_topology nodes = function
   | `Waxman -> Scenario.Waxman (Waxman.paper_spec ~nodes)
@@ -135,21 +161,14 @@ let scenario_topology nodes = function
         (Transit_stub.spec ~transit_domains:1 ~transit_size:4
            ~stubs_per_transit_node:3 ~stub_size ())
 
-(* --- run --- *)
-
-let run_cmd =
-  let offered =
-    Arg.(
-      value & opt int 3000
-      & info [ "offered" ] ~docv:"N" ~doc:"DR-connection set-ups attempted.")
-  in
+(* The scenario flags [run] and [sweep] share: seed, topology and
+   capacity, the rates, the QoS increment, the policy and the churn
+   windows, as the base configuration both start from. *)
+let scenario_term =
   let lambda =
     Arg.(value & opt float 0.001 & info [ "lambda" ] ~doc:"Arrival rate.")
   in
   let mu = Arg.(value & opt float 0.001 & info [ "mu" ] ~doc:"Termination rate.") in
-  let gamma =
-    Arg.(value & opt float 0. & info [ "gamma" ] ~doc:"Link failure rate.")
-  in
   let increment =
     Arg.(
       value & opt int 50
@@ -167,6 +186,35 @@ let run_cmd =
   in
   let warmup =
     Arg.(value & opt int 400 & info [ "warmup" ] ~doc:"Warmup churn events.")
+  in
+  let base seed nodes topo capacity lambda mu increment policy churn warmup =
+    {
+      Scenario.default with
+      Scenario.topology = scenario_topology nodes topo;
+      capacity;
+      qos = Qos.paper_spec ~increment;
+      policy;
+      lambda;
+      mu;
+      churn_events = churn;
+      warmup_events = warmup;
+      seed;
+    }
+  in
+  Term.(
+    const base $ seed_arg $ nodes_arg $ topology_arg $ capacity_arg $ lambda $ mu
+    $ increment $ policy $ churn $ warmup)
+
+(* --- run --- *)
+
+let run_cmd =
+  let offered =
+    Arg.(
+      value & opt int 3000
+      & info [ "offered" ] ~docv:"N" ~doc:"DR-connection set-ups attempted.")
+  in
+  let gamma =
+    Arg.(value & opt float 0. & info [ "gamma" ] ~doc:"Link failure rate.")
   in
   let no_multiplexing =
     Arg.(
@@ -208,26 +256,16 @@ let run_cmd =
             "Where the crash flight recorder dumps the last trace events if \
              the run dies.")
   in
-  let run seed nodes topo capacity offered lambda mu gamma increment policy churn
-      warmup no_multiplexing no_backups trace metrics profile heartbeat
-      heartbeat_every heartbeat_wall flight_dump =
+  let run nodes base offered gamma no_multiplexing no_backups trace metrics profile
+      heartbeat heartbeat_every heartbeat_wall flight_dump =
     let cfg =
       {
-        Scenario.default with
-        Scenario.topology = scenario_topology nodes topo;
-        capacity;
-        multiplexing = not no_multiplexing;
+        base with
+        Scenario.multiplexing = not no_multiplexing;
         with_backups = not no_backups;
         require_backup = not no_backups;
-        qos = Qos.paper_spec ~increment;
-        policy;
         offered;
-        lambda;
-        mu;
         gamma;
-        churn_events = churn;
-        warmup_events = warmup;
-        seed;
       }
     in
     (* Heavy-hitter sketches only pay for themselves when something will
@@ -281,11 +319,11 @@ let run_cmd =
           ~meta:
             [
               ("command", Jsonx.String "run");
-              ("seed", Jsonx.Int seed);
+              ("seed", Jsonx.Int cfg.seed);
               ("nodes", Jsonx.Int nodes);
               ("offered", Jsonx.Int offered);
-              ("churn_events", Jsonx.Int churn);
-              ("warmup_events", Jsonx.Int warmup);
+              ("churn_events", Jsonx.Int cfg.churn_events);
+              ("warmup_events", Jsonx.Int cfg.warmup_events);
               ("wall_s", Jsonx.Float wall_s);
               ("estimator", Estimator.to_json r.Scenario.estimator);
             ];
@@ -304,8 +342,7 @@ let run_cmd =
   in
   let term =
     Term.(
-      const run $ seed_arg $ nodes_arg $ topology_arg $ capacity_arg $ offered
-      $ lambda $ mu $ gamma $ increment $ policy $ churn $ warmup $ no_multiplexing
+      const run $ nodes_arg $ scenario_term $ offered $ gamma $ no_multiplexing
       $ no_backups $ trace_arg $ metrics_arg $ profile_arg $ heartbeat
       $ heartbeat_every $ heartbeat_wall $ flight_dump)
   in
@@ -315,24 +352,6 @@ let run_cmd =
     term
 
 (* --- sweep --- *)
-
-let rec mkdir_p dir =
-  if Sys.file_exists dir then begin
-    if not (Sys.is_directory dir) then begin
-      Printf.eprintf "drqos_cli: %s exists and is not a directory\n" dir;
-      exit 1
-    end
-  end
-  else begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    try Sys.mkdir dir 0o755
-    with Sys_error msg ->
-      if not (Sys.file_exists dir && Sys.is_directory dir) then begin
-        Printf.eprintf "drqos_cli: cannot create directory: %s\n" msg;
-        exit 1
-      end
-  end
 
 let sweep_cmd =
   let offered_from =
@@ -377,42 +396,12 @@ let sweep_cmd =
             "Also write the sweep as $(docv)/sweep.dat (TSV, gnuplot/pandas \
              ready) and $(docv)/sweep.metrics.json (created recursively).")
   in
-  let lambda =
-    Arg.(value & opt float 0.001 & info [ "lambda" ] ~doc:"Arrival rate.")
-  in
-  let mu = Arg.(value & opt float 0.001 & info [ "mu" ] ~doc:"Termination rate.") in
-  let increment =
-    Arg.(
-      value & opt int 50
-      & info [ "increment" ] ~docv:"KBPS"
-          ~doc:"Elastic increment (50 = 9-state chain, 100 = 5-state).")
-  in
-  let policy =
-    Arg.(
-      value & opt policy_conv Policy.equal_share
-      & info [ "policy" ] ~docv:"POLICY"
-          ~doc:"Adaptation policy: equal-share, proportional or max-utility.")
-  in
-  let churn =
-    Arg.(value & opt int 2000 & info [ "churn" ] ~doc:"Measured churn events.")
-  in
-  let warmup =
-    Arg.(value & opt int 400 & info [ "warmup" ] ~doc:"Warmup churn events.")
-  in
-  let run seed nodes topo capacity offered_from offered_to offered_step gammas jobs
-      out lambda mu increment policy churn warmup =
-    if offered_step < 1 then begin
-      Printf.eprintf "drqos_cli: --offered-step must be >= 1\n";
-      exit 2
-    end;
-    if offered_from < 0 || offered_to < offered_from then begin
-      Printf.eprintf "drqos_cli: need 0 <= --offered-from <= --offered-to\n";
-      exit 2
-    end;
-    if jobs < 1 then begin
-      Printf.eprintf "drqos_cli: --jobs must be >= 1\n";
-      exit 2
-    end;
+  let run nodes base offered_from offered_to offered_step gammas jobs out =
+    usage_error_if (offered_step < 1) "--offered-step must be >= 1";
+    usage_error_if
+      (offered_from < 0 || offered_to < offered_from)
+      "need 0 <= --offered-from <= --offered-to";
+    usage_error_if (jobs < 1) "--jobs must be >= 1";
     let gammas = match gammas with [] -> [ 0. ] | gs -> gs in
     let offereds =
       let rec up acc o = if o > offered_to then List.rev acc else up (o :: acc) (o + offered_step) in
@@ -423,22 +412,9 @@ let sweep_cmd =
         (fun gamma -> List.map (fun offered -> (gamma, offered)) offereds)
         gammas
     in
-    let point (gamma, offered) =
-      {
-        Scenario.default with
-        Scenario.topology = scenario_topology nodes topo;
-        capacity;
-        qos = Qos.paper_spec ~increment;
-        policy;
-        offered;
-        lambda;
-        mu;
-        gamma;
-        churn_events = churn;
-        warmup_events = warmup;
-        seed;
-      }
-    in
+    let point (gamma, offered) = { base with Scenario.offered; gamma } in
+    (* An unusable --out fails before the sweep, not after it. *)
+    Option.iter mkdir_p out;
     let obs = Obs.create ~metrics:(Metrics.create ()) () in
     Obs.set_default obs;
     let t0 = Clock.now () in
@@ -474,22 +450,19 @@ let sweep_cmd =
       jobs;
     Option.iter
       (fun dir ->
-        mkdir_p dir;
         let dat = Filename.concat dir "sweep.dat" in
-        let oc = open_out dat in
-        print_tsv oc;
-        close_out oc;
+        write_file dat print_tsv;
         let manifest = Filename.concat dir "sweep.metrics.json" in
         write_metrics_manifest obs ~path:manifest
           ~meta:
             [
               ("command", Jsonx.String "sweep");
-              ("seed", Jsonx.Int seed);
+              ("seed", Jsonx.Int base.seed);
               ("nodes", Jsonx.Int nodes);
               ("points", Jsonx.Int (List.length grid));
               ("jobs", Jsonx.Int jobs);
-              ("churn_events", Jsonx.Int churn);
-              ("warmup_events", Jsonx.Int warmup);
+              ("churn_events", Jsonx.Int base.churn_events);
+              ("warmup_events", Jsonx.Int base.warmup_events);
               ("wall_s", Jsonx.Float wall_s);
             ];
         Printf.eprintf "sweep data written to %s, metrics to %s\n" dat manifest)
@@ -497,9 +470,8 @@ let sweep_cmd =
   in
   let term =
     Term.(
-      const run $ seed_arg $ nodes_arg $ topology_arg $ capacity_arg $ offered_from
-      $ offered_to $ offered_step $ gammas $ jobs $ out $ lambda $ mu $ increment
-      $ policy $ churn $ warmup)
+      const run $ nodes_arg $ scenario_term $ offered_from $ offered_to
+      $ offered_step $ gammas $ jobs $ out)
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -645,15 +617,7 @@ let analyze_cmd =
   in
   let run trace_path audit_flag levels lambda mu gamma p_f p_s window perfetto
       top_n =
-    let a =
-      try Analysis.of_file trace_path with
-      | Sys_error msg ->
-        Printf.eprintf "drqos_cli: %s\n" msg;
-        exit 1
-      | Jsonx.Line_error { line; message } ->
-        Printf.eprintf "drqos_cli: %s:%d: %s\n" trace_path line message;
-        exit 1
-    in
+    let a = load_traces [ trace_path ] in
     Format.printf "trace: %d events, horizon %g, %d channels@."
       (Analysis.event_count a) (Analysis.horizon a)
       (List.length (Analysis.channels a));
@@ -727,10 +691,7 @@ let analyze_cmd =
          Format.printf "  max span depth: %d@." (Analysis.max_span_depth a));
     Option.iter
       (fun path ->
-        let oc = open_out_or_exit path in
-        Jsonx.output oc (Analysis.to_perfetto a);
-        output_char oc '\n';
-        close_out oc;
+        write_json path (Analysis.to_perfetto a);
         Format.printf "perfetto trace written to %s@." path)
       perfetto
   in
@@ -774,98 +735,35 @@ let perfdiff_cmd =
              $(docv) percent; without it the comparison is informational.")
   in
   let run base_path new_path max_regress =
-    let load path =
-      let text =
-        try In_channel.with_open_text path In_channel.input_all
-        with Sys_error msg ->
-          Printf.eprintf "drqos_cli: %s\n" msg;
-          exit 1
-      in
-      try Jsonx.of_string (String.trim text)
-      with Jsonx.Parse_error msg ->
-        Printf.eprintf "drqos_cli: %s: %s\n" path msg;
-        exit 1
-    in
-    let b = load base_path and n = load new_path in
-    let field doc key conv what path =
-      match Option.bind (Jsonx.member key doc) conv with
-      | Some v -> v
-      | None ->
-        Printf.eprintf "drqos_cli: %s: missing or ill-typed %s\n" path what;
-        exit 1
-    in
-    let wb = field b "wall_s" Jsonx.to_float "wall_s" base_path in
-    let wn = field n "wall_s" Jsonx.to_float "wall_s" new_path in
-    let pct from_v to_v = if from_v > 0. then 100. *. (to_v -. from_v) /. from_v else 0. in
+    let b = or_exit (Perf_record.load base_path) in
+    let n = or_exit (Perf_record.load new_path) in
+    let pct = Perf_record.pct_change in
+    let wb = Perf_record.wall_s b and wn = Perf_record.wall_s n in
     Printf.printf "wall_s: %.3f -> %.3f (%+.1f%%)\n" wb wn (pct wb wn);
-    let gc_major doc =
-      Option.bind (Jsonx.member "gc" doc) (fun g ->
-          Option.bind (Jsonx.member "major_words" g) Jsonx.to_float)
-    in
-    (match (gc_major b, gc_major n) with
+    (match (Perf_record.major_words b, Perf_record.major_words n) with
     | Some gb, Some gn ->
       Printf.printf "gc.major_words: %.0f -> %.0f (%+.1f%%)\n" gb gn (pct gb gn)
     | _ -> ());
-    (* Per-span self-time comparison over the union of span names. *)
-    let spans doc =
-      match Jsonx.member "spans" doc with
-      | Some (Jsonx.List l) ->
-        List.filter_map
-          (fun s ->
-            match
-              ( Option.bind (Jsonx.member "name" s) Jsonx.to_str,
-                Option.bind (Jsonx.member "self_s" s) Jsonx.to_float )
-            with
-            | Some name, Some self -> Some (name, self)
-            | _ -> None)
-          l
-      | _ -> []
-    in
-    let sb = spans b and sn = spans n in
-    let names =
-      List.sort_uniq compare (List.map fst sb @ List.map fst sn)
-    in
-    if names <> [] then begin
-      Printf.printf "%-24s %12s %12s %9s\n" "span (self_s)" "base" "new" "delta";
-      List.iter
-        (fun name ->
-          match (List.assoc_opt name sb, List.assoc_opt name sn) with
-          | Some a, Some c ->
-            Printf.printf "%-24s %12.6f %12.6f %+8.1f%%\n" name a c (pct a c)
-          | Some a, None -> Printf.printf "%-24s %12.6f %12s %9s\n" name a "-" "-"
-          | None, Some c -> Printf.printf "%-24s %12s %12.6f %9s\n" name "-" c "-"
-          | None, None -> ())
-        names
-    end;
-    (* Per-stage p99 comparison (serve records): informational — the
-       tracing-on overhead budget gates on wall time, the stage deltas
-       say *where* a regression lives. *)
-    let stage_p99s doc =
-      match Jsonx.member "stage_p99_s" doc with
-      | Some (Jsonx.Obj fields) ->
-        List.filter_map
-          (fun (name, v) -> Option.map (fun f -> (name, f)) (Jsonx.to_float v))
-          fields
-      | _ -> []
-    in
-    let pb = stage_p99s b and pn = stage_p99s n in
-    let stage_names =
-      List.sort_uniq compare (List.map fst pb @ List.map fst pn)
-    in
-    if stage_names <> [] then begin
-      Printf.printf "%-24s %12s %12s %9s\n" "stage (p99_s)" "base" "new" "delta";
-      List.iter
-        (fun name ->
-          match (List.assoc_opt name pb, List.assoc_opt name pn) with
-          | Some a, Some c ->
-            Printf.printf "%-24s %12.6f %12.6f %+8.1f%%\n" name a c (pct a c)
-          | Some a, None -> Printf.printf "%-24s %12.6f %12s %9s\n" name a "-" "-"
-          | None, Some c -> Printf.printf "%-24s %12s %12.6f %9s\n" name "-" c "-"
-          | None, None -> ())
-        stage_names
-    end;
+    (* Per-name tables over the union of names: span self times, and
+       (serve records) stage p99s — informational, the gate is wall
+       time; the deltas say *where* a regression lives. *)
+    List.iter2
+      (fun (title, base) (_, fresh) ->
+        match Perf_record.join base fresh with
+        | [] -> ()
+        | rows ->
+          Printf.printf "%-24s %12s %12s %9s\n" title "base" "new" "delta";
+          List.iter
+            (function
+              | name, Some a, Some c ->
+                Printf.printf "%-24s %12.6f %12.6f %+8.1f%%\n" name a c (pct a c)
+              | name, Some a, None -> Printf.printf "%-24s %12.6f %12s %9s\n" name a "-" "-"
+              | name, None, Some c -> Printf.printf "%-24s %12s %12.6f %9s\n" name "-" c "-"
+              | _, None, None -> ())
+            rows)
+      (Perf_record.tables b) (Perf_record.tables n);
     match max_regress with
-    | Some lim when wn > wb *. (1. +. (lim /. 100.)) ->
+    | Some lim when Perf_record.regressed ~max_pct:lim wb wn ->
       Printf.eprintf "perfdiff: wall time regressed %.1f%% (limit %.1f%%)\n"
         (pct wb wn) lim;
       exit 1
@@ -914,12 +812,8 @@ let fuzz_cmd =
     Arg.(value & flag & info [ "no-multiplexing" ] ~doc:"Dedicated (unshared) backup pools.")
   in
   let policy =
-    let pol =
-      Arg.enum
-        (List.map (fun p -> (Format.asprintf "%a" Policy.pp p, p)) Policy.all)
-    in
     Arg.(
-      value & opt pol Policy.equal_share
+      value & opt policy_conv Policy.equal_share
       & info [ "policy" ] ~docv:"POLICY" ~doc:"Redistribution policy.")
   in
   let deep_every =
@@ -950,7 +844,12 @@ let fuzz_cmd =
       deep_every no_shrink replay_file =
     match replay_file with
     | Some path -> (
-      let text = In_channel.with_open_text path In_channel.input_all in
+      let text =
+        try In_channel.with_open_text path In_channel.input_all
+        with Sys_error msg ->
+          Printf.eprintf "drqos_cli: %s\n" msg;
+          exit 1
+      in
       match Fuzz.parse_script text with
       | Error msg ->
         Format.eprintf "cannot parse %s: %s@." path msg;
@@ -992,9 +891,7 @@ let fuzz_cmd =
                 Printf.sprintf "%s-seed%d.flight.jsonl"
                   (Fuzz.family_name family) seed
               in
-              let oc = open_out_or_exit flight_path in
-              Flight.dump_events f.Fuzz.flight oc;
-              close_out oc;
+              write_file flight_path (Flight.dump_events f.Fuzz.flight);
               Format.printf "flight recorder (%d events) written to %s@."
                 (List.length f.Fuzz.flight) flight_path;
               Some f)
@@ -1049,15 +946,7 @@ let top_cmd =
       value & opt int 5
       & info [ "links" ] ~docv:"K" ~doc:"Hottest links shown.")
   in
-  let take k l =
-    let rec go k = function
-      | x :: tl when k > 0 -> x :: go (k - 1) tl
-      | _ -> []
-    in
-    go k l
-  in
-  let render path ~stall_factor ~links =
-    let a = Analysis.of_file path in
+  let render a path ~stall_factor ~links =
     let snaps = Analysis.snapshots a in
     let hbs = Analysis.heartbeats a in
     Format.printf "drqos top — %s (%d snapshots, %d heartbeats)@." path
@@ -1136,21 +1025,15 @@ let top_cmd =
       Format.printf "@."
   in
   let run path follow interval stall_factor links =
-    if stall_factor <= 0. then begin
-      Format.eprintf "drqos_cli: --stall-factor must be positive@.";
-      exit 2
-    end;
+    usage_error_if (stall_factor <= 0.) "--stall-factor must be positive";
     let render_once ~soft =
-      try
-        render path ~stall_factor ~links;
+      match Analysis.load [ path ] with
+      | Ok a ->
+        render a path ~stall_factor ~links;
         true
-      with
-      | Sys_error msg ->
-        Format.eprintf "drqos_cli: %s@." msg;
-        soft
-      | Jsonx.Line_error { line; message } ->
+      | Error msg ->
         (* In follow mode a line may be mid-write; try again next tick. *)
-        Format.eprintf "drqos_cli: %s:%d: %s@." path line message;
+        Format.eprintf "drqos_cli: %s@." msg;
         soft
     in
     if not follow then begin
@@ -1190,6 +1073,9 @@ let port_arg =
     & opt (some int) None
     & info [ "port" ] ~docv:"PORT"
         ~doc:"TCP port on 127.0.0.1 to serve on (or dial, for loadgen).")
+
+let check_slo slo =
+  usage_error_if (Option.fold ~none:false ~some:(fun s -> s <= 0.) slo) "--slo must be positive"
 
 let address_of socket port : Serve_server.address =
   match (socket, port) with
@@ -1255,11 +1141,11 @@ let serve_cmd =
   let run seed nodes topo capacity policy wall_every slo trace_file slow_dir
       socket port verbose =
     let addr = address_of socket port in
-    (match slo with
-    | Some s when s <= 0. ->
-      prerr_endline "drqos_cli: --slo must be positive";
-      exit 2
-    | _ -> ());
+    check_slo slo;
+    (* Unusable output paths fail before the listener binds, so no
+       socket file is left behind. *)
+    Option.iter (fun path -> close_out (open_out_or_exit path)) trace_file;
+    Option.iter mkdir_p slow_dir;
     let g = Scenario.build_graph (Prng.create seed) (scenario_topology nodes topo) in
     let net = Net_state.create ~capacity g in
     let config = Drcomm.Config.make ~policy () in
@@ -1287,145 +1173,6 @@ let serve_cmd =
           snapshot, metrics), may subscribe to pushed trace events and wall \
           heartbeats, and stop the daemon with a $(b,shutdown) request.")
     term
-
-(* The loadgen worker's view of one connection it owns. *)
-module Loadgen = struct
-  type worker = {
-    client : Serve_client.t;
-    rng : Prng.t;
-    mutable own : int list;  (** channels this worker admitted and still holds. *)
-    mutable own_n : int;
-    mutable failed : int list;  (** edges worker 0 failed and not yet repaired. *)
-    mutable errors : int;  (** unexpected error replies. *)
-    mutable stale : int;  (** ops that raced a failure-drop: expected. *)
-    mutable rejected : int;  (** admission rejections: expected under load. *)
-    mutable trace : Reqtrace.ctx option;
-        (** tracing context stamped on the next request line, when the
-            replay is recording a client-side latency log. *)
-  }
-
-  let qos_palette =
-    [|
-      Qos.paper_spec ~increment:100;
-      Qos.paper_spec ~increment:50;
-      Qos.make ~utility:0.7 ~b_min:200 ~b_max:400 ~increment:50 ();
-      Qos.make ~b_min:50 ~b_max:250 ~increment:50 ();
-    |]
-
-  let drop_own w ch =
-    w.own <- List.filter (fun c -> c <> ch) w.own;
-    w.own_n <- List.length w.own
-
-  let pick_own w =
-    match w.own with
-    | [] -> None
-    | l -> Some (List.nth l (Prng.int w.rng w.own_n))
-
-  (* Every request a step issues goes through [call], so the worker's
-     tracing context (when armed) stamps whichever verb the dice chose. *)
-  let call w req = Serve_client.request ?trace:w.trace w.client req
-
-  let admit w ~nodes =
-    let src, dst = Prng.sample_distinct_pair w.rng nodes in
-    let qos = Prng.pick w.rng qos_palette in
-    match call w (Serve_proto.Admit { src; dst; qos }) with
-    | Serve_proto.Admitted { channel; _ } ->
-      w.own <- channel :: w.own;
-      w.own_n <- w.own_n + 1
-    | Serve_proto.Admit_rejected _ -> w.rejected <- w.rejected + 1
-    | _ -> w.errors <- w.errors + 1
-
-  let teardown w ch =
-    drop_own w ch;
-    match call w (Serve_proto.Teardown { channel = ch }) with
-    | Serve_proto.Torn_down _ -> ()
-    | Serve_proto.Error_reply _ ->
-      (* The channel was dropped by a failure between our admit and now:
-         an expected race under fail/repair injection, not a bug. *)
-      w.stale <- w.stale + 1
-    | _ -> w.errors <- w.errors + 1
-
-  let chqos w ch =
-    let qos = Prng.pick w.rng qos_palette in
-    match call w (Serve_proto.Change_qos { channel = ch; qos }) with
-    | Serve_proto.Qos_changed _ -> ()
-    | Serve_proto.Error_reply _ ->
-      drop_own w ch;
-      w.stale <- w.stale + 1
-    | _ -> w.errors <- w.errors + 1
-
-  let fail_or_repair w ~fail_edges =
-    match w.failed with
-    | e :: rest ->
-      (match call w (Serve_proto.Repair { edge = e }) with
-      | Serve_proto.Edge_repaired _ -> w.failed <- rest
-      | _ -> w.errors <- w.errors + 1);
-      "repair"
-    | [] ->
-      let e = Prng.int w.rng fail_edges in
-      (match call w (Serve_proto.Fail { edge = e }) with
-      | Serve_proto.Edge_failed { recoveries; _ } ->
-        w.failed <- e :: w.failed;
-        (* Our own victims that did not survive leave the owned list. *)
-        List.iter
-          (fun r ->
-            if r.Serve_proto.rw_outcome = `Dropped then
-              drop_own w r.Serve_proto.rw_channel)
-          recoveries
-      | _ -> w.errors <- w.errors + 1);
-      "fail"
-
-  let expect_ok w resp =
-    match resp with
-    | Serve_proto.Error_reply _ -> w.errors <- w.errors + 1
-    | _ -> ()
-
-  (* One scheduled operation, returning the wire verb it issued (the
-     client-side latency log labels each request with it).  The churn
-     steers each worker's owned population toward [target] (the paper's
-     steady state: arrivals balanced by terminations, live ≈ λ/μ), so
-     the daemon's live set — and with it the per-operation
-     water-filling cost — holds steady instead of growing without
-     bound.  Read-side requests are sprinkled in; only worker 0 injects
-     failures, so repair bookkeeping stays single-owner. *)
-  let step ~nodes ~target ~fail_edges w _i =
-    let dice = Prng.int w.rng 100 in
-    if dice < 70 then begin
-      if w.own_n >= target then
-        match pick_own w with
-        | Some ch ->
-          teardown w ch;
-          "teardown"
-        | None ->
-          admit w ~nodes;
-          "admit"
-      else begin
-        admit w ~nodes;
-        "admit"
-      end
-    end
-    else if dice < 90 then
-      match pick_own w with
-      | Some ch ->
-        chqos w ch;
-        "chqos"
-      | None ->
-        admit w ~nodes;
-        "admit"
-    else if dice < 94 then begin
-      expect_ok w (call w Serve_proto.Stats);
-      "stats"
-    end
-    else if dice < 97 then begin
-      expect_ok w (call w Serve_proto.Ping);
-      "ping"
-    end
-    else if dice < 99 || fail_edges <= 0 then begin
-      expect_ok w (call w Serve_proto.Snapshot);
-      "snapshot"
-    end
-    else fail_or_repair w ~fail_edges
-end
 
 let loadgen_cmd =
   let requests =
@@ -1467,9 +1214,9 @@ let loadgen_cmd =
       value & opt int 0
       & info [ "fail-edges" ] ~docv:"K"
           ~doc:
-            "Let worker 0 inject fail/repair round-trips on edge ids below \
-             $(docv) (0 disables failure injection; $(docv) must not exceed \
-             the daemon's edge count).")
+            "Let the workers inject fail/repair round-trips on edge ids below \
+             $(docv), each repairing the edges it failed (0 disables failure \
+             injection; $(docv) must not exceed the daemon's edge count).")
   in
   let quick =
     Arg.(
@@ -1516,241 +1263,60 @@ let loadgen_cmd =
     let addr = address_of socket port in
     let requests = if quick then 2000 else requests in
     let rate = if quick then 5000. else rate in
-    if requests < 1 then begin
-      prerr_endline "drqos_cli: --requests must be >= 1";
-      exit 2
-    end;
-    if rate <= 0. then begin
-      prerr_endline "drqos_cli: --rate must be > 0";
-      exit 2
-    end;
-    (* The schedule is drawn up front, deterministically in --seed: the
-       replay offers the same load whatever the daemon does. *)
-    let schedule = Array.make requests 0. in
-    let rng = Prng.create seed in
-    (match arrivals with
-    | `Poisson ->
-      let t = ref 0. in
-      Array.iteri
-        (fun i _ ->
-          t := !t +. Prng.exponential rng rate;
-          schedule.(i) <- !t)
-        schedule
-    | `Bursty ->
-      (* Draw at twice the rate, then stretch every other 100 ms window
-         into silence: on/off bursts with the same average rate. *)
-      let burst = 0.1 in
-      let t = ref 0. in
-      Array.iteri
-        (fun i _ ->
-          t := !t +. Prng.exponential rng (2. *. rate);
-          schedule.(i) <- !t +. (Float.of_int (int_of_float (!t /. burst)) *. burst))
-        schedule);
-    (match slo_arg with
-    | Some s when s <= 0. ->
-      prerr_endline "drqos_cli: --slo must be positive";
-      exit 2
-    | _ -> ());
+    usage_error_if (requests < 1) "--requests must be >= 1";
+    usage_error_if (rate <= 0.) "--rate must be > 0";
+    check_slo slo_arg;
     (* Unusable output paths fail before the first request, not after
        the whole replay. *)
     Option.iter mkdir_p out_dir;
     let trace_oc = Option.map (fun path -> (path, open_out_or_exit path)) trace_out in
-    let obs = Obs.create ~metrics:(Metrics.create ()) () in
-    let workers = Array.make (max 1 jobs) None in
-    let tracing = trace_out <> None in
-    (* Per-operation cells for the client latency log.  Worker [w] owns
-       indices [w, w+workers, ...] (the open-loop split), so each cell
-       is written by exactly one domain and the join orders the writes
-       before our reads. *)
-    let verbs = Array.make requests "" in
-    let latencies = Array.make requests (-1.) in
-    let g0 = Gc.quick_stat () in
-    let report =
-      Sweep.open_loop ~jobs ~obs ~timer:"loadgen.latency" ~arrivals:schedule
-        ~on_complete:(fun i latency -> latencies.(i) <- latency)
-        ~worker:(fun w ->
-          let state =
-            {
-              Loadgen.client = Serve_client.connect ~retries:100 addr;
-              rng = Prng.create (seed + (1000 * (w + 1)));
-              own = [];
-              own_n = 0;
-              failed = [];
-              errors = 0;
-              stale = 0;
-              rejected = 0;
-              trace = None;
-            }
-          in
-          workers.(w) <- Some state;
-          state)
-        ~finish:(fun w ->
-          (* Leave the daemon healthy for the next client: repair what
-             we broke, then hang up. *)
-          w.Loadgen.trace <- None;
-          List.iter
-            (fun e ->
-              ignore (Serve_client.request w.Loadgen.client (Serve_proto.Repair { edge = e })))
-            w.Loadgen.failed;
-          Serve_client.close w.Loadgen.client)
-        (fun _ w i ->
-          if tracing then
-            w.Loadgen.trace <-
-              Some { Reqtrace.rid = i; t_sched = schedule.(i) };
-          verbs.(i) <-
-            Loadgen.step ~nodes
-              ~target:(max 1 (live_target / max 1 jobs))
-              ~fail_edges w i)
+    let r =
+      Serve_loadgen.run ~seed ~nodes ~requests ~rate ~arrivals ~jobs ~live_target
+        ~fail_edges ~tracing:(trace_out <> None) ?slo:slo_arg addr
     in
-    let g1 = Gc.quick_stat () in
-    let sum f =
-      Array.fold_left
-        (fun acc -> function Some w -> acc + f w | None -> acc)
-        0 workers
-    in
-    let errors = sum (fun w -> w.Loadgen.errors) in
-    let stale = sum (fun w -> w.Loadgen.stale) in
-    let rejected = sum (fun w -> w.Loadgen.rejected) in
-    let tm = Metrics.timer (Obs.metrics obs) "loadgen.latency" in
-    let q p = Metrics.timer_quantile tm p in
-    let p50 = q 0.5 and p95 = q 0.95 and p99 = q 0.99 in
-    let p999 = q 0.999 and lat_max = Metrics.timer_max tm in
+    let s = r.Serve_loadgen.summary in
+    let l = s.Perf_record.latency_s in
     Printf.printf
       "replayed %d requests in %.2fs (%.0f rps offered, %.0f achieved)\n"
-      report.Sweep.sent report.Sweep.wall_s rate report.Sweep.achieved_rps;
+      s.requests r.wall_s rate s.achieved_rps;
     Printf.printf
       "latency  p50 %.6fs  p95 %.6fs  p99 %.6fs  p99.9 %.6fs  max %.6fs  \
        (max lag %.4fs)\n"
-      p50 p95 p99 p999 lat_max report.Sweep.max_lag_s;
-    Printf.printf "rejected %d  stale %d  errors %d\n" rejected stale errors;
-    let slo_good, slo_bad =
-      match slo_arg with
-      | None -> (0, 0)
-      | Some s ->
-        let good = ref 0 and bad = ref 0 in
-        Array.iter
-          (fun l -> if l >= 0. then incr (if l <= s then good else bad))
-          latencies;
-        Printf.printf "slo %.6fs: %d good / %d bad (%.4f%% bad)\n" s !good !bad
-          (100. *. float_of_int !bad
-          /. float_of_int (max 1 (!good + !bad)));
-        (!good, !bad)
-    in
-    (* The client-side request log: one req_client line per operation,
-       rid = schedule index — what [drqos_cli latency] joins against the
-       daemon's req_begin/req_stage/req_end records. *)
-    (match trace_oc with
-    | None -> ()
-    | Some (path, oc) ->
-      Array.iteri
-        (fun i verb ->
-          if verb <> "" && latencies.(i) >= 0. then begin
-            Jsonx.output oc
-              (Trace.to_json ~time:(float_of_int i)
-                 (Trace.Req_client
-                    {
-                      rid = i;
-                      verb;
-                      sched_s = schedule.(i);
-                      latency_s = latencies.(i);
-                    }));
-            output_char oc '\n'
-          end)
-        verbs;
-      close_out oc;
-      Printf.printf "(client request log written to %s)\n" path);
+      l.p50 l.p95 l.p99 l.p999 l.max s.max_lag_s;
+    Printf.printf "rejected %d  stale %d  errors %d\n" s.rejected s.stale s.errors;
+    Option.iter
+      (fun slo ->
+        Printf.printf "slo %.6fs: %d good / %d bad (%.4f%% bad)\n" slo s.slo_good
+          s.slo_bad
+          (100. *. float_of_int s.slo_bad /. float_of_int (max 1 (s.slo_good + s.slo_bad))))
+      slo_arg;
+    Option.iter
+      (fun (path, oc) ->
+        Serve_loadgen.write_client_log oc r;
+        close_out oc;
+        Printf.printf "(client request log written to %s)\n" path)
+      trace_oc;
     (* Pull the daemon's per-stage p99s for the perf record while it is
        still up — the shutdown below would race this fetch. *)
-    let stage_p99s =
-      if out_dir = None then []
-      else
-        match
-          let c = Serve_client.connect addr in
-          Fun.protect
-            ~finally:(fun () -> Serve_client.close c)
-            (fun () -> Serve_client.request c Serve_proto.Metrics)
-        with
-        | Serve_proto.Metrics_reply doc ->
-          let p99 name =
-            Option.bind (Jsonx.member "timers" doc) (fun timers ->
-                Option.bind (Jsonx.member name timers) (fun t ->
-                    Option.bind (Jsonx.member "p99_s" t) Jsonx.to_float))
-          in
-          List.filter_map
-            (fun name -> Option.map (fun v -> (name, Jsonx.Float v)) (p99 name))
-            (List.map Reqtrace.timer_name Reqtrace.all_stages @ [ "req.total" ])
-        | _ -> []
-        | exception _ -> []
-    in
-    (if shutdown then
-       let c = Serve_client.connect addr in
-       match Serve_client.request c Serve_proto.Shutdown with
-       | Serve_proto.Shutting_down -> Serve_client.close c
-       | _ ->
-         prerr_endline "drqos_cli: daemon did not acknowledge shutdown";
-         exit 1);
-    (match out_dir with
-    | None -> ()
-    | Some dir ->
-      let bench = Filename.concat dir "BENCH_serve.json" in
-      let oc = open_out_or_exit bench in
-      Jsonx.output oc
-        (Jsonx.Obj
-           [
-             ("experiment", Jsonx.String "serve");
-             ("scale", Jsonx.String (if quick then "quick" else "full"));
-             ("requests", Jsonx.Int report.Sweep.sent);
-             ("jobs", Jsonx.Int jobs);
-             ("rate_rps", Jsonx.Float rate);
-             ("live_target", Jsonx.Int live_target);
-             ( "arrivals",
-               Jsonx.String
-                 (match arrivals with `Poisson -> "poisson" | `Bursty -> "bursty") );
-             ("wall_s", Jsonx.Float report.Sweep.wall_s);
-             ("achieved_rps", Jsonx.Float report.Sweep.achieved_rps);
-             ("max_lag_s", Jsonx.Float report.Sweep.max_lag_s);
-             ( "latency_s",
-               Jsonx.Obj
-                 [
-                   ("p50", Jsonx.Float p50);
-                   ("p95", Jsonx.Float p95);
-                   ("p99", Jsonx.Float p99);
-                   ("p999", Jsonx.Float p999);
-                   ("max", Jsonx.Float lat_max);
-                 ] );
-             ("rejected", Jsonx.Int rejected);
-             ("stale", Jsonx.Int stale);
-             ("errors", Jsonx.Int errors);
-             ("slo_good", Jsonx.Int slo_good);
-             ("slo_bad", Jsonx.Int slo_bad);
-             ("stage_p99_s", Jsonx.Obj stage_p99s);
-             ( "gc",
-               Jsonx.Obj
-                 [
-                   ( "minor_words",
-                     Jsonx.Float (g1.Gc.minor_words -. g0.Gc.minor_words) );
-                   ( "major_words",
-                     Jsonx.Float (g1.Gc.major_words -. g0.Gc.major_words) );
-                   ( "minor_collections",
-                     Jsonx.Int (g1.Gc.minor_collections - g0.Gc.minor_collections)
-                   );
-                 ] );
-           ]);
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "(perf record written to %s)\n" bench;
-      let dat = Filename.concat dir "serve.dat" in
-      let oc = open_out_or_exit dat in
-      Printf.fprintf oc "# quantile\tlatency_s\n";
-      List.iter
-        (fun (name, v) -> Printf.fprintf oc "%s\t%.9f\n" name v)
-        [
-          ("p50", p50); ("p95", p95); ("p99", p99); ("p999", p999);
-          ("max", lat_max);
-        ];
-      close_out oc;
-      Printf.printf "(percentile table written to %s)\n" dat);
-    if errors > 0 then exit 1
+    let stage_p99_s = if out_dir = None then [] else Serve_loadgen.stage_p99s addr in
+    if shutdown && not (Serve_loadgen.shutdown addr) then begin
+      prerr_endline "drqos_cli: daemon did not acknowledge shutdown";
+      exit 1
+    end;
+    Option.iter
+      (fun dir ->
+        let bench = Filename.concat dir "BENCH_serve.json" in
+        write_file bench (fun oc ->
+            Perf_record.write oc
+              (Perf_record.serve
+                 ~scale:(if quick then Quick else Full)
+                 ~jobs ~wall_s:r.wall_s ~gc:r.gc ~stage_p99_s s));
+        Printf.printf "(perf record written to %s)\n" bench;
+        let dat = Filename.concat dir "serve.dat" in
+        write_file dat (fun oc -> Serve_loadgen.write_percentiles oc r);
+        Printf.printf "(percentile table written to %s)\n" dat)
+      out_dir;
+    if s.errors > 0 then exit 1
   in
   let term =
     Term.(
@@ -1811,32 +1377,14 @@ let latency_cmd =
              for joined requests, requests laid end-to-end.")
   in
   let run traces top check perfetto =
-    let load path =
-      try
-        In_channel.with_open_text path (fun ic ->
-            List.rev
-              (Jsonx.fold_lines ic ~init:[] ~f:(fun acc ~line doc ->
-                   match Trace.of_json doc with
-                   | Ok ev -> ev :: acc
-                   | Error message -> raise (Jsonx.Line_error { line; message }))))
-      with
-      | Sys_error msg ->
-        Printf.eprintf "drqos_cli: %s\n" msg;
-        exit 1
-      | Jsonx.Line_error { line; message } ->
-        Printf.eprintf "drqos_cli: %s:%d: %s\n" path line message;
-        exit 1
-    in
-    let a = Analysis.of_events (List.concat_map load traces) in
+    let a = load_traces traces in
     let reqs = Analysis.requests a in
     let complete = List.filter (fun r -> r.Analysis.rq_complete) reqs in
-    let joined =
-      List.filter (fun r -> r.Analysis.rq_client <> None) complete
-    in
+    let at = Analysis.attribution a in
     Printf.printf
       "requests: %d rids, %d complete server-side, %d joined with a client \
        record\n"
-      (List.length reqs) (List.length complete) (List.length joined);
+      (List.length reqs) (List.length complete) at.Analysis.at_joined;
     (match Analysis.stage_anatomy a with
     | [] -> ()
     | stats ->
@@ -1850,59 +1398,30 @@ let latency_cmd =
             s.Analysis.st_p50_s s.Analysis.st_p95_s s.Analysis.st_p99_s
             (100. *. s.Analysis.st_tail_share))
         stats);
-    (match joined with
-    | [] -> ()
-    | js ->
-      (* Client latency minus server stage sum is network + socket-queue
-         time (the residual bucket).  Stages + residual tile the client
-         latency exactly unless the stage sum exceeds what the client
-         clocked — an over-attributed request, which would mean the
-         decomposition is inconsistent — so the attribution fraction is
-         latency / max(latency, stage sum), 100% when consistent. *)
-      let n = List.length js in
-      let client_sum, server_sum, attr_denom, attr95, over =
-        List.fold_left
-          (fun (cs, ss, ad, a95, ov) r ->
-            match r.Analysis.rq_client with
-            | Some (_, _, latency) when latency > 0. ->
-              let sum = r.Analysis.rq_total_s in
-              let explained = Float.min latency sum in
-              let frac = latency /. Float.max latency sum in
-              ( cs +. latency,
-                ss +. explained,
-                ad +. Float.max latency sum,
-                (a95 + if frac >= 0.95 then 1 else 0),
-                ov + if sum > latency then 1 else 0 )
-            | _ -> (cs, ss, ad, a95, ov))
-          (0., 0., 0., 0, 0) js
-      in
-      if client_sum > 0. then begin
-        Printf.printf
-          "join: %d requests; stages + network residual attribute %.2f%% of \
-           client-observed latency\n"
-          n
-          (100. *. client_sum /. attr_denom);
-        Printf.printf
-          "      %.3f%% of requests are >=95%% attributed; %d over-attributed \
-           (stage sum past the client clock: scheduler preemption at the \
-           reply write)\n"
-          (100. *. float_of_int attr95 /. float_of_int n)
-          over;
-        Printf.printf
-          "      server stages explain %.2f%%; mean network+queue residual \
-           %.6fs\n"
-          (100. *. server_sum /. client_sum)
-          ((client_sum -. server_sum) /. float_of_int n)
-      end);
+    if at.at_client_s > 0. then begin
+      let n = at.at_joined in
+      Printf.printf
+        "join: %d requests; stages + network residual attribute %.2f%% of \
+         client-observed latency\n"
+        n
+        (100. *. at.at_client_s /. at.at_bound_s);
+      Printf.printf
+        "      %.3f%% of requests are >=95%% attributed; %d over-attributed \
+         (stage sum past the client clock: scheduler preemption at the \
+         reply write)\n"
+        (100. *. float_of_int at.at_attributed_95 /. float_of_int n)
+        at.at_over;
+      Printf.printf
+        "      server stages explain %.2f%%; mean network+queue residual \
+         %.6fs\n"
+        (100. *. at.at_server_s /. at.at_client_s)
+        ((at.at_client_s -. at.at_server_s) /. float_of_int n)
+    end;
     (if top > 0 then
        let slowest =
          List.sort
            (fun x y -> compare y.Analysis.rq_total_s x.Analysis.rq_total_s)
            complete
-       in
-       let rec take k = function
-         | x :: rest when k > 0 -> x :: take (k - 1) rest
-         | _ -> []
        in
        match take top slowest with
        | [] -> ()
@@ -1931,10 +1450,7 @@ let latency_cmd =
     (match perfetto with
     | None -> ()
     | Some path ->
-      let oc = open_out_or_exit path in
-      Jsonx.output oc (Analysis.requests_to_perfetto a);
-      output_char oc '\n';
-      close_out oc;
+      write_json path (Analysis.requests_to_perfetto a);
       Printf.printf "perfetto request anatomy written to %s\n" path);
     if check then begin
       match Analysis.request_check a with

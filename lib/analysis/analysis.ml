@@ -415,16 +415,26 @@ let of_events evs =
     reqs;
   }
 
-let of_channel ic =
-  let evs =
-    Jsonx.fold_lines ic ~init:[] ~f:(fun acc ~line doc ->
-        match Trace.of_json doc with
-        | Ok te -> te :: acc
-        | Error message -> raise (Jsonx.Line_error { line; message }))
-  in
-  of_events (List.rev evs)
+let events_of_channel ic =
+  List.rev
+    (Jsonx.fold_lines ic ~init:[] ~f:(fun acc ~line doc ->
+         match Trace.of_json doc with
+         | Ok te -> te :: acc
+         | Error message -> raise (Jsonx.Line_error { line; message })))
 
-let of_file path = In_channel.with_open_text path of_channel
+let of_file path = of_events (In_channel.with_open_text path events_of_channel)
+
+let load paths =
+  let rec go acc = function
+    | [] -> Ok (of_events (List.concat (List.rev acc)))
+    | path :: rest -> (
+      match In_channel.with_open_text path events_of_channel with
+      | evs -> go (evs :: acc) rest
+      | exception Sys_error msg -> Error msg
+      | exception Jsonx.Line_error { line; message } ->
+        Error (Printf.sprintf "%s:%d: %s" path line message))
+  in
+  go [] paths
 
 (* ------------------------------------------------------------------ *)
 (* Views                                                               *)
@@ -666,6 +676,51 @@ let stage_anatomy t =
                 (if tail_total > 0. then tail_stage /. tail_total else 0.);
             })
       (stage_order recs)
+
+type attribution = {
+  at_joined : int;
+  at_client_s : float;
+  at_server_s : float;
+  at_bound_s : float;
+  at_attributed_95 : int;
+  at_over : int;
+}
+
+(* Client latency minus the server stage sum is network + socket-queue
+   time (the residual bucket).  Stages + residual tile the client
+   latency exactly unless the stage sum exceeds what the client clocked
+   — an over-attributed request, which would mean the decomposition is
+   inconsistent — so a request's attributed fraction is
+   latency / max(latency, stage sum), 1 when consistent. *)
+let attribution t =
+  let joined =
+    List.filter (fun r -> r.rq_complete && Option.is_some r.rq_client) (requests t)
+  in
+  let count b = if b then 1 else 0 in
+  List.fold_left
+    (fun a r ->
+      match r.rq_client with
+      | Some (_, _, latency) when latency > 0. ->
+        let sum = r.rq_total_s in
+        {
+          a with
+          at_client_s = a.at_client_s +. latency;
+          at_server_s = a.at_server_s +. Float.min latency sum;
+          at_bound_s = a.at_bound_s +. Float.max latency sum;
+          at_attributed_95 =
+            a.at_attributed_95 + count (latency /. Float.max latency sum >= 0.95);
+          at_over = a.at_over + count (sum > latency);
+        }
+      | _ -> a)
+    {
+      at_joined = List.length joined;
+      at_client_s = 0.;
+      at_server_s = 0.;
+      at_bound_s = 0.;
+      at_attributed_95 = 0;
+      at_over = 0;
+    }
+    joined
 
 (* ------------------------------------------------------------------ *)
 (* Perfetto export                                                     *)

@@ -27,14 +27,18 @@ type t
 val of_events : (float * Trace.event) list -> t
 (** Replay an in-memory event list (in trace order). *)
 
-val of_channel : in_channel -> t
-(** Stream a JSONL trace.  Raises {!Jsonx.Line_error} on a malformed
-    line — both JSON syntax errors and well-formed lines that are not
-    trace events ({!Trace.of_json} errors), with the 1-based line
-    number. *)
-
 val of_file : string -> t
-(** {!of_channel} on a file ([Sys_error] if unreadable). *)
+(** Stream a JSONL trace file.  Raises [Sys_error] if it is unreadable
+    and {!Jsonx.Line_error} on a malformed line — both JSON syntax
+    errors and well-formed lines that are not trace events
+    ({!Trace.of_json} errors), with the 1-based line number. *)
+
+val load : string list -> (t, string) result
+(** Replay several trace files as one concatenated stream, in order
+    (e.g. a daemon trace and its client log, joined by rid).  [Error]
+    on the first file that cannot be read or has a malformed line, with
+    the message ready to print (["path:line: message"] for the
+    latter). *)
 
 (** {1 Basic views} *)
 
@@ -261,6 +265,25 @@ val stage_anatomy : t -> stage_stat list
 (** Stats per stage name in pipeline order ({!Reqtrace.all_stages}
     first, unknown names after), over completed requests only; empty
     when the trace carries no [Req_end]. *)
+
+(** Client/server attribution over the completed requests that joined
+    a client record.  The sums cover requests whose client latency is
+    positive. *)
+type attribution = {
+  at_joined : int;  (** completed requests with a client record. *)
+  at_client_s : float;  (** sum of client-observed latencies. *)
+  at_server_s : float;
+      (** sum of the latency the server stages explain:
+          min(latency, stage sum) per request. *)
+  at_bound_s : float;
+      (** sum of max(latency, stage sum) — what stages + network
+          residual attribute. *)
+  at_attributed_95 : int;  (** requests at least 95% attributed. *)
+  at_over : int;
+      (** over-attributed requests: stage sum past the client clock. *)
+}
+
+val attribution : t -> attribution
 
 val requests_to_perfetto : t -> Jsonx.t
 (** The completed requests as a Chrome/Perfetto document with one

@@ -74,3 +74,15 @@ let parse_kv ~specs pairs =
         end)
   in
   go pairs
+
+let rec mkdir_p dir =
+  if Sys.file_exists dir then
+    if Sys.is_directory dir then Ok ()
+    else Error (Printf.sprintf "%s exists and is not a directory" dir)
+  else
+    let parent = Filename.dirname dir in
+    Result.bind (if parent = dir then Ok () else mkdir_p parent) (fun () ->
+        (* A concurrent creator is fine; anything else is not. *)
+        try Ok (Sys.mkdir dir 0o755) with
+        | Sys_error _ when Sys.file_exists dir && Sys.is_directory dir -> Ok ()
+        | Sys_error msg -> Error ("cannot create directory: " ^ msg))

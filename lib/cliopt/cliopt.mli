@@ -8,7 +8,10 @@
     sub-command words and positional arguments survive the walk.
 
     Callers keep their exit conventions — [parse] only reports; the
-    binary decides that a usage error is exit code 2. *)
+    binary decides that a usage error is exit code 2.  {!mkdir_p}, the
+    one recursive directory creation behind every output-directory
+    option ([Exp]'s [--out], [drqos_cli]'s [--out] and [--slow-dir]),
+    reports the same way. *)
 
 type spec =
   | Unit of (unit -> unit)  (** standalone flag, e.g. [--quick]. *)
@@ -37,3 +40,8 @@ val parse_kv :
     against a spec table.  Unknown keys, duplicate keys and rejected
     values are errors — a reproducer must not silently lose
     configuration. *)
+
+val mkdir_p : string -> (unit, string) result
+(** Create a directory and its missing parents, before any work starts.
+    An existing directory is fine; [Error] when a path component is not
+    a directory or [Sys.mkdir] fails. *)

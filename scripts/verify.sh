@@ -152,6 +152,18 @@ scripts/perf_diff.sh "$tmpdir/perf/BENCH_micro.json" \
   exit 1
 }
 
+step "perf gate self-check: a committed regression still fails"
+# Negative control, like the lint self-check: the committed fig3 -> fig2
+# pair is a +386.6% wall-time regression, so the gate must exit 1 on it,
+# otherwise every perf_diff gate in this script is vacuous.
+perf_rc=0
+scripts/perf_diff.sh bench/baselines/BENCH_fig3.json \
+  bench/baselines/BENCH_fig2.json --max-regress 50 >/dev/null 2>&1 || perf_rc=$?
+[ "$perf_rc" -eq 1 ] || {
+  echo "FAIL: perf_diff exited $perf_rc on the committed +386.6% regression (want 1)" >&2
+  exit 1
+}
+
 step "scale smoke: 10^5 live connections on transit-stub, invariants on"
 # The quick plateaus (50k, 100k live DR-connections on the 1056-node
 # transit-stub) run with admission control and the per-plateau

@@ -532,6 +532,18 @@ let test_request_views () =
     Alcotest.(check (float 0.)) "sched joined" 0.2 sched_s;
     Alcotest.(check (float 0.)) "latency joined" 0.05 latency_s
   | _ -> Alcotest.fail "rid 2 did not join its client record");
+  let at = Analysis.attribution a in
+  let rid2_total =
+    List.fold_left
+      (fun acc r -> if r.Analysis.rq_rid = 2 then r.Analysis.rq_total_s else acc)
+      0. reqs
+  in
+  Alcotest.(check int) "one joined request" 1 at.Analysis.at_joined;
+  Alcotest.check approx "client latency summed" 0.05 at.Analysis.at_client_s;
+  Alcotest.check approx "stages explain their sum" rid2_total at.Analysis.at_server_s;
+  Alcotest.check approx "bounded by the client clock" 0.05 at.Analysis.at_bound_s;
+  Alcotest.(check (pair int int)) "fully attributed, none over" (1, 0)
+    (at.Analysis.at_attributed_95, at.Analysis.at_over);
   let anatomy = Analysis.stage_anatomy a in
   Alcotest.(check (list string))
     "stages in pipeline order"
@@ -619,7 +631,128 @@ let test_of_file_errors () =
   | exception Jsonx.Line_error { line; _ } ->
     Alcotest.(check int) "unknown kind names line 1" 1 line
   | _ -> Alcotest.fail "unknown event kind accepted");
+  (match Analysis.load [ path ] with
+  | Error msg ->
+    Alcotest.(check string) "load names file and line"
+      (path ^ ":1: unknown event kind \"no_such_kind\"")
+      msg
+  | Ok _ -> Alcotest.fail "load accepted an unknown event kind");
+  Sys.remove path;
+  match Analysis.load [ path ] with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "load of a missing file succeeded"
+
+(* A server trace and its client log replay as one stream, joined by
+   rid, exactly as the concatenated file would. *)
+let test_load_concatenates () =
+  let write lines =
+    let path = Filename.temp_file "drqos_analysis_load" ".jsonl" in
+    Out_channel.with_open_text path (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+    path
+  in
+  let server =
+    [
+      {|{"t":1,"ev":"req_begin","rid":3,"verb":"admit"}|};
+      {|{"t":1,"ev":"req_stage","rid":3,"stage":"service","seconds":0.01}|};
+      {|{"t":1,"ev":"req_end","rid":3,"verb":"admit","ok":true,"total_s":0.01}|};
+    ]
+  and client =
+    [ {|{"t":3,"ev":"req_client","rid":3,"verb":"admit","sched_s":0.5,"latency_s":0.02}|} ]
+  in
+  let files = [ write server; write client; write (server @ client) ] in
+  let joined = function
+    | Ok a -> List.map (fun r -> r.Analysis.rq_client) (Analysis.requests a)
+    | Error msg -> Alcotest.fail msg
+  in
+  (match files with
+  | [ s; c; both ] ->
+    Alcotest.(check bool) "two files = their concatenation" true
+      (joined (Analysis.load [ s; c ]) = joined (Analysis.load [ both ]));
+    Alcotest.(check bool) "the client record joined" true
+      (joined (Analysis.load [ s; c ]) = [ Some ("admit", 0.5, 0.02) ])
+  | _ -> assert false);
+  List.iter Sys.remove files
+
+(* --- BENCH_*.json perf records --- *)
+
+let test_perf_record_roundtrip () =
+  let path = Filename.temp_file "BENCH_test" ".json" in
+  let load () =
+    match Perf_record.load path with Ok r -> r | Error msg -> Alcotest.fail msg
+  in
+  let save r = Out_channel.with_open_text path (fun oc -> Perf_record.write oc r) in
+  (* Loading keeps every field: a loaded record writes back byte for byte. *)
+  let rewrites_identically r =
+    let text p = In_channel.with_open_text p In_channel.input_all in
+    let copy = Filename.temp_file "BENCH_copy" ".json" in
+    Out_channel.with_open_text copy (fun oc -> Perf_record.write oc r);
+    Alcotest.(check string) "rewrite is byte-identical" (text path) (text copy);
+    Sys.remove copy
+  in
+  let spans = Span.create () in
+  Span.wrap spans "outer" (fun () -> Span.wrap spans "inner" ignore);
+  let (), gc = Perf_record.with_gc Gc.minor in
+  Alcotest.(check bool) "GC delta sees the minor collection" true
+    (gc.Perf_record.minor_collections >= 1);
+  let gc = { gc with Perf_record.major_words = 3. } in
+  save
+    (Perf_record.bench ~experiment:"fig2" ~scale:Perf_record.Quick ~jobs:2
+       ~wall_s:1.25 ~gc ~spans
+       ~plateaus:[ { Perf_record.live = 10; ops = 4; ops_per_sec = 2.; us_per_op = 5e5 } ]
+       ());
+  let r = load () in
+  Alcotest.check approx "wall_s" 1.25 (Perf_record.wall_s r);
+  Alcotest.(check (option (float 0.))) "gc.major_words" (Some 3.)
+    (Perf_record.major_words r);
+  rewrites_identically r;
+  let self_s =
+    List.map (fun a -> (a.Span.agg_name, a.Span.agg_self_s)) (Span.aggregate spans)
+  in
+  Alcotest.(check (list (pair string (list (pair string (float 1e-9))))))
+    "span self times, no stages"
+    [ ("span (self_s)", self_s); ("stage (p99_s)", []) ]
+    (Perf_record.tables r);
+  let latency = { Perf_record.p50 = 0.001; p95 = 0.002; p99 = 0.003; p999 = 0.004; max = 0.005 } in
+  save
+    (Perf_record.serve ~scale:Perf_record.Full ~jobs:4 ~wall_s:0.5 ~gc
+       ~stage_p99_s:[ ("req.queue", 0.0002); ("req.total", 0.0009) ]
+       {
+         Perf_record.requests = 100; rate_rps = 200.; live_target = 40;
+         arrivals = "poisson"; achieved_rps = 199.; max_lag_s = 0.01; latency_s = latency;
+         rejected = 1; stale = 0; errors = 0; slo_good = 99; slo_bad = 1;
+       });
+  let r = load () in
+  Alcotest.check approx "serve wall_s" 0.5 (Perf_record.wall_s r);
+  rewrites_identically r;
+  Alcotest.(check bool) "serve gc carries the full GC delta" true
+    (String.ends_with
+       ~suffix:
+         (Printf.sprintf
+            {|"gc":{"minor_words":%s,"promoted_words":%s,"major_words":3,"minor_collections":%d,"major_collections":%d}}|}
+            (Jsonx.to_string (Jsonx.Float gc.minor_words))
+            (Jsonx.to_string (Jsonx.Float gc.promoted_words))
+            gc.minor_collections gc.major_collections)
+       (String.trim (In_channel.with_open_text path In_channel.input_all)));
+  Alcotest.(check (list (pair string (list (pair string (float 0.))))))
+    "stage p99s, no spans"
+    [ ("span (self_s)", []); ("stage (p99_s)", [ ("req.queue", 0.0002); ("req.total", 0.0009) ]) ]
+    (Perf_record.tables r);
+  Out_channel.with_open_text path (fun oc -> output_string oc "{\"jobs\":1}\n");
+  (match Perf_record.load path with
+  | Error msg -> Alcotest.(check string) "no wall_s" (path ^ ": missing or ill-typed wall_s") msg
+  | Ok _ -> Alcotest.fail "a record without wall_s loaded");
   Sys.remove path
+
+let test_perf_record_gate () =
+  Alcotest.(check (list (triple string (option (float 0.)) (option (float 0.)))))
+    "join over the union of names"
+    [ ("a", Some 1., None); ("b", Some 2., Some 3.); ("c", None, Some 4.) ]
+    (Perf_record.join [ ("b", 2.); ("a", 1.) ] [ ("c", 4.); ("b", 3.) ]);
+  Alcotest.check approx "pct change" 50. (Perf_record.pct_change 2. 3.);
+  Alcotest.check approx "pct change from zero" 0. (Perf_record.pct_change 0. 3.);
+  Alcotest.(check bool) "within the limit" false (Perf_record.regressed ~max_pct:50. 2. 3.);
+  Alcotest.(check bool) "past the limit" true (Perf_record.regressed ~max_pct:49. 2. 3.)
 
 let () =
   Alcotest.run "analysis"
@@ -639,6 +772,14 @@ let () =
           Alcotest.test_case "empty trace" `Quick test_empty_trace;
           Alcotest.test_case "of_file error reporting" `Quick
             test_of_file_errors;
+          Alcotest.test_case "load concatenates files" `Quick
+            test_load_concatenates;
+        ] );
+      ( "perf-record",
+        [
+          Alcotest.test_case "write/load round trip" `Quick
+            test_perf_record_roundtrip;
+          Alcotest.test_case "comparison helpers" `Quick test_perf_record_gate;
         ] );
       ( "audit",
         [

@@ -40,6 +40,15 @@ let mentions needle text =
   in
   scan 0
 
+let output_of cmd =
+  let tmp = Filename.temp_file "drqos_cli" ".stdout" in
+  let code = Sys.command (Printf.sprintf "%s >%s 2>/dev/null" cmd tmp) in
+  let ic = open_in tmp in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove tmp;
+  (code, text)
+
 let stderr_mentions_usage cmd = mentions "usage" (snd (run_stderr cmd))
 
 let test_unknown_flag_exits_2 () =
@@ -146,6 +155,89 @@ let test_loadgen_bad_output_fails_first () =
   Alcotest.(check bool) "--trace error names the path" true
     (mentions "not a directory" trace_err)
 
+(* A temporary regular file: no path under it can be created. *)
+let with_regular_file f =
+  let file = Filename.temp_file "drqos_cli" ".file" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) (fun () -> f file)
+
+let test_serve_bad_output_fails_before_bind () =
+  (* Regression: serve opened --trace and created --slow-dir only after
+     binding, so a bad path died with exit 125 and left the socket file
+     behind. *)
+  with_regular_file (fun file ->
+      let sock = file ^ ".sock" in
+      let serve flag path =
+        let code, err =
+          run_stderr
+            (Printf.sprintf "%s serve --socket %s --slo 0.05 %s %s" cli sock flag
+               (Filename.concat file path))
+        in
+        let left = Sys.file_exists sock in
+        if left then Sys.remove sock;
+        (code, err, left)
+      in
+      List.iter
+        (fun (flag, path) ->
+          let code, err, left = serve flag path in
+          Alcotest.(check int) (flag ^ " under a regular file exits 1") 1 code;
+          Alcotest.(check bool) (flag ^ " error is the CLI's") true
+            (mentions "drqos_cli: " err);
+          Alcotest.(check bool) (flag ^ " leaves no socket file") false left)
+        [ ("--trace", "t.jsonl"); ("--slow-dir", "slow") ])
+
+let test_serve_slow_dir_created_recursively () =
+  with_regular_file (fun file ->
+      let root = file ^ ".d" in
+      let slow = Filename.concat (Filename.concat root "a") "slow" in
+      let sock = file ^ ".sock" in
+      ignore
+        (Sys.command
+           (Printf.sprintf
+              "timeout 30 %s serve --socket %s --slo 0.05 --slow-dir %s \
+               >/dev/null 2>&1 &"
+              cli sock slow));
+      let code =
+        exit_of
+          (Printf.sprintf
+             "%s loadgen --socket %s --requests 20 --rate 1000 --jobs 1 --shutdown"
+             cli sock)
+      in
+      let created = Sys.file_exists slow && Sys.is_directory slow in
+      ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote root)));
+      Alcotest.(check int) "daemon served and shut down" 0 code;
+      Alcotest.(check bool) "missing parents created" true created)
+
+let test_fuzz_replay_directory_exits_1 () =
+  let code, err =
+    run_stderr (Printf.sprintf "%s fuzz --replay %s" cli Filename.current_dir_name)
+  in
+  Alcotest.(check int) "a directory as --replay exits 1" 1 code;
+  Alcotest.(check bool) "with a message" true (mentions "drqos_cli: " err)
+
+let test_sweep_bad_out_fails_before_sweep () =
+  with_regular_file (fun file ->
+      let code, out =
+        output_of
+          (Printf.sprintf
+             "%s sweep --offered-from 100 --offered-to 100 --churn 20 --warmup 5 \
+              --jobs 1 --out %s"
+             cli file)
+      in
+      Alcotest.(check int) "--out naming a regular file exits 1" 1 code;
+      Alcotest.(check string) "no sweep table printed" "" out)
+
+let test_policy_aliases () =
+  List.iter
+    (fun sub ->
+      Alcotest.(check int)
+        (sub ^ " --policy coefficient")
+        0
+        (exit_of
+           (Printf.sprintf "%s %s --policy coefficient %s" cli sub
+              (if sub = "fuzz" then "--ops 50 --family waxman"
+               else "--offered 20 --churn 10 --warmup 2"))))
+    [ "run"; "fuzz" ]
+
 (* --- drqos_cli top --- *)
 
 (* A hand-written heartbeat stream: wall beats every ~0.1 s with one
@@ -171,15 +263,6 @@ let gapped_heartbeat_fixture () =
     [ 0.; 0.1; 0.2; 0.3; 1.3; 1.4 ];
   close_out oc;
   path
-
-let output_of cmd =
-  let tmp = Filename.temp_file "drqos_cli" ".stdout" in
-  let code = Sys.command (Printf.sprintf "%s >%s 2>/dev/null" cmd tmp) in
-  let ic = open_in tmp in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove tmp;
-  (code, text)
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -278,6 +361,33 @@ let test_latency_errors () =
   Alcotest.(check int) "unreadable file exits 1" 1
     (exit_of (cli ^ " latency /no/such/trace.jsonl"))
 
+(* --- drqos_cli perfdiff --- *)
+
+let baseline name = Filename.concat "../bench/baselines" ("BENCH_" ^ name ^ ".json")
+
+let perfdiff ?(limit = "") base fresh =
+  exit_of (Printf.sprintf "%s perfdiff %s %s %s" cli base fresh limit)
+
+let test_perfdiff_gate () =
+  Alcotest.(check int) "a record passes against itself at 0%" 0
+    (perfdiff ~limit:"--max-regress 0" (baseline "fig2") (baseline "fig2"));
+  (* The committed pair is a +386.6% wall-time regression: the gate's
+     negative control. *)
+  Alcotest.(check int) "fig3 -> fig2 fails at 50%" 1
+    (perfdiff ~limit:"--max-regress 50" (baseline "fig3") (baseline "fig2"));
+  Alcotest.(check int) "without --max-regress it only reports" 0
+    (perfdiff (baseline "fig3") (baseline "fig2"))
+
+let test_perfdiff_errors () =
+  let path = Filename.temp_file "drqos_perfdiff" ".json" in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc "{\"experiment\":\"x\",\"scale\":\"quick\",\"jobs\":1}\n");
+  let code = perfdiff path (baseline "fig2") in
+  Sys.remove path;
+  Alcotest.(check int) "a record without wall_s exits 1" 1 code;
+  Alcotest.(check int) "unreadable record exits 1" 1
+    (perfdiff "/no/such/BENCH.json" (baseline "fig2"))
+
 let () =
   Alcotest.run "cli"
     [
@@ -301,7 +411,17 @@ let () =
             test_bad_trace_path_exits_1;
           Alcotest.test_case "loadgen bad output fails before replay" `Quick
             test_loadgen_bad_output_fails_first;
+          Alcotest.test_case "serve bad output fails before bind" `Quick
+            test_serve_bad_output_fails_before_bind;
+          Alcotest.test_case "serve creates --slow-dir recursively" `Quick
+            test_serve_slow_dir_created_recursively;
+          Alcotest.test_case "fuzz --replay of a directory exits 1" `Quick
+            test_fuzz_replay_directory_exits_1;
+          Alcotest.test_case "sweep bad --out fails before the sweep" `Quick
+            test_sweep_bad_out_fails_before_sweep;
         ] );
+      ( "policy",
+        [ Alcotest.test_case "one converter accepts the aliases" `Quick test_policy_aliases ] );
       ( "top",
         [
           Alcotest.test_case "stall detection on a gapped stream" `Quick
@@ -317,5 +437,10 @@ let () =
           Alcotest.test_case "--check gates on consistency" `Quick
             test_latency_check_gate;
           Alcotest.test_case "error exit codes" `Quick test_latency_errors;
+        ] );
+      ( "perfdiff",
+        [
+          Alcotest.test_case "wall-time gate" `Quick test_perfdiff_gate;
+          Alcotest.test_case "error exit codes" `Quick test_perfdiff_errors;
         ] );
     ]

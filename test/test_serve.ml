@@ -293,6 +293,46 @@ let test_broker_lifecycle () =
   | Serve_proto.Error_reply _ -> ()
   | _ -> Alcotest.fail "tearing down a dead channel must be an error reply"
 
+(* Serve_loadgen's worker against an in-process broker: the churn holds
+   the owned population at or under the live target, nothing comes back
+   unexpected, the worker's owned set is the broker's live set when no
+   edge fails, and finish repairs every edge the worker failed. *)
+let test_loadgen_worker () =
+  let nodes = 30 and target = 12 in
+  let sorted l = List.sort compare l in
+  List.iter
+    (fun fail_edges ->
+      let g =
+        Scenario.build_graph (Prng.create 3) (Scenario.Waxman (Waxman.paper_spec ~nodes))
+      in
+      let broker = Serve_broker.create ~obs:(Obs.create ()) (Net_state.create ~capacity:10_000 g) in
+      let w =
+        Serve_loadgen.worker ~call:(fun _ req -> Serve_broker.dispatch broker req) ~seed:5 0
+      in
+      (* Step past 600 operations until an edge is left failed, so
+         finish has something to repair. *)
+      let steps = ref 0 and peak = ref 0 in
+      while !steps < 600 || (fail_edges > 0 && Serve_loadgen.failed w = [] && !steps < 20_000) do
+        incr steps;
+        ignore (Serve_loadgen.step ~nodes ~target ~fail_edges w);
+        peak := max !peak (List.length (Serve_loadgen.owned w));
+        Alcotest.(check bool) "owned count within the live target" true (!peak <= target);
+        if fail_edges = 0 then
+          Alcotest.(check (list int)) "broker live set is the owned set"
+            (Serve_broker.live_channels broker) (sorted (Serve_loadgen.owned w))
+      done;
+      Alcotest.(check int) "the churn reaches the target" target !peak;
+      Alcotest.(check int) "no unexpected replies" 0 (Serve_loadgen.errors w);
+      Alcotest.(check (list int)) "the broker sees the worker's failures"
+        (sorted (Serve_loadgen.failed w)) (Serve_broker.failed_edges broker);
+      if fail_edges > 0 then
+        Alcotest.(check bool) "an edge is down before finish" true
+          (Serve_broker.failed_edges broker <> []);
+      Serve_loadgen.finish w;
+      Alcotest.(check (list int)) "every failed edge repaired at finish" []
+        (Serve_broker.failed_edges broker))
+    [ 0; 8 ]
+
 let test_broker_rejections_are_replies () =
   let broker = Serve_broker.create ~obs:(Obs.create ()) (ring_net ()) in
   (* Out-of-range nodes, self-loops, unknown channels, out-of-range
@@ -746,6 +786,8 @@ let () =
             test_broker_failure_recovery;
           Alcotest.test_case "snapshot and metrics requests" `Quick
             test_broker_snapshot_and_metrics;
+          Alcotest.test_case "loadgen worker against an in-process broker" `Quick
+            test_loadgen_worker;
         ] );
       ( "socket",
         [
