@@ -74,10 +74,58 @@ let bench_backup_route () =
       | None -> ()
       | Some p -> ignore (Flooding.backup_route net req ~primary_edges:p.Paths.edges))
 
-let tests =
+(* The backup search on the scale bench's transit-stub loaded with 20 000
+   stub-local flows, for fixed-seed pairs whose primary has no
+   link-disjoint backup within the hop bound: every call runs the
+   disjoint search and then the maximally-disjoint Dijkstra fallback,
+   which the empty 100-node case above never reaches. *)
+let bench_backup_fallback () =
+  let rng = Prng.create 7 in
+  let info = Transit_stub.generate rng Scale.topo_spec in
+  let stubs = Scale.stub_table info in
+  let net = Net_state.create ~capacity:Scale.capacity info.Transit_stub.graph in
+  let hop_bound = 6 in
+  let config = Drcomm.Config.make ~hop_bound ~require_backup:false () in
+  let service = Drcomm.create ~config net in
+  Drcomm.set_auto_redistribute service false;
+  for _ = 1 to 20_000 do
+    let src, dst = Scale.stub_pair rng stubs in
+    ignore
+      (Drcomm.admit ~want_indirect:false ~want_report:false service ~src ~dst
+         ~qos:Scale.qos_inelastic)
+  done;
+  (* The fallback ran exactly when the backup is missing or shares an
+     edge with its primary. *)
+  let falls_back req primary_edges =
+    match Flooding.backup_route net req ~primary_edges with
+    | None -> true
+    | Some b -> List.exists (fun e -> List.mem e primary_edges) b.Paths.edges
+  in
+  let cases = ref [] in
+  for _ = 1 to 10_000 do
+    let src, dst = Scale.stub_pair rng stubs in
+    let req = Flooding.request ~hop_bound ~src ~dst ~floor:10 () in
+    match Flooding.primary_route net req with
+    | Some p when List.length !cases < 64 && falls_back req p.Paths.edges ->
+      cases := (req, p.Paths.edges) :: !cases
+    | _ -> ()
+  done;
+  let cases = Array.of_list !cases in
+  if Array.length cases = 0 then failwith "micro: no pair falls back";
+  let i = ref 0 in
+  Staged.stage (fun () ->
+      let req, primary_edges = cases.(!i) in
+      i := (!i + 1) mod Array.length cases;
+      ignore (Flooding.backup_route net req ~primary_edges))
+
+(* Built when the micro bench runs, not at start-up: the fallback case
+   loads 20 000 connections. *)
+let tests () =
   [
     Test.make ~name:"flooding primary route (fig2-4 inner loop)" (bench_flooding ());
     Test.make ~name:"backup route search" (bench_backup_route ());
+    Test.make ~name:"backup route fallback (loaded transit-stub)"
+      (bench_backup_fallback ());
     Test.make ~name:"DR admission + termination" (bench_admission ());
     Test.make ~name:"9-state Markov solve (table1/fig2)" (bench_markov_solve ());
     Test.make ~name:"100-node Waxman generation" (bench_waxman ());
@@ -88,7 +136,7 @@ let run scale =
   Exp.section "Micro-benchmarks (bechamel)";
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
   let instances = [ Instance.monotonic_clock ] in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"micro" tests) in
+  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"micro" (tests ())) in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in

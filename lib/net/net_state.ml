@@ -10,6 +10,7 @@ type t = {
   mutable failed_n : int;
   failed_pos : int array;
   multiplexing : bool;
+  scratch : Paths.scratch;
 }
 
 let create_heterogeneous ?(multiplexing = true) ~capacity_of graph =
@@ -25,6 +26,7 @@ let create_heterogeneous ?(multiplexing = true) ~capacity_of graph =
     failed_n = 0;
     failed_pos = Array.make edges (-1);
     multiplexing;
+    scratch = Paths.scratch graph;
   }
 
 let create ?multiplexing ?(capacity = Bandwidth.paper_link_capacity) graph =
@@ -32,6 +34,7 @@ let create ?multiplexing ?(capacity = Bandwidth.paper_link_capacity) graph =
 
 let graph t = t.graph
 let multiplexing t = t.multiplexing
+let scratch t = t.scratch
 
 let link t id =
   if id < 0 || id >= Array.length t.links then

@@ -18,6 +18,13 @@ val create_heterogeneous :
 val graph : t -> Graph.t
 val multiplexing : t -> bool
 
+val scratch : t -> Paths.scratch
+(** The network's one route-search scratch, created with it and sized to
+    its graph; every search on this network runs on it.  A network and
+    its scratch belong to one domain, and no search may start from
+    inside a callback of another search on the same network (see
+    {!Paths.scratch}). *)
+
 val link : t -> Dirlink.id -> Link_state.t
 (** Raises [Invalid_argument] for an out-of-range id. *)
 

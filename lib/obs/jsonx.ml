@@ -75,6 +75,13 @@ let output oc t = output_string oc (to_string t)
 
 exception Parse_error of string
 
+(* The deepest document the repo itself writes nests 7 containers (the
+   lint summary cache; bench records, metrics manifests, heartbeats and
+   protocol replies stay within 4).  Each level costs the recursive
+   reader a few stack frames, so a bound keeps a hostile line such as
+   [[[[... from growing the stack toward its limit. *)
+let max_depth = 512
+
 type cursor = { s : string; mutable pos : int }
 
 let fail cur msg =
@@ -177,7 +184,13 @@ let parse_number cur =
     | Some x -> Float x
     | None -> fail cur (Printf.sprintf "bad number %S" text))
 
-let rec parse_value cur =
+(* The depth inside a container opened at [depth], which counts the
+   containers already open around it. *)
+let enter cur depth =
+  if depth >= max_depth then fail cur (Printf.sprintf "nesting deeper than %d" max_depth);
+  depth + 1
+
+let rec parse_value cur depth =
   skip_ws cur;
   match peek cur with
   | None -> fail cur "unexpected end of input"
@@ -188,6 +201,7 @@ let rec parse_value cur =
     advance cur;
     String (parse_string_body cur)
   | Some '[' ->
+    let depth = enter cur depth in
     advance cur;
     skip_ws cur;
     if peek cur = Some ']' then begin
@@ -195,13 +209,13 @@ let rec parse_value cur =
       List []
     end
     else begin
-      let items = ref [ parse_value cur ] in
+      let items = ref [ parse_value cur depth ] in
       let rec more () =
         skip_ws cur;
         match peek cur with
         | Some ',' ->
           advance cur;
-          items := parse_value cur :: !items;
+          items := parse_value cur depth :: !items;
           more ()
         | Some ']' -> advance cur
         | _ -> fail cur "expected ',' or ']'"
@@ -210,6 +224,7 @@ let rec parse_value cur =
       List (List.rev !items)
     end
   | Some '{' ->
+    let depth = enter cur depth in
     advance cur;
     skip_ws cur;
     if peek cur = Some '}' then begin
@@ -223,7 +238,7 @@ let rec parse_value cur =
         let k = parse_string_body cur in
         skip_ws cur;
         expect cur ':';
-        (k, parse_value cur)
+        (k, parse_value cur depth)
       in
       let fields = ref [ field () ] in
       let rec more () =
@@ -243,7 +258,7 @@ let rec parse_value cur =
 
 let of_string s =
   let cur = { s; pos = 0 } in
-  let v = parse_value cur in
+  let v = parse_value cur 0 in
   skip_ws cur;
   if cur.pos <> String.length s then fail cur "trailing garbage";
   v

@@ -24,9 +24,13 @@ val output : out_channel -> t -> unit
 
 exception Parse_error of string
 
+val max_depth : int
+(** 512: the deepest nesting of arrays and objects {!of_string} accepts. *)
+
 val of_string : string -> t
-(** Parses one JSON document; raises {!Parse_error} on malformed input or
-    trailing garbage.  Numbers without [.], [e] or overflow come back as
+(** Parses one JSON document; raises {!Parse_error} on malformed input,
+    trailing garbage, or arrays and objects nested deeper than
+    {!max_depth}.  Numbers without [.], [e] or overflow come back as
     [Int], everything else as [Float]. *)
 
 exception Line_error of { line : int; message : string }

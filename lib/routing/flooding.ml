@@ -6,60 +6,68 @@ let request ?(hop_bound = 16) ~src ~dst ~floor () =
   if hop_bound < 1 then invalid_arg "Flooding.request: hop_bound >= 1";
   { src; dst; floor; hop_bound }
 
-(* Hop-bounded BFS over directed links.  [allowance dl] returns the
-   bandwidth this directed link could still give the request, or a
-   negative number when the link cannot admit it at all.  Among routes of
-   equal (minimal) hop count the one with the larger bottleneck allowance
-   wins — that is the copy the destination would have confirmed. *)
+(* Hop-bounded BFS over directed links, on the network's scratch.
+   [allowance dl] returns the bandwidth this directed link could still
+   give the request, or a negative number when the link cannot admit it
+   at all.  Among routes of equal (minimal) hop count the one with the
+   larger bottleneck allowance wins — that is the copy the destination
+   would have confirmed. *)
 let search_best net req ~allowance =
   let g = Net_state.graph net in
-  let n = Graph.node_count g in
-  let dist = Array.make n max_int in
-  let best_allow = Array.make n min_int in
-  let via = Array.make n (-1, -1) in
-  dist.(req.src) <- 0;
-  best_allow.(req.src) <- max_int;
-  let frontier = ref [ req.src ] in
+  let s = Net_state.scratch net in
+  let gen = Paths.next_gen s in
+  s.reached.(req.src) <- gen;
+  s.hops.(req.src) <- 0;
+  s.allow.(req.src) <- max_int;
+  s.frontier.(0) <- req.src;
+  let level = ref s.frontier and next = ref s.next in
+  let level_n = ref 1 and next_n = ref 0 in
+  (* Relax the links of [u] into hop distance [d]. *)
+  let rec relax u d = function
+    | [] -> ()
+    | (v, e) :: rest ->
+      (* An unreached node reads as max_int hops. *)
+      let hv = if s.reached.(v) = gen then s.hops.(v) else max_int in
+      if hv >= d && Net_state.usable_edge net e then begin
+        let a = allowance (Dirlink.of_edge g ~edge:e ~src:u) in
+        if a >= 0 then begin
+          let bottleneck = Int.min s.allow.(u) a in
+          (* [hv] is [d] here, or unreached. *)
+          if hv > d || bottleneck > s.allow.(v) then begin
+            if hv > d then begin
+              !next.(!next_n) <- v;
+              incr next_n
+            end;
+            s.reached.(v) <- gen;
+            s.hops.(v) <- d;
+            s.allow.(v) <- bottleneck;
+            s.via_node.(v) <- u;
+            s.via_edge.(v) <- e
+          end
+        end
+      end;
+      relax u d rest
+  in
   let depth = ref 0 in
-  while !frontier <> [] && !depth < req.hop_bound && dist.(req.dst) = max_int do
-    let next = ref [] in
-    (* Relax the whole level before moving on so the same-depth
-       allowance tie-break is order-independent. *)
-    List.iter
-      (fun u ->
-        List.iter
-          (fun (v, e) ->
-            if Net_state.usable_edge net e && dist.(v) >= !depth + 1 then begin
-              let dl = Dirlink.of_edge g ~edge:e ~src:u in
-              let a = allowance dl in
-              if a >= 0 then begin
-                let bottleneck = min best_allow.(u) a in
-                if
-                  dist.(v) > !depth + 1
-                  || (dist.(v) = !depth + 1 && bottleneck > best_allow.(v))
-                then begin
-                  if dist.(v) > !depth + 1 then next := v :: !next;
-                  dist.(v) <- !depth + 1;
-                  best_allow.(v) <- bottleneck;
-                  via.(v) <- (u, e)
-                end
-              end
-            end)
-          (Graph.neighbors g u))
-      !frontier;
-    frontier := !next;
+  while !level_n > 0 && !depth < req.hop_bound && s.reached.(req.dst) <> gen do
+    (* Relax the whole level before moving on, so every same-depth copy
+       competes on allowance.  A strict [>] keeps the first of equal
+       allowances, so the walk order decides those ties: discovery
+       order, last to first.  Route choice depends on it, and the
+       tests compare it against test/route_ref.ml. *)
+    for i = !level_n - 1 downto 0 do
+      let u = !level.(i) in
+      relax u (!depth + 1) (Graph.neighbors g u)
+    done;
+    let walked = !level in
+    level := !next;
+    next := walked;
+    level_n := !next_n;
+    next_n := 0;
     incr depth
   done;
-  if dist.(req.dst) = max_int then None
-  else begin
-    let rec rebuild v nodes edges =
-      if v = req.src then { Paths.nodes = req.src :: nodes; edges }
-      else
-        let u, e = via.(v) in
-        rebuild u (v :: nodes) (e :: edges)
-    in
-    Some (rebuild req.dst [] [])
-  end
+  if s.reached.(req.dst) <> gen then None
+  else Some (Paths.scratch_path s ~src:req.src ~dst:req.dst)
 
 let primary_route net req =
   let allowance dl =
@@ -79,13 +87,19 @@ let backup_allowance net ~floor ~primary_edges dl =
   if headroom >= 0 then headroom else -1
 
 let backup_route ?(banned_edges = []) net req ~primary_edges =
+  (* The primary's edges carry a generation of their own; the searches
+     below take later ones, so the stamp stays this call's. *)
+  let s = Net_state.scratch net in
+  let primary = Paths.next_gen s in
+  List.iter (fun e -> s.edge_mark.(e) <- primary) primary_edges;
+  let on_primary e = s.edge_mark.(e) = primary in
   let base_allowance = backup_allowance net ~floor:req.floor ~primary_edges in
   let allowance dl =
     if List.mem (Dirlink.edge dl) banned_edges then -1 else base_allowance dl
   in
   (* First try: fully link-disjoint. *)
   let disjoint_allowance dl =
-    if List.mem (Dirlink.edge dl) primary_edges then -1 else allowance dl
+    if on_primary (Dirlink.edge dl) then -1 else allowance dl
   in
   match search_best net req ~allowance:disjoint_allowance with
   | Some _ as found -> found
@@ -95,7 +109,7 @@ let backup_route ?(banned_edges = []) net req ~primary_edges =
        admission test. *)
     let g = Net_state.graph net in
     let penalty = float_of_int (Graph.node_count g * Graph.node_count g) in
-    let weight e = if List.mem e primary_edges then penalty +. 1. else 1. in
+    let weight e = if on_primary e then penalty +. 1. else 1. in
     let usable e =
       Net_state.usable_edge net e
       && (not (List.mem e banned_edges))
@@ -108,7 +122,7 @@ let backup_route ?(banned_edges = []) net req ~primary_edges =
       allowance (2 * e) >= 0
       && allowance ((2 * e) + 1) >= 0
     in
-    (match Paths.dijkstra ~weight ~usable g req.src req.dst with
+    (match Paths.dijkstra ~weight ~usable s g req.src req.dst with
     | None -> None
     | Some (path, _) ->
       (* A backup covering none of the primary's edges' failures is

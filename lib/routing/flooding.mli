@@ -11,7 +11,11 @@
 
     We model the {e outcome} of this protocol exactly (which route wins)
     rather than simulating individual request packets; the message-count
-    cost model of flooding is exposed separately for the overhead bench. *)
+    cost model of flooding is exposed separately for the overhead bench.
+
+    Every search runs on the network's scratch ({!Net_state.scratch}) and
+    allocates nothing graph-sized; a search must not be started from
+    inside another search on the same network. *)
 
 type request = {
   src : int;

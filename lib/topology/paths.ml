@@ -23,12 +23,21 @@ let is_valid g p =
 
 let all_usable _ = true
 
-(* BFS recording, for each reached node, the (parent, edge) it was reached
-   through; shared by [hops_from] and [shortest_path]. *)
+(* One path rebuild for every search here: [via_node.(v)] and
+   [via_edge.(v)] are the node and edge [v] was reached through. *)
+let rebuild_path ~via_node ~via_edge src dst =
+  let rec walk v nodes edges =
+    if v = src then { nodes = src :: nodes; edges }
+    else walk via_node.(v) (v :: nodes) (via_edge.(v) :: edges)
+  in
+  walk dst [] []
+
+(* BFS recording, for each reached node, the parent and edge it was
+   reached through; shared by [hops_from] and [shortest_path]. *)
 let bfs ?(usable = all_usable) g src =
   let n = Graph.node_count g in
   let dist = Array.make n (-1) in
-  let via = Array.make n (-1, -1) in
+  let via_node = Array.make n (-1) and via_edge = Array.make n (-1) in
   dist.(src) <- 0;
   let q = Queue.create () in
   Queue.push src q;
@@ -38,106 +47,165 @@ let bfs ?(usable = all_usable) g src =
       (fun (v, e) ->
         if usable e && dist.(v) < 0 then begin
           dist.(v) <- dist.(u) + 1;
-          via.(v) <- (u, e);
+          via_node.(v) <- u;
+          via_edge.(v) <- e;
           Queue.push v q
         end)
       (Graph.neighbors g u)
   done;
-  (dist, via)
+  (dist, via_node, via_edge)
 
 let hops_from ?usable g src =
-  let dist, _ = bfs ?usable g src in
+  let dist, _, _ = bfs ?usable g src in
   dist
 
-let rebuild_path via src dst =
-  let rec walk v nodes edges =
-    if v = src then { nodes = src :: nodes; edges }
-    else
-      let u, e = via.(v) in
-      walk u (v :: nodes) (e :: edges)
-  in
-  walk dst [] []
-
 let shortest_path ?usable g src dst =
-  let dist, via = bfs ?usable g src in
-  if dist.(dst) < 0 then None else Some (rebuild_path via src dst)
+  let dist, via_node, via_edge = bfs ?usable g src in
+  if dist.(dst) < 0 then None else Some (rebuild_path ~via_node ~via_edge src dst)
 
-(* A tiny mutable binary min-heap over (key, node); enough for Dijkstra on
-   graphs of a few hundred nodes. *)
-module Heap = struct
-  type t = { mutable size : int; mutable arr : (float * int) array }
+type scratch = {
+  mutable gen : int;
+  reached : int array;
+  settled : int array;
+  hops : int array;
+  allow : int array;
+  dist : float array;
+  via_node : int array;
+  via_edge : int array;
+  frontier : int array;
+  next : int array;
+  edge_mark : int array;
+  usable_memo : int array;
+  mutable heap_key : float array;
+  mutable heap_node : int array;
+  mutable heap_size : int;
+}
 
-  let create () = { size = 0; arr = Array.make 64 (0., -1) }
-  let is_empty h = h.size = 0
+let scratch g =
+  let n = max 1 (Graph.node_count g) and m = max 1 (Graph.edge_count g) in
+  {
+    gen = 0;
+    reached = Array.make n 0;
+    settled = Array.make n 0;
+    hops = Array.make n 0;
+    allow = Array.make n 0;
+    dist = Array.make n 0.;
+    via_node = Array.make n (-1);
+    via_edge = Array.make n (-1);
+    frontier = Array.make n 0;
+    next = Array.make n 0;
+    edge_mark = Array.make m 0;
+    usable_memo = Array.make m 0;
+    heap_key = Array.make n 0.;
+    heap_node = Array.make n 0;
+    heap_size = 0;
+  }
 
-  let swap h i j =
-    let tmp = h.arr.(i) in
-    h.arr.(i) <- h.arr.(j);
-    h.arr.(j) <- tmp
+let next_gen s =
+  s.gen <- s.gen + 1;
+  s.gen
 
-  let push h key v =
-    if h.size = Array.length h.arr then begin
-      let bigger = Array.make (2 * h.size) (0., -1) in
-      Array.blit h.arr 0 bigger 0 h.size;
-      h.arr <- bigger
-    end;
-    h.arr.(h.size) <- (key, v);
-    let i = ref h.size in
-    h.size <- h.size + 1;
-    while !i > 0 && fst h.arr.((!i - 1) / 2) > fst h.arr.(!i) do
-      swap h !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
+let scratch_path s ~src ~dst =
+  rebuild_path ~via_node:s.via_node ~via_edge:s.via_edge src dst
 
-  let pop h =
-    let top = h.arr.(0) in
-    h.size <- h.size - 1;
-    h.arr.(0) <- h.arr.(h.size);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < h.size && fst h.arr.(l) < fst h.arr.(!smallest) then smallest := l;
-      if r < h.size && fst h.arr.(r) < fst h.arr.(!smallest) then smallest := r;
-      if !smallest = !i then continue := false
-      else begin
-        swap h !i !smallest;
-        i := !smallest
-      end
-    done;
-    top
-end
+(* The scratch's binary min-heap over (key, node), keys and nodes in two
+   unboxed arrays.  Dijkstra pushes on every improvement and skips stale
+   entries on pop, so it can hold more than one entry per node; it
+   doubles when full and keeps the larger arrays for later calls. *)
+let heap_swap s i j =
+  let k = s.heap_key.(i) and v = s.heap_node.(i) in
+  s.heap_key.(i) <- s.heap_key.(j);
+  s.heap_node.(i) <- s.heap_node.(j);
+  s.heap_key.(j) <- k;
+  s.heap_node.(j) <- v
 
-let dijkstra ~weight ?(usable = all_usable) g src dst =
-  let n = Graph.node_count g in
-  let dist = Array.make n infinity in
-  let via = Array.make n (-1, -1) in
-  let settled = Array.make n false in
-  let heap = Heap.create () in
-  dist.(src) <- 0.;
-  Heap.push heap 0. src;
-  while not (Heap.is_empty heap) do
-    let d, u = Heap.pop heap in
-    if not settled.(u) && d <= dist.(u) then begin
-      settled.(u) <- true;
-      List.iter
-        (fun (v, e) ->
-          if usable e && not settled.(v) then begin
-            let w = weight e in
-            if w < 0. then invalid_arg "Paths.dijkstra: negative weight";
-            let alt = d +. w in
-            if alt < dist.(v) then begin
-              dist.(v) <- alt;
-              via.(v) <- (u, e);
-              Heap.push heap alt v
-            end
-          end)
-        (Graph.neighbors g u)
+let heap_push s key v =
+  if s.heap_size = Array.length s.heap_key then begin
+    let grow a fill =
+      let bigger = Array.make (2 * s.heap_size) fill in
+      Array.blit a 0 bigger 0 s.heap_size;
+      bigger
+    in
+    s.heap_key <- grow s.heap_key 0.;
+    s.heap_node <- grow s.heap_node (-1)
+  end;
+  s.heap_key.(s.heap_size) <- key;
+  s.heap_node.(s.heap_size) <- v;
+  let i = ref s.heap_size in
+  s.heap_size <- s.heap_size + 1;
+  while !i > 0 && s.heap_key.((!i - 1) / 2) > s.heap_key.(!i) do
+    heap_swap s !i ((!i - 1) / 2);
+    i := (!i - 1) / 2
+  done
+
+(* Remove the minimum; the caller reads it from slot 0 first. *)
+let heap_drop_min s =
+  s.heap_size <- s.heap_size - 1;
+  s.heap_key.(0) <- s.heap_key.(s.heap_size);
+  s.heap_node.(0) <- s.heap_node.(s.heap_size);
+  let i = ref 0 in
+  let continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+    let smallest = ref !i in
+    if l < s.heap_size && s.heap_key.(l) < s.heap_key.(!smallest) then smallest := l;
+    if r < s.heap_size && s.heap_key.(r) < s.heap_key.(!smallest) then smallest := r;
+    if !smallest = !i then continue := false
+    else begin
+      heap_swap s !i !smallest;
+      i := !smallest
+    end
+  done
+
+let dijkstra ~weight ?(usable = all_usable) s g src dst =
+  if Array.length s.reached < Graph.node_count g
+     || Array.length s.edge_mark < Graph.edge_count g
+  then invalid_arg "Paths.dijkstra: scratch smaller than the graph";
+  let gen = next_gen s in
+  let usable e =
+    let memo = s.usable_memo.(e) in
+    if memo = gen then true
+    else if memo = -gen then false
+    else begin
+      let ok = usable e in
+      s.usable_memo.(e) <- (if ok then gen else -gen);
+      ok
+    end
+  in
+  (* Relax the links of [u], settled at distance [d]; an unreached node
+     reads as infinitely far. *)
+  let rec relax u d = function
+    | [] -> ()
+    | (v, e) :: rest ->
+      if s.settled.(v) <> gen && usable e then begin
+        let w = weight e in
+        if w < 0. then invalid_arg "Paths.dijkstra: negative weight";
+        let alt = d +. w in
+        if alt < (if s.reached.(v) = gen then s.dist.(v) else infinity) then begin
+          s.reached.(v) <- gen;
+          s.dist.(v) <- alt;
+          s.via_node.(v) <- u;
+          s.via_edge.(v) <- e;
+          heap_push s alt v
+        end
+      end;
+      relax u d rest
+  in
+  s.heap_size <- 0;
+  s.reached.(src) <- gen;
+  s.dist.(src) <- 0.;
+  heap_push s 0. src;
+  (* A settled node is never relaxed again, so once [dst] is settled its
+     via chain is final and the rest of the graph can be left alone. *)
+  while s.heap_size > 0 && s.settled.(dst) <> gen do
+    let d = s.heap_key.(0) and u = s.heap_node.(0) in
+    heap_drop_min s;
+    if s.settled.(u) <> gen && d <= s.dist.(u) then begin
+      s.settled.(u) <- gen;
+      relax u d (Graph.neighbors g u)
     end
   done;
-  if Float.equal dist.(dst) infinity then None
-  else Some (rebuild_path via src dst, dist.(dst))
+  if s.settled.(dst) = gen then Some (scratch_path s ~src ~dst, s.dist.(dst)) else None
 
 let widest_path ~width g src dst =
   let n = Graph.node_count g in
@@ -147,7 +215,7 @@ let widest_path ~width g src dst =
      both components explicitly. *)
   let bottleneck = Array.make n neg_infinity in
   let hops = Array.make n max_int in
-  let via = Array.make n (-1, -1) in
+  let via_node = Array.make n (-1) and via_edge = Array.make n (-1) in
   let settled = Array.make n false in
   let better v b h = b > bottleneck.(v) || (Float.equal b bottleneck.(v) && h < hops.(v)) in
   bottleneck.(src) <- infinity;
@@ -175,7 +243,8 @@ let widest_path ~width g src dst =
               if better v b h then begin
                 bottleneck.(v) <- b;
                 hops.(v) <- h;
-                via.(v) <- (u, e)
+                via_node.(v) <- u;
+                via_edge.(v) <- e
               end
             end)
           (Graph.neighbors g u);
@@ -185,7 +254,7 @@ let widest_path ~width g src dst =
   in
   pick_next ();
   if Float.equal bottleneck.(dst) neg_infinity then None
-  else Some (rebuild_path via src dst, bottleneck.(dst))
+  else Some (rebuild_path ~via_node ~via_edge src dst, bottleneck.(dst))
 
 let eccentricity g u =
   let dist = hops_from g u in

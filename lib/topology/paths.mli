@@ -24,10 +24,63 @@ val shortest_path : ?usable:(int -> bool) -> Graph.t -> int -> int -> path optio
     [None] when disconnected.  [Some {nodes = [src]; edges = []}] when
     [src = dst]. *)
 
+(** {1 Search scratch}
+
+    Graph-sized working arrays for {!dijkstra} and for the bounded
+    flooding search of [Flooding], kept across calls so that a search
+    allocates nothing that outlives it.  An entry counts only while its
+    stamp equals the generation of the search that wrote it, so a new
+    search starts in O(1) by taking {!next_gen} — no array is cleared.
+
+    One scratch serves one search at a time: never share one across
+    domains, and never start a search on it from inside a callback
+    ([weight], [usable], an allowance) of a search running on it. *)
+
+type scratch = {
+  mutable gen : int;  (** the latest generation handed out. *)
+  reached : int array;
+      (** node → generation that reached it; [hops], [allow], [dist] and
+          the via arrays hold data for a node only at that generation. *)
+  settled : int array;  (** node → generation that settled it (Dijkstra). *)
+  hops : int array;  (** node → hop distance (flooding). *)
+  allow : int array;  (** node → best bottleneck allowance (flooding). *)
+  dist : float array;  (** node → tentative distance (Dijkstra). *)
+  via_node : int array;  (** node → the node it was reached from. *)
+  via_edge : int array;  (** node → the edge it was reached over. *)
+  frontier : int array;
+  next : int array;  (** flooding's two level buffers, node-sized. *)
+  edge_mark : int array;
+      (** edge → a generation the caller stamps, e.g. a backup search's
+          primary edges; never written here. *)
+  usable_memo : int array;
+      (** edge → [gen] or [-gen]: {!dijkstra}'s cache of [usable e]. *)
+  mutable heap_key : float array;
+  mutable heap_node : int array;
+  mutable heap_size : int;  (** {!dijkstra}'s binary min-heap. *)
+}
+
+val scratch : Graph.t -> scratch
+(** A fresh scratch sized to the graph's nodes and edges. *)
+
+val next_gen : scratch -> int
+(** Start a generation: every stamp written before reads as stale.
+    Returns the new generation (always positive). *)
+
+val scratch_path : scratch -> src:int -> dst:int -> path
+(** The route to [dst] recorded in the via arrays by the last search
+    from [src], which must have reached [dst]. *)
+
 val dijkstra :
-  weight:(int -> float) -> ?usable:(int -> bool) -> Graph.t -> int -> int ->
+  weight:(int -> float) -> ?usable:(int -> bool) -> scratch -> Graph.t -> int -> int ->
   (path * float) option
-(** Least-total-weight path; [weight e] must be >= 0 for every edge. *)
+(** [dijkstra ~weight ?usable s g src dst] is a least-total-weight path
+    from [src] to [dst] over the edges satisfying [usable], and its
+    weight; [None] when [dst] is unreachable.  [weight e] must be >= 0
+    for every edge.  The search runs on [s] (which must be at least
+    [g]'s size) and stops as soon as [dst] is settled, returning exactly
+    the path a run over the whole graph would.  [usable] is called at
+    most once per edge per call, and only for edges to an unsettled
+    node. *)
 
 val widest_path :
   width:(int -> float) -> Graph.t -> int -> int -> (path * float) option

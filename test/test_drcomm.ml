@@ -983,6 +983,53 @@ let qcheck_soak =
       soak seed 60;
       true)
 
+(* --- Allocation --- *)
+
+(* The scale bench's transit-stub (bench/scale.ml: 1056 nodes, 400 Mbps
+   links, stub-local 10 Kbps flows, hop bound 6) under bulk admission.
+   At this size any node-sized array is allocated straight on the major
+   heap, so a route search that allocated its own arrays cost about 6.9k
+   major words per admit.  Searches run on the network's scratch; what
+   is left is the admitted channel's own state being promoted (87 words
+   measured).  The bound is a count, not a timing. *)
+let test_admit_major_words () =
+  let rng = Prng.create 7 in
+  let info =
+    Transit_stub.generate rng
+      (Transit_stub.spec ~transit_domains:4 ~transit_size:8 ~stubs_per_transit_node:4
+         ~stub_size:8 ())
+  in
+  let g = info.Transit_stub.graph in
+  let stubs = Array.make (Graph.node_count g) [] in
+  Array.iteri
+    (fun v s -> if s >= 0 then stubs.(s) <- v :: stubs.(s))
+    info.Transit_stub.stub_of_node;
+  let stubs = Array.of_list (List.filter (( <> ) []) (Array.to_list stubs)) in
+  let stubs = Array.map Array.of_list stubs in
+  let net = Net_state.create ~capacity:(Bandwidth.mbps 400) g in
+  let config = Drcomm.Config.make ~hop_bound:6 ~require_backup:false () in
+  let t = Drcomm.create ~config net in
+  Drcomm.set_auto_redistribute t false;
+  let qos = Qos.single_value 10 in
+  let admit_n n =
+    for _ = 1 to n do
+      let stub = stubs.(Prng.int rng (Array.length stubs)) in
+      let i, j = Prng.sample_distinct_pair rng (Array.length stub) in
+      ignore
+        (Drcomm.admit ~want_indirect:false ~want_report:false t ~src:stub.(i)
+           ~dst:stub.(j) ~qos)
+    done
+  in
+  (* Warm up: the per-link tables grow to their working size. *)
+  admit_n 2000;
+  let admits = 4000 in
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  admit_n admits;
+  let per_admit = ((Gc.quick_stat ()).Gc.major_words -. before) /. float_of_int admits in
+  Alcotest.(check int) "every admit carried" (2000 + admits) (Drcomm.count t);
+  if per_admit > 400. then
+    Alcotest.failf "%.0f major words per admit (bound 400)" per_admit
+
 let () =
   Alcotest.run "drcomm"
     [
@@ -1084,4 +1131,9 @@ let () =
           Alcotest.test_case "soak with two backups" `Quick test_soak_two_backups;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest qcheck_soak ]);
+      ( "allocation",
+        [
+          Alcotest.test_case "admit major words on the scale transit-stub" `Quick
+            test_admit_major_words;
+        ] );
     ]

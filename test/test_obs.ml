@@ -37,7 +37,16 @@ let test_jsonx_rejects_garbage () =
   in
   Alcotest.(check bool) "trailing garbage" true (bad "{} x");
   Alcotest.(check bool) "unterminated string" true (bad "\"abc");
-  Alcotest.(check bool) "bare word" true (bad "qos")
+  Alcotest.(check bool) "bare word" true (bad "qos");
+  (* Valid JSON, but nested past the limit: the reader's stack stays
+     bounded. *)
+  let nest n = String.make n '[' ^ String.make n ']' in
+  let nest_obj n = String.concat "" (List.init n (fun _ -> "{\"k\":")) ^ "1" ^ String.make n '}' in
+  Alcotest.(check bool) "nested 10^4 deep" true (bad (nest 10_000));
+  Alcotest.(check bool) "one past the limit" true (bad (nest (Jsonx.max_depth + 1)));
+  Alcotest.(check bool) "objects count too" true (bad (nest_obj (Jsonx.max_depth + 1)));
+  Alcotest.(check bool) "the limit itself parses" false
+    (bad (nest Jsonx.max_depth) || bad (nest_obj Jsonx.max_depth))
 
 let test_jsonx_bad_unicode_escape () =
   (* Regression: the \u handler used to catch every exception around

@@ -356,6 +356,84 @@ let qcheck_flooding_route_admissible =
                (Dirlink.of_path g p)
       end)
 
+(* --- Scratch searches against the reference --- *)
+
+(* Interleave primary and backup searches on one network, with Drcomm
+   admissions (searches of their own on the same scratch), failures and
+   repairs between them.  The network is a Waxman graph or a small
+   transit-stub, whose bridges send many backup searches to the
+   maximally-disjoint fallback.  Every call must return the path the
+   reference returns. *)
+let scratch_search_agrees seed ~transit_stub =
+  let rng = Prng.create seed in
+  let g =
+    if transit_stub then
+      (Transit_stub.generate rng
+         (Transit_stub.spec ~transit_domains:2 ~transit_size:3 ~stubs_per_transit_node:2
+            ~stub_size:4 ()))
+        .Transit_stub.graph
+    else random_graph seed (15 + Prng.int rng 30)
+  in
+  let n = Graph.node_count g and m = Graph.edge_count g in
+  let net = Net_state.create ~capacity:1000 g in
+  let config = Drcomm.Config.make ~hop_bound:(3 + Prng.int rng 5) ~require_backup:false () in
+  let t = Drcomm.create ~config net in
+  let qos = Qos.make ~b_min:50 ~b_max:200 ~increment:50 () in
+  let admit () =
+    let src, dst = Prng.sample_distinct_pair rng n in
+    ignore (Drcomm.admit t ~src ~dst ~qos)
+  in
+  for _ = 1 to 2 * n do
+    admit ()
+  done;
+  let agree = ref true in
+  for _ = 1 to 300 do
+    (match Prng.int rng 6 with
+    | 0 -> admit ()
+    | 1 ->
+      let e = Prng.int rng m in
+      if Net_state.edge_failed net e then Drcomm.repair_edge t e
+      else ignore (Drcomm.fail_edge t e)
+    | _ -> ());
+    let src, dst = Prng.sample_distinct_pair rng n in
+    let req =
+      Flooding.request ~hop_bound:(1 + Prng.int rng 8) ~src ~dst
+        ~floor:(50 * (1 + Prng.int rng 4)) ()
+    in
+    let primary = Flooding.primary_route net req in
+    if primary <> Route_ref.primary_route net req then agree := false;
+    let primary_edges =
+      match (primary, Paths.shortest_path g src dst) with
+      | Some p, _ | None, Some p -> p.Paths.edges
+      | None, None -> []
+    in
+    if primary_edges <> [] then begin
+      let banned_edges =
+        if Prng.bool rng then [] else List.init (Prng.int rng 4) (fun _ -> Prng.int rng m)
+      in
+      if
+        Flooding.backup_route ~banned_edges net req ~primary_edges
+        <> Route_ref.backup_route ~banned_edges net req ~primary_edges
+      then agree := false
+    end
+  done;
+  !agree
+
+let qcheck_scratch_search_agrees =
+  QCheck.Test.make ~name:"scratch searches return the reference's paths" ~count:30
+    QCheck.(pair small_int bool)
+    (fun (seed, transit_stub) -> scratch_search_agrees seed ~transit_stub)
+
+let test_scratch_search_covers_fallback () =
+  let before = !Route_ref.fallbacks in
+  List.iter
+    (fun transit_stub ->
+      for seed = 1 to 3 do
+        Alcotest.(check bool) "agrees" true (scratch_search_agrees seed ~transit_stub)
+      done)
+    [ false; true ];
+  Alcotest.(check bool) "the fallback ran" true (!Route_ref.fallbacks - before > 50)
+
 let () =
   Alcotest.run "routing"
     [
@@ -375,6 +453,8 @@ let () =
           Alcotest.test_case "multiplexing aware" `Quick test_backup_route_multiplexing_aware;
           Alcotest.test_case "message count" `Quick test_message_count;
           Alcotest.test_case "request validation" `Quick test_request_validation;
+          Alcotest.test_case "scratch search covers the fallback" `Quick
+            test_scratch_search_covers_fallback;
         ] );
       ( "disjoint",
         [
@@ -407,5 +487,6 @@ let () =
             qcheck_disjoint_really_disjoint;
             qcheck_yen_sorted_distinct;
             qcheck_flooding_route_admissible;
+            qcheck_scratch_search_agrees;
           ] );
     ]

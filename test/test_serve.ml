@@ -522,18 +522,23 @@ let test_socket_heartbeat_push () =
 let test_socket_garbage_line () =
   with_server (fun path _join ->
       let c = Serve_client.connect ~retries:50 (`Unix path) in
-      (* Raw socket abuse: an undecodable line must produce an id-0
-         error reply, not kill the connection. *)
+      (* Raw socket abuse: each undecodable line (not JSON; JSON nested
+         10^4 deep) must produce an id-0 error reply, not kill the
+         connection. *)
+      let garbage = [ "this is not json"; String.make 10_000 '[' ^ String.make 10_000 ']' ] in
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.connect fd (Unix.ADDR_UNIX path);
       let oc = Unix.out_channel_of_descr fd in
       let ic = Unix.in_channel_of_descr fd in
-      output_string oc "this is not json\n{\"id\":5,\"req\":\"ping\"}\n";
+      List.iter (fun line -> output_string oc (line ^ "\n")) garbage;
+      output_string oc "{\"id\":5,\"req\":\"ping\"}\n";
       flush oc;
-      let first = Jsonx.of_string (input_line ic) in
-      (match Serve_proto.response_of_json first with
-      | Ok (0, Serve_proto.Error_reply _) -> ()
-      | _ -> Alcotest.fail "garbage line must yield an id-0 error reply");
+      List.iter
+        (fun _ ->
+          match Serve_proto.response_of_json (Jsonx.of_string (input_line ic)) with
+          | Ok (0, Serve_proto.Error_reply _) -> ()
+          | _ -> Alcotest.fail "garbage line must yield an id-0 error reply")
+        garbage;
       let second = Jsonx.of_string (input_line ic) in
       (match Serve_proto.response_of_json second with
       | Ok (5, Serve_proto.Pong) -> ()

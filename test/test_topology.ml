@@ -130,23 +130,33 @@ let test_dijkstra_weighted () =
   let g, (e01, e12, e03, _, e23, _) = fixture () in
   (* Make the 0-3 shortcut expensive; cheapest 0->2 becomes 0-1-2. *)
   let weight e = if e = e03 || e = e23 then 10. else 1. in
-  match Paths.dijkstra ~weight g 0 2 with
+  match Paths.dijkstra ~weight (Paths.scratch g) g 0 2 with
   | None -> Alcotest.fail "expected path"
   | Some (p, cost) ->
     Alcotest.check (Alcotest.float 1e-9) "cost" 2. cost;
     Alcotest.(check (list int)) "edges" [ e01; e12 ] p.Paths.edges
 
+(* Each query runs on a fresh scratch and on one scratch reused across
+   every query; both stop at the destination and must return the path a
+   whole-graph run returns. *)
 let test_dijkstra_matches_bfs_hops () =
   let rng = Prng.create 2 in
   let g = Waxman.generate rng (Waxman.spec ~nodes:40 ~alpha:0.4 ~beta:0.3 ()) in
   let weight _ = 1. in
+  let reused = Paths.scratch g in
   for src = 0 to 9 do
     let d = Paths.hops_from g src in
     for dst = 10 to 19 do
-      match Paths.dijkstra ~weight g src dst with
-      | Some (_, cost) ->
-        Alcotest.(check int) "unit dijkstra = bfs" d.(dst) (int_of_float cost)
-      | None -> Alcotest.(check int) "both unreachable" (-1) d.(dst)
+      let full = Route_ref.dijkstra ~weight g src dst in
+      List.iter
+        (fun s ->
+          let got = Paths.dijkstra ~weight s g src dst in
+          Alcotest.(check bool) "same path as a full run" true (got = full);
+          match got with
+          | Some (_, cost) ->
+            Alcotest.(check int) "unit dijkstra = bfs" d.(dst) (int_of_float cost)
+          | None -> Alcotest.(check int) "both unreachable" (-1) d.(dst))
+        [ Paths.scratch g; reused ]
     done
   done
 
