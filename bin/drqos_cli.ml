@@ -1420,7 +1420,8 @@ let latency_cmd =
     (if top > 0 then
        let slowest =
          List.sort
-           (fun x y -> compare y.Analysis.rq_total_s x.Analysis.rq_total_s)
+           (fun x y ->
+             Float.compare y.Analysis.rq_total_s x.Analysis.rq_total_s)
            complete
        in
        match take top slowest with

@@ -2,7 +2,9 @@
 
      drqos_lint _build/default/lib _build/default/bin --baseline lint.baseline
 
-   Walks the .cmt files dune already produced, runs the project rule set
+   Walks the .cmt files dune already produced (`dune build @check`
+   writes one per module, executables' mains included; a root without
+   any is an input error), runs the project rule set
    (R1 float equality, R2 closed-variant catch-alls, R3 partial stdlib
    functions, R4 swallowed exceptions, R5 stray stdout prints, R6 global
    Obs state inside Sweep.map workers, R7 cross-domain races, R8
@@ -22,16 +24,11 @@ let usage oc =
      \n\
      options:\n\
      \  --rules R1,R2,...      enable only these rules (default: all)\n\
-     \  --protect T1,T2,...    closed variant types guarded by R2\n\
-     \                         (default: Trace.event,Op.t)\n\
      \  --lib-prefix PREFIX    source-path prefix treated as library code\n\
      \                         for R3/R5 (default: lib/)\n\
      \  --r8-roots F1,F2,...   event-loop dispatch entry points for R8,\n\
      \                         as Module.name (default:\n\
      \                         Serve_server.handle_line,Lintfix_evloop.dispatch)\n\
-     \  --summary-cache FILE   cache interprocedural summaries in FILE,\n\
-     \                         keyed by .cmt digest; with only R6-R9\n\
-     \                         enabled, unchanged units are not reopened\n\
      \  --baseline FILE        suppress findings listed in FILE; stale\n\
      \                         entries fail the gate\n\
      \  --write-baseline FILE  write the current findings to FILE as\n\
@@ -58,10 +55,8 @@ let parse_rules csv =
 let () =
   let roots = ref [] in
   let rules = ref Lint.all_rules in
-  let protect = ref Lint_driver.default_protect in
   let lib_prefix = ref "lib/" in
   let r8_roots = ref Lint_flow.default_r8_roots in
-  let summary_cache = ref None in
   let baseline = ref None in
   let write_baseline = ref None in
   let format = ref `Text in
@@ -81,17 +76,11 @@ let () =
     | "--rules" :: csv :: rest ->
       rules := parse_rules csv;
       parse rest
-    | "--protect" :: csv :: rest ->
-      protect := List.map String.trim (String.split_on_char ',' csv);
-      parse rest
     | "--lib-prefix" :: p :: rest ->
       lib_prefix := p;
       parse rest
     | "--r8-roots" :: csv :: rest ->
       r8_roots := List.map String.trim (String.split_on_char ',' csv);
-      parse rest
-    | "--summary-cache" :: f :: rest ->
-      summary_cache := Some f;
       parse rest
     | "--baseline" :: f :: rest ->
       baseline := Some f;
@@ -112,9 +101,8 @@ let () =
       die_usage
         (Printf.sprintf "unknown format %S (expected text, json or github)"
            other)
-    | [ ("--rules" | "--protect" | "--lib-prefix" | "--r8-roots"
-        | "--summary-cache" | "--baseline" | "--write-baseline" | "--format")
-        as flag ] ->
+    | [ ("--rules" | "--lib-prefix" | "--r8-roots" | "--baseline"
+        | "--write-baseline" | "--format") as flag ] ->
       die_usage (Printf.sprintf "%s needs an argument" flag)
     | arg :: rest ->
       if String.length arg > 0 && arg.[0] = '-' then
@@ -131,10 +119,8 @@ let () =
     {
       Lint_driver.roots;
       rules = !rules;
-      protect = !protect;
       lib_prefix = !lib_prefix;
       r8_roots = !r8_roots;
-      summary_cache = !summary_cache;
     }
   in
   match Lint_driver.run config with

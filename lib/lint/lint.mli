@@ -12,9 +12,8 @@
     severities, and the finding record with its text/JSON renderings.
     The analyses themselves live in {!Lint_rules} (syntactic, per
     compilation unit) and, for everything that crosses function or
-    module boundaries, on the {!Lint_interproc} engine: {!Lint_taint}
-    (R6, the original Obs-state fix-point, now the engine's first
-    client) and {!Lint_flow} (R7 cross-domain races, R8 event-loop
+    module boundaries, in {!Lint_flow} on the {!Lint_interproc} engine
+    (R6 Obs state in workers, R7 cross-domain races, R8 event-loop
     hygiene, R9 wall-clock taint).  {!Lint_driver} orchestrates, and
     {!Lint_baseline} applies suppressions. *)
 

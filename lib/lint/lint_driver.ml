@@ -1,22 +1,16 @@
 type config = {
   roots : string list;
   rules : Lint.rule_id list;
-  protect : string list;
   lib_prefix : string;
   r8_roots : string list;
-  summary_cache : string option;
 }
-
-let default_protect = [ "Trace.event"; "Op.t" ]
 
 let default_config ~roots =
   {
     roots;
     rules = Lint.all_rules;
-    protect = default_protect;
     lib_prefix = "lib/";
     r8_roots = Lint_flow.default_r8_roots;
-    summary_cache = None;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -35,6 +29,8 @@ let rec walk acc path =
   else if is_cmt path then path :: acc
   else acc
 
+(* Each root with its [.cmt] files in sorted walk order; every root is
+   checked before any file is read. *)
 let find_cmts roots =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
@@ -43,7 +39,7 @@ let find_cmts roots =
         Error (Printf.sprintf "no such file or directory: %s" root)
       else if (not (Sys.is_directory root)) && not (is_cmt root) then
         Error (Printf.sprintf "not a .cmt file or directory: %s" root)
-      else go (walk acc root) rest
+      else go ((root, List.rev (walk [] root)) :: acc) rest
   in
   go [] roots
 
@@ -72,124 +68,58 @@ let load_unit path =
     | _ -> Ok None (* interfaces, packs, partial saves: nothing to lint *))
 
 (* ------------------------------------------------------------------ *)
-(* Summary cache.                                                      *)
-
-(* Keyed by the .cmt's digest, so a rebuilt-but-identical artefact still
-   hits and an edited one can't serve a stale summary.  Only valid when
-   every enabled rule runs off summaries (R6–R9): the syntactic rules
-   need the typedtree, which the cache deliberately does not retain. *)
+(* Running.                                                            *)
 
 let syntactic = function
   | Lint.R1 | Lint.R2 | Lint.R3 | Lint.R4 | Lint.R5 -> true
   | Lint.R6 | Lint.R7 | Lint.R8 | Lint.R9 -> false
 
-let cache_load path =
-  let tbl = Hashtbl.create 64 in
-  (if Sys.file_exists path then
-     match
-       Jsonx.of_string (In_channel.with_open_text path In_channel.input_all)
-     with
-     | exception (Jsonx.Parse_error _ | Sys_error _) -> ()
-     | j -> (
-       match (Jsonx.member "version" j, Jsonx.member "entries" j) with
-       | Some (Jsonx.Int v), Some (Jsonx.Obj kvs)
-         when v = Lint_interproc.cache_version ->
-         List.iter
-           (fun (digest, sj) ->
-             match Lint_interproc.summary_of_json sj with
-             | Some s -> Hashtbl.replace tbl digest s
-             | None -> ())
-           kvs
-       | _ -> ()));
-  tbl
-
-let cache_save path entries =
-  let doc =
-    Jsonx.Obj
-      [
-        ("version", Jsonx.Int Lint_interproc.cache_version);
-        ( "entries",
-          Jsonx.Obj
-            (List.map
-               (fun (digest, s) -> (digest, Lint_interproc.summary_to_json s))
-               entries) );
-      ]
-  in
-  Out_channel.with_open_text path (fun oc -> Jsonx.output oc doc)
-
-(* ------------------------------------------------------------------ *)
-(* Running.                                                            *)
-
 let run config =
-  match find_cmts config.roots with
+  let findings = ref [] in
+  let emit f = findings := f :: !findings in
+  let enabled r = List.mem r config.rules in
+  (* R1–R5 walk the typedtree; R6–R9 need only the summary. *)
+  let need_tree = List.exists syntactic config.rules in
+  let visit (u : Lint_interproc.unit_info) =
+    if need_tree then
+      Lint_rules.check_structure
+        {
+          Lint_rules.source = u.u_source;
+          modname = u.u_modname;
+          lib_prefix = config.lib_prefix;
+          enabled;
+          emit;
+        }
+        u.u_structure;
+    Lint_interproc.summarize u
+  in
+  (* Summaries accumulate in reverse; [n] counts the current root's. *)
+  let rec load acc n = function
+    | [] -> Ok (acc, n)
+    | path :: rest -> (
+      match load_unit path with
+      | Error _ as e -> e
+      | Ok None -> load acc n rest
+      | Ok (Some u) -> load (visit u :: acc) (n + 1) rest)
+  in
+  let rec load_roots acc = function
+    | [] -> Ok (List.rev acc)
+    | (root, paths) :: rest -> (
+      match load acc 0 paths with
+      | Error _ as e -> e
+      | Ok (_, 0) ->
+        Error
+          (Printf.sprintf
+             "%s: no implementation .cmt (build it with `dune build @check`)"
+             root)
+      | Ok (acc, _) -> load_roots acc rest)
+  in
+  match Result.bind (find_cmts config.roots) (load_roots []) with
   | Error _ as e -> e
-  | Ok paths -> (
-    let findings = ref [] in
-    let emit f = findings := f :: !findings in
-    let enabled r = List.mem r config.rules in
-    let need_tree = List.exists syntactic config.rules in
-    let cache =
-      match config.summary_cache with
-      | Some p -> cache_load p
-      | None -> Hashtbl.create 0
-    in
-    let fresh = ref [] in
-    let summarize_path path =
-      let digest =
-        match config.summary_cache with
-        | None -> None
-        | Some _ -> Some (Digest.to_hex (Digest.file path))
-      in
-      let cached =
-        if need_tree then None
-        else
-          match digest with None -> None | Some d -> Hashtbl.find_opt cache d
-      in
-      match cached with
-      | Some s ->
-        Option.iter (fun d -> fresh := (d, s) :: !fresh) digest;
-        Ok (Some s)
-      | None -> (
-        match load_unit path with
-        | Error _ as e -> e
-        | Ok None -> Ok None
-        | Ok (Some u) ->
-          if need_tree then
-            Lint_rules.check_structure
-              {
-                Lint_rules.source = u.Lint_interproc.u_source;
-                modname = u.Lint_interproc.u_modname;
-                lib_prefix = config.lib_prefix;
-                protect = config.protect;
-                enabled;
-                emit;
-              }
-              u.Lint_interproc.u_structure;
-          let s = Lint_interproc.summarize u in
-          Option.iter (fun d -> fresh := (d, s) :: !fresh) digest;
-          Ok (Some s))
-    in
-    let rec summarize_all acc = function
-      | [] -> Ok (List.rev acc)
-      | path :: rest -> (
-        match summarize_path path with
-        | Error _ as e -> e
-        | Ok None -> summarize_all acc rest
-        | Ok (Some s) -> summarize_all (s :: acc) rest)
-    in
-    match summarize_all [] paths with
-    | Error _ as e -> e
-    | Ok summaries -> (
-      let db = Lint_interproc.build summaries in
-      if enabled Lint.R6 then Lint_taint.check ~emit db;
-      Lint_flow.check ~emit ~enabled
-        { Lint_flow.default_config with r8_roots = config.r8_roots }
-        db;
-      match
-        Option.iter (fun p -> cache_save p (List.rev !fresh)) config.summary_cache
-      with
-      | exception Sys_error msg -> Error msg
-      | () -> Ok (List.sort_uniq Lint.compare_finding !findings)))
+  | Ok summaries ->
+    Lint_flow.check ~emit ~enabled ~r8_roots:config.r8_roots
+      (Lint_interproc.build summaries);
+    Ok (List.sort_uniq Lint.compare_finding !findings)
 
 (* ------------------------------------------------------------------ *)
 (* Reports.                                                            *)

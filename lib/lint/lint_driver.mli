@@ -1,47 +1,35 @@
 (** Orchestration: find [.cmt] files, load their typed ASTs, run every
     enabled rule, and return the sorted findings.
 
-    The driver never prints — the executable owns presentation — and it
-    reports unreadable inputs as [Error] rather than skipping them: a
-    gate that silently analysed nothing would pass vacuously.
+    Each [.cmt] is read once: R1–R5 walk its typedtree (skipped when
+    none of them is enabled), then {!Lint_interproc} summarises it, and
+    R6–R9 run over the summaries.
 
-    The interprocedural rules (R6–R9) run off {!Lint_interproc}
-    summaries rather than the typedtree, so with [summary_cache] set and
-    only those rules enabled, unchanged [.cmt] files (matched by digest)
-    are never reopened — the walk stays fast enough for verify.sh's
-    timed gate. *)
+    The driver never prints — the executable owns presentation — and it
+    reports unreadable inputs and roots that yield no implementation
+    unit as [Error] rather than skipping them: a gate that silently
+    analysed nothing would pass vacuously. *)
 
 type config = {
   roots : string list;
       (** files or directories searched recursively for [.cmt]; dune
           puts them under [_build/default/<dir>/.<lib>.objs/byte]. *)
   rules : Lint.rule_id list;  (** enabled rules. *)
-  protect : string list;  (** R2's closed variants, as [Module.type]. *)
   lib_prefix : string;
       (** source-path prefix delimiting library code for R3/R5
           (production default ["lib/"]). *)
   r8_roots : string list;
       (** R8's event-loop dispatch entry points, as [Module.name]
           (default {!Lint_flow.default_r8_roots}). *)
-  summary_cache : string option;
-      (** JSON file of per-unit summaries keyed by [.cmt] digest; loaded
-          before and rewritten after each run.  Hits are only taken when
-          no syntactic rule (R1–R5) is enabled, since those need the
-          tree. *)
 }
 
-val default_protect : string list
-(** [Trace.event], [Op.t] — the closed variants whose silent
-    absorption has already cost a fuzz or trace-audit cycle. *)
-
 val default_config : roots:string list -> config
-(** Every rule, {!default_protect}, [lib_prefix = "lib/"], default R8
-    roots, no cache. *)
+(** Every rule, [lib_prefix = "lib/"], default R8 roots. *)
 
 val run : config -> (Lint.finding list, string) result
 (** Sorted, deduplicated findings over every implementation [.cmt]
     reachable from [roots].  [Error] on an unreadable root, a [.cmt]
-    that cannot be loaded, or an unwritable cache file. *)
+    that cannot be loaded, or a root with no implementation [.cmt]. *)
 
 val report_json :
   findings:Lint.finding list ->

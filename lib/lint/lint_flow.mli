@@ -1,5 +1,16 @@
-(** R7/R8/R9 — the interprocedural rules, as clients of
+(** R6/R7/R8/R9 — the interprocedural rules, as clients of
     {!Lint_interproc}.
+
+    {b R6 (global Obs state in workers)}: [Sweep.map] hands every worker
+    a private {!Obs.fork}; mutating the domain-local default context
+    from inside a worker ([Obs.set_default], [Obs.install], or any
+    function that transitively reaches one) clobbers that fork.  Taint
+    does not flow {e through} [Sweep.map] itself, which installs worker
+    forks by design.  Reading [Obs.default] through a component's
+    [?obs] fallback is sanctioned, but a worker lambda naming
+    [Obs.default] {e directly} is flagged: it already receives the
+    context it should use as its first argument.  The [Obs] and [Sweep]
+    units are exempt: they own the domain-local default cell.
 
     {b R7 (cross-domain race)}: a worker closure handed to [Sweep.map],
     [Sweep.open_loop] or [Domain.spawn] must not reference a top-level
@@ -8,6 +19,8 @@
     the fork/absorb merge protocol that makes their internal state
     per-domain by construction.  [Atomic.t] and [Domain.DLS] values are
     not mutable in R7's sense — they are the sanctioned alternatives.
+
+    R6 and R7 share one walk over the spawn sites' worker closures.
 
     {b R8 (event-loop hygiene)}: no definition reachable from the
     serving plane's dispatch roots may call a blocking primitive
@@ -19,28 +32,16 @@
     {b R9 (wall-clock taint)}: [Unix.gettimeofday], [Unix.time],
     [Sys.time] and every transitive wrapper are banned outside the clock
     sanctuary ([lib/obs/clock.ml]); elapsed time comes off the monotonic
-    [Clock.now].  This subsumes verify.sh's old grep gate and extends it
-    to alias and re-export chains. *)
+    [Clock.now]. *)
 
-type config = {
-  r7_exempt_units : string list;
-      (** module names whose mutable state is protocol-owned. *)
-  r8_roots : string list;
-      (** dispatch-path entry points, as [Module.name]. *)
-  r9_clock_source : string;
-      (** the one source file allowed to read the wall clock. *)
-}
-
-val default_r7_exempt : string list
 val default_r8_roots : string list
-val default_r9_clock_source : string
-val default_config : config
+(** R8's dispatch-path entry points, as [Module.name]. *)
 
 val check :
   emit:(Lint.finding -> unit) ->
   enabled:(Lint.rule_id -> bool) ->
-  config ->
+  r8_roots:string list ->
   Lint_interproc.t ->
   unit
-(** Run whichever of R7/R8/R9 [enabled] admits over the program
-    database. *)
+(** Run whichever of R6–R9 [enabled] admits over the program database,
+    with [r8_roots] as R8's dispatch entry points. *)

@@ -9,9 +9,7 @@ type unit_info = {
 
 (* ------------------------------------------------------------------ *)
 (* The program database.  Everything below is plain data — no typedtree
-   escapes [summarize] — so a unit's summary can round-trip through the
-   JSON cache and an unchanged .cmt never has to be re-read, let alone
-   re-walked, by the interprocedural rules. *)
+   escapes [summarize] — so the fix-points are list walks over names. *)
 
 type pos = { line : int; col : int }
 
@@ -24,7 +22,6 @@ type def = {
   d_blocking : use list;  (* direct uses of blocking primitives *)
   d_wall : use list;  (* direct wall-clock reads *)
   d_traversals : use list;  (* unbounded List/Seq traversal calls *)
-  d_alloc_loop : use list;  (* allocating calls under a while/for loop *)
   d_mutable : string option;  (* Some kind when the binding holds mutable state *)
 }
 
@@ -47,8 +44,7 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Effect tables.  Baked into the summaries (and therefore into the
-   cache format — bump [cache_version] when touching them). *)
+(* Effect tables, baked into the summaries. *)
 
 let blocking_prims =
   SS.of_list
@@ -125,21 +121,6 @@ let traversal_prims =
       "Seq.for_all";
       "Seq.exists";
       "Seq.find";
-    ]
-
-let alloc_prims =
-  SS.of_list
-    [
-      "Array.make";
-      "Array.init";
-      "Array.create_float";
-      "Bytes.create";
-      "Bytes.make";
-      "Buffer.create";
-      "Hashtbl.create";
-      "String.make";
-      "String.concat";
-      "List.init";
     ]
 
 (* Head type constructors whose values are shared mutable state.  Atomic
@@ -221,7 +202,6 @@ type collect = {
   mutable c_blocking : use list;
   mutable c_wall : use list;
   mutable c_traversals : use list;
-  mutable c_alloc_loop : use list;
 }
 
 let new_collect () =
@@ -231,13 +211,11 @@ let new_collect () =
     c_blocking = [];
     c_wall = [];
     c_traversals = [];
-    c_alloc_loop = [];
   }
 
 (* Walk one definition body, filling [c] and appending any spawn sites
    found under it to [spawns]. *)
 let scan_body ~modname ~spawns c body =
-  let loop_depth = ref 0 in
   let expr sub e =
     (match e.exp_desc with
     | Texp_ident (path, _, _) -> (
@@ -251,9 +229,7 @@ let scan_body ~modname ~spawns c body =
         end;
         if SS.mem g blocking_prims then c.c_blocking <- u :: c.c_blocking;
         if SS.mem g wall_prims then c.c_wall <- u :: c.c_wall;
-        if SS.mem g traversal_prims then c.c_traversals <- u :: c.c_traversals;
-        if !loop_depth > 0 && SS.mem g alloc_prims then
-          c.c_alloc_loop <- u :: c.c_alloc_loop)
+        if SS.mem g traversal_prims then c.c_traversals <- u :: c.c_traversals)
     | Texp_apply (f, args) -> (
       match f.exp_desc with
       | Texp_ident (path, _, _) -> (
@@ -286,12 +262,7 @@ let scan_body ~modname ~spawns c body =
               :: !spawns))
       | _ -> ())
     | _ -> ());
-    match e.exp_desc with
-    | Texp_while _ | Texp_for _ ->
-      incr loop_depth;
-      Tast_iterator.default_iterator.expr sub e;
-      decr loop_depth
-    | _ -> Tast_iterator.default_iterator.expr sub e
+    Tast_iterator.default_iterator.expr sub e
   in
   let it = { Tast_iterator.default_iterator with expr } in
   it.expr it body
@@ -304,7 +275,6 @@ let close_def ~name ~pos (c : collect) ~mutable_ =
     d_blocking = List.rev c.c_blocking;
     d_wall = List.rev c.c_wall;
     d_traversals = List.rev c.c_traversals;
-    d_alloc_loop = List.rev c.c_alloc_loop;
     d_mutable = mutable_;
   }
 
@@ -527,134 +497,3 @@ let path_from t ~roots name =
     in
     Some (unwind [] name)
   end
-
-(* ------------------------------------------------------------------ *)
-(* Cache (de)serialisation via Jsonx.  Bump when the summary shape or
-   any effect table changes: a stale-format cache is silently ignored,
-   never misread. *)
-
-let cache_version = 1
-
-let use_to_json u =
-  Jsonx.Obj
-    [
-      ("n", Jsonx.String u.u_name);
-      ("l", Jsonx.Int u.u_pos.line);
-      ("c", Jsonx.Int u.u_pos.col);
-    ]
-
-let use_of_json j =
-  match
-    ( Option.bind (Jsonx.member "n" j) Jsonx.to_str,
-      Option.bind (Jsonx.member "l" j) Jsonx.to_int,
-      Option.bind (Jsonx.member "c" j) Jsonx.to_int )
-  with
-  | Some n, Some l, Some c -> Some { u_name = n; u_pos = { line = l; col = c } }
-  | _ -> None
-
-let uses_to_json us = Jsonx.List (List.map use_to_json us)
-
-let uses_of_json j =
-  match j with
-  | Jsonx.List l ->
-    let us = List.filter_map use_of_json l in
-    if List.length us = List.length l then Some us else None
-  | _ -> None
-
-let def_to_json d =
-  Jsonx.Obj
-    ([
-       ("name", Jsonx.String d.d_name);
-       ("line", Jsonx.Int d.d_pos.line);
-       ("col", Jsonx.Int d.d_pos.col);
-       ("refs", uses_to_json d.d_refs);
-       ("blocking", uses_to_json d.d_blocking);
-       ("wall", uses_to_json d.d_wall);
-       ("traversals", uses_to_json d.d_traversals);
-       ("alloc_loop", uses_to_json d.d_alloc_loop);
-     ]
-    @ match d.d_mutable with
-      | None -> []
-      | Some k -> [ ("mutable", Jsonx.String k) ])
-
-let def_of_json j =
-  let field k = Option.bind (Jsonx.member k j) uses_of_json in
-  match
-    ( Option.bind (Jsonx.member "name" j) Jsonx.to_str,
-      Option.bind (Jsonx.member "line" j) Jsonx.to_int,
-      Option.bind (Jsonx.member "col" j) Jsonx.to_int,
-      field "refs",
-      field "blocking",
-      field "wall",
-      field "traversals",
-      field "alloc_loop" )
-  with
-  | ( Some name,
-      Some line,
-      Some col,
-      Some refs,
-      Some blocking,
-      Some wall,
-      Some traversals,
-      Some alloc_loop ) ->
-    Some
-      {
-        d_name = name;
-        d_pos = { line; col };
-        d_refs = refs;
-        d_blocking = blocking;
-        d_wall = wall;
-        d_traversals = traversals;
-        d_alloc_loop = alloc_loop;
-        d_mutable = Option.bind (Jsonx.member "mutable" j) Jsonx.to_str;
-      }
-  | _ -> None
-
-let spawn_to_json sp =
-  Jsonx.Obj
-    [
-      ("kind", Jsonx.String sp.sp_kind);
-      ("line", Jsonx.Int sp.sp_pos.line);
-      ("col", Jsonx.Int sp.sp_pos.col);
-      ("worker", uses_to_json sp.sp_worker);
-    ]
-
-let spawn_of_json j =
-  match
-    ( Option.bind (Jsonx.member "kind" j) Jsonx.to_str,
-      Option.bind (Jsonx.member "line" j) Jsonx.to_int,
-      Option.bind (Jsonx.member "col" j) Jsonx.to_int,
-      Option.bind (Jsonx.member "worker" j) uses_of_json )
-  with
-  | Some kind, Some line, Some col, Some worker ->
-    Some { sp_kind = kind; sp_pos = { line; col }; sp_worker = worker }
-  | _ -> None
-
-let all_or_none of_json l =
-  let xs = List.filter_map of_json l in
-  if List.length xs = List.length l then Some xs else None
-
-let summary_to_json s =
-  Jsonx.Obj
-    [
-      ("source", Jsonx.String s.s_source);
-      ("modname", Jsonx.String s.s_modname);
-      ("defs", Jsonx.List (List.map def_to_json s.s_defs));
-      ("spawns", Jsonx.List (List.map spawn_to_json s.s_spawns));
-    ]
-
-let summary_of_json j =
-  match
-    ( Option.bind (Jsonx.member "source" j) Jsonx.to_str,
-      Option.bind (Jsonx.member "modname" j) Jsonx.to_str,
-      Jsonx.member "defs" j,
-      Jsonx.member "spawns" j )
-  with
-  | Some source, Some modname, Some (Jsonx.List defs), Some (Jsonx.List spawns)
-    -> (
-    match (all_or_none def_of_json defs, all_or_none spawn_of_json spawns) with
-    | Some defs, Some spawns ->
-      Some
-        { s_source = source; s_modname = modname; s_defs = defs; s_spawns = spawns }
-    | _ -> None)
-  | _ -> None

@@ -3,19 +3,14 @@
     One typed-AST pass per compilation unit ({!summarize}) distils each
     unit into plain data: per-definition summaries — the globals a body
     references, its direct blocking calls, wall-clock reads, unbounded
-    List/Seq traversals, allocation-under-loop markers, and whether the
-    binding itself holds shared mutable state — plus every
-    [Sweep.map] / [Sweep.open_loop] / [Domain.spawn] call site with the
-    globals its worker closure captures.  {!build} links the summaries
-    into a cross-unit database; rules then run configurable fix-points
-    over it ({!transitive} for backward taint with sanitizer stops,
-    {!reachable} for forward call-graph closure) and render their
-    messages from {!witness} / {!path_from} chains.
-
-    Summaries contain no typedtree, so they serialise: the JSON cache
-    hooks ({!summary_to_json} / {!summary_of_json}, keyed by
-    [.cmt] digest in the driver) let a repo-wide interprocedural run
-    skip unchanged units entirely. *)
+    List/Seq traversals, and whether the binding itself holds shared
+    mutable state — plus every [Sweep.map] / [Sweep.open_loop] /
+    [Domain.spawn] call site with the globals its worker closure
+    captures.  {!build} links the summaries into a cross-unit database;
+    rules then run configurable fix-points over it ({!transitive} for
+    backward taint with sanitizer stops, {!reachable} for forward
+    call-graph closure) and render their messages from {!witness} /
+    {!path_from} chains. *)
 
 type unit_info = {
   u_source : string;  (** build-root-relative source path *)
@@ -37,7 +32,6 @@ type def = {
   d_blocking : use list;
   d_wall : use list;
   d_traversals : use list;
-  d_alloc_loop : use list;
   d_mutable : string option;
       (** [Some kind] when the binding holds shared mutable state
           (ref/array/Hashtbl.t/…, or a literal with a mutable field). *)
@@ -56,11 +50,8 @@ type t
 
 module SS : Set.S with type elt = string
 
-val blocking_prims : SS.t
 val wall_prims : SS.t
-val traversal_prims : SS.t
-val alloc_prims : SS.t
-val mutable_type_heads : SS.t
+(** The wall-clock reads recorded in [d_wall]: R9's taint seeds. *)
 
 val summarize : unit_info -> summary
 (** The single AST pass; everything else is pure data manipulation. *)
@@ -74,8 +65,8 @@ val find_def : t -> string -> (def * summary) option
 val transitive :
   t -> seeds:SS.t -> ?stop:(summary -> def -> bool) -> unit -> SS.t
 (** Backward fix-point: the least set [T] of definition names such that
-    a def is in [T] exactly when [stop] rejects it is false and its body
-    references a member of [seeds ∪ T].  [stop] is the sanitizer hook —
+    a def is in [T] exactly when [stop] does not hold for it and its
+    body references a member of [seeds ∪ T].  [stop] is the sanitizer hook —
     a stopped def neither joins [T] nor propagates taint upward. *)
 
 val witness : t -> seeds:SS.t -> tainted:SS.t -> string -> string list option
@@ -89,10 +80,3 @@ val reachable : t -> roots:SS.t -> SS.t
 
 val path_from : t -> roots:SS.t -> string -> string list option
 (** Shortest call chain [[root; …; name]], for message rendering. *)
-
-val cache_version : int
-
-val summary_to_json : summary -> Jsonx.t
-
-val summary_of_json : Jsonx.t -> summary option
-(** [None] on shape mismatch — the driver treats that as a cache miss. *)

@@ -2,8 +2,8 @@
 
     Each check walks one typed AST with a {!Tast_iterator} and emits
     {!Lint.finding}s through the context's [emit] callback.  The
-    cross-unit reachability rule (R6) lives in {!Lint_taint}; this
-    module only exposes the shared helpers it needs. *)
+    cross-unit rules (R6–R9) run on {!Lint_interproc}; this module only
+    exposes the shared helpers its summariser needs. *)
 
 type ctx = {
   source : string;
@@ -14,16 +14,15 @@ type ctx = {
       (** path prefix delimiting "library code" for the scoped rules
           (R3, R5); [lib/] in production, the fixture directory in
           tests. *)
-  protect : string list;
-      (** closed variant types R2 guards, as [Module.type] paths. *)
   enabled : Lint.rule_id -> bool;
   emit : Lint.finding -> unit;
 }
 
 val check_structure : ctx -> Typedtree.structure -> unit
-(** Run R1–R5 over one implementation. *)
+(** Run R1–R5 over one implementation.  R2 guards the closed variants
+    [Trace.event] and [Op.t]. *)
 
-(** {2 Shared typed-AST helpers (used by {!Lint_taint})} *)
+(** {2 Shared typed-AST helpers (used by {!Lint_interproc})} *)
 
 val ident_name : Path.t -> string
 (** [Path.name] with any [Stdlib.] prefix stripped, so [=] and
@@ -34,7 +33,3 @@ val global_name : modname:string -> Path.t -> string option
     cross-unit [M.x], [Some "<modname>.x"] for a unit-local top-level
     [x] (resolved optimistically — local shadowing is ignored), [None]
     for compiler-internal paths. *)
-
-val is_float : Types.type_expr -> bool
-(** The type is literally [float] (predefined path; abbreviations are
-    not expanded — a [type t = float] alias escapes R1). *)

@@ -75,11 +75,11 @@ let output oc t = output_string oc (to_string t)
 
 exception Parse_error of string
 
-(* The deepest document the repo itself writes nests 7 containers (the
-   lint summary cache; bench records, metrics manifests, heartbeats and
-   protocol replies stay within 4).  Each level costs the recursive
-   reader a few stack frames, so a bound keeps a hostile line such as
-   [[[[... from growing the stack toward its limit. *)
+(* The documents the repo itself writes (bench records, metrics
+   manifests, heartbeats, protocol replies) nest at most 4 containers
+   deep.  Each level costs the recursive reader a few stack frames, so a
+   bound keeps a hostile line such as [[[[... from growing the stack
+   toward its limit. *)
 let max_depth = 512
 
 type cursor = { s : string; mutable pos : int }

@@ -295,13 +295,27 @@ let run ?config ?(wall_every = 1.0) ?backlog ?slo ?trace_file ?slow_dir
      daemon with SIGPIPE; [send] handles the EPIPE instead. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  let listen_fd = bind_listener ?backlog addr in
+  (* Output paths first: a bad slow dir or trace file must fail before
+     the listener exists, or the socket file and its fd would leak. *)
+  (match slow_dir with
+  | None -> ()
+  | Some dir -> (
+    match Unix.mkdir dir 0o755 with
+    | () -> ()
+    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ()));
+  let trace_oc = Option.map open_out trace_file in
+  let listen_fd =
+    match bind_listener ?backlog addr with
+    | fd -> fd
+    | exception e ->
+      Option.iter close_out trace_oc;
+      raise e
+  in
   (* The server owns its observability context: the tracer's sink
      broadcasts events to subscribed connections as they happen (and
      tees to [trace_file] when given), the metrics registry backs the
      [metrics] request. *)
   let t_ref = ref None in
-  let trace_oc = Option.map open_out trace_file in
   let trace_sink =
     {
       Trace.emit =
@@ -329,12 +343,6 @@ let run ?config ?(wall_every = 1.0) ?backlog ?slo ?trace_file ?slow_dir
       ~trace:(Trace.create trace_sink) ?flight ()
   in
   let broker = Serve_broker.create ?config ~obs net in
-  (match slow_dir with
-  | None -> ()
-  | Some dir -> (
-    match Unix.mkdir dir 0o755 with
-    | () -> ()
-    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ()));
   (* Slow-request exemplars: the breakdown lands in the trace as a
      [slow_request] note; the first few also dump the flight ring so
      the events leading up to the miss are preserved. *)

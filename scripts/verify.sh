@@ -59,17 +59,17 @@ test -s "$tmpdir/verify-bench-j1/fig2.hb.dat" || {
 }
 
 step "lint: zero unbaselined findings, no stale baseline entries (timed)"
-# drqos_lint walks the .cmt files dune just built — every rule, R1-R9,
-# over the whole tree (examples included).  Exit 1 covers both
-# unbaselined findings and stale baseline entries (a fixed finding whose
-# suppression was not removed), so either fails the gate.  The walk is
-# timed: interprocedural summaries land in a digest-keyed cache, and a
-# full run that exceeds 30 s means the linter has stopped being a gate
-# anyone runs.
-lint_cache="$tmpdir/lint-summaries.json"
+# drqos_lint walks the .cmt files dune built — every rule, R1-R9, over
+# the whole tree (examples included).  `@all` writes no .cmt for an
+# executable's main module, so `@check` is built first; a root with no
+# implementation .cmt is an input error, not a clean pass.  Exit 1
+# covers both unbaselined findings and stale baseline entries (a fixed
+# finding whose suppression was not removed), so either fails the gate.
+# The walk is timed: a full run that exceeds 30 s means the linter has
+# stopped being a gate anyone runs.
+dune build @check
 lint_t0=$(date +%s)
 dune exec bin/drqos_lint.exe -- --baseline lint.baseline \
-  --summary-cache "$lint_cache" \
   _build/default/lib _build/default/bin _build/default/bench \
   _build/default/examples || {
   echo "FAIL: lint gate (fix the finding or baseline it with a justification)" >&2

@@ -84,6 +84,20 @@ let test_lint_usage_errors_exit_2 () =
     (exit_of (lint ^ " --format yaml some-root"));
   Alcotest.(check int) "unknown rule id" 2
     (exit_of (lint ^ " --rules R99 some-root"));
+  (* Flags the linter no longer has; the root itself is valid. *)
+  let fixtures = " lintfix/.lint_fixtures.objs/byte" in
+  let dir = Filename.temp_file "drqos_lint" ".d" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let cache = Filename.concat dir "summaries.json" in
+  Alcotest.(check int) "--summary-cache is gone" 2
+    (exit_of (lint ^ " --summary-cache " ^ cache ^ fixtures));
+  Alcotest.(check int) "--protect is gone" 2
+    (exit_of (lint ^ " --protect Trace.event" ^ fixtures));
+  if Sys.file_exists cache then Sys.remove cache;
+  (* A root that yields no implementation .cmt analysed nothing. *)
+  Alcotest.(check int) "root with no .cmt" 2 (exit_of (lint ^ " " ^ dir));
+  Sys.rmdir dir;
   Alcotest.(check int) "--help exits 0" 0 (exit_of (lint ^ " --help"));
   Alcotest.(check int) "--list-rules exits 0" 0
     (exit_of (lint ^ " --list-rules"))

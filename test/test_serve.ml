@@ -445,6 +445,43 @@ let with_server f =
   in
   Fun.protect ~finally:join (fun () -> f path join)
 
+(* A bad output path must fail before the listener is bound: neither the
+   socket file nor its fd may outlive the failed [run]. *)
+let bad_output_leaves_no_socket ?trace_file ?slow_dir ~raised () =
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "drqos-serve-badout-%d.sock" (Unix.getpid ()))
+  in
+  (match
+     Serve_server.run ~wall_every:0.05 ?trace_file ?slow_dir (`Unix path)
+       (ring_net ())
+   with
+  | _ -> Alcotest.fail "run started despite a bad output path"
+  | exception e ->
+    Alcotest.(check bool) ("raised " ^ Printexc.to_string e) true (raised e));
+  let left = Sys.file_exists path in
+  if left then Sys.remove path;
+  Alcotest.(check bool) "no socket file left" false left
+
+let missing_dir () =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "drqos-serve-missing-%d" (Unix.getpid ()))
+
+let test_bad_trace_file () =
+  bad_output_leaves_no_socket
+    ~trace_file:(Filename.concat (missing_dir ()) "trace.jsonl")
+    ~raised:(function Sys_error _ -> true | _ -> false)
+    ()
+
+let test_bad_slow_dir () =
+  bad_output_leaves_no_socket
+    ~slow_dir:(Filename.concat (missing_dir ()) "slow")
+    ~raised:(function
+      | Unix.Unix_error (Unix.ENOENT, _, _) -> true | _ -> false)
+    ()
+
 let test_socket_session () =
   with_server (fun path join ->
       let c = Serve_client.connect ~retries:50 (`Unix path) in
@@ -803,6 +840,10 @@ let () =
             test_socket_garbage_line;
           Alcotest.test_case "slow subscriber is reaped, others unaffected"
             `Slow test_socket_slow_subscriber_reaped;
+          Alcotest.test_case "unopenable trace file leaves no socket" `Quick
+            test_bad_trace_file;
+          Alcotest.test_case "slow dir without a parent leaves no socket"
+            `Quick test_bad_slow_dir;
         ] );
       ( "reqtrace",
         [
