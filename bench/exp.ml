@@ -135,11 +135,12 @@ let run_points ~name points =
           Option.map
             (fun bufs ->
               let buf = bufs.(i) in
+              let emit time ev =
+                Buffer.add_string buf (Jsonx.to_string (Trace.to_json ~time ev));
+                Buffer.add_char buf '\n'
+              in
               Snapshot.create ~sim_every:hb_sim_every
-                ~sink:(fun line ->
-                  Buffer.add_string buf line;
-                  Buffer.add_char buf '\n')
-                ())
+                ~sink:{ Trace.emit; close = ignore } ())
             bufs
         in
         let t0 = Clock.now () in

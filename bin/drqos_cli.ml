@@ -284,10 +284,7 @@ let run_cmd =
       Option.map
         (fun oc ->
           Snapshot.create ~sim_every:heartbeat_every ?wall_every:heartbeat_wall
-            ~sink:(fun line ->
-              output_string oc line;
-              output_char oc '\n')
-            ())
+            ~sink:(Trace.jsonl_sink oc) ())
         hb_oc
     in
     (* The protect (plus the at_exit hook in [make_obs]) flushes the
@@ -684,9 +681,8 @@ let analyze_cmd =
          List.iter
            (fun s ->
              Format.printf "  %-24s %8d %12.6f %12.6f %14.0f %14.0f@."
-               s.Analysis.span_name s.Analysis.span_count s.Analysis.span_total_s
-               s.Analysis.span_self_s s.Analysis.span_minor_words
-               s.Analysis.span_major_words)
+               s.Span.agg_name s.Span.count s.Span.agg_total_s s.Span.agg_self_s
+               s.Span.agg_minor_words s.Span.agg_major_words)
            spans;
          Format.printf "  max span depth: %d@." (Analysis.max_span_depth a));
     Option.iter
@@ -953,16 +949,14 @@ let top_cmd =
       (List.length snaps) (List.length hbs);
     (match List.rev snaps with
     | [] -> Format.printf "no snapshots yet@."
-    | last :: _ ->
+    | (time, last) :: _ ->
       Format.printf
         "sim t=%g  events=%d  live=%d (peak %d)  queue=%d (peak %d)  \
          footprint=%d@."
-        last.Analysis.sn_time last.Analysis.sn_events last.Analysis.sn_live
-        last.Analysis.sn_peak_live last.Analysis.sn_queue
-        last.Analysis.sn_peak_queue last.Analysis.sn_footprint;
+        time last.Trace.events last.Trace.live last.Trace.peak_live
+        last.Trace.queue last.Trace.peak_queue last.Trace.footprint;
       Format.printf "live by level:";
-      List.iteri (fun i n -> Format.printf " S%d:%d" i n)
-        last.Analysis.sn_live_by_level;
+      List.iteri (fun i n -> Format.printf " S%d:%d" i n) last.Trace.live_by_level;
       Format.printf "@.";
       (match Analysis.ops_series a with
       | [] -> ()
@@ -974,24 +968,24 @@ let top_cmd =
         let _, last_rate = List.nth series (n - 1) in
         Format.printf "dispatch rate: %.4g ev/simt (mean %.4g over %d intervals)@."
           last_rate mean n);
-      (match take links last.Analysis.sn_hot with
+      (match take links last.Trace.hot with
       | [] -> ()
       | hot ->
         Format.printf "hottest links (churn):";
         List.iter (fun (dl, n) -> Format.printf " %d:%d" dl n) hot;
         Format.printf "@.");
-      (match take 6 last.Analysis.sn_counters with
+      (match take 6 last.Trace.counters with
       | [] -> ()
       | cs ->
         Format.printf "counter deltas:";
         List.iter (fun (name, d) -> Format.printf " %s:%+d" name d) cs;
         Format.printf "@.");
       (* Serving-plane hygiene counters: cumulative over the stream
-         (sn_counters carry per-snapshot deltas). *)
+         (snapshot counters carry per-snapshot deltas). *)
       let total name =
         List.fold_left
-          (fun acc s ->
-            match List.assoc_opt name s.Analysis.sn_counters with
+          (fun acc (_, (s : Trace.snapshot)) ->
+            match List.assoc_opt name s.counters with
             | Some d -> acc + d
             | None -> acc)
           0 snaps
@@ -1001,20 +995,18 @@ let top_cmd =
       if reaped > 0 || undecodable > 0 then
         Format.printf "serve: %d connections reaped, %d undecodable lines@."
           reaped undecodable;
-      if last.Analysis.sn_slo_good + last.Analysis.sn_slo_bad > 0 then
+      if last.Trace.slo_good + last.Trace.slo_bad > 0 then
         Format.printf
           "slo: %d good / %d bad cumulative (burn rate %.4f%% this beat)@."
-          last.Analysis.sn_slo_good last.Analysis.sn_slo_bad
-          (100. *. last.Analysis.sn_slo_burn));
+          last.Trace.slo_good last.Trace.slo_bad (100. *. last.Trace.slo_burn));
     (match List.rev hbs with
     | [] -> ()
-    | last :: _ ->
+    | (_, last) :: _ ->
       Format.printf
         "wall t=%.1fs  %.0f ops/s  gc: %.0f minor + %.0f major words/beat, \
          heap %d words@."
-        last.Analysis.hb_wall_s last.Analysis.hb_ops_per_s
-        last.Analysis.hb_minor_words last.Analysis.hb_major_words
-        last.Analysis.hb_heap_words);
+        last.Trace.wall_s last.Trace.ops_per_s last.Trace.minor_words
+        last.Trace.major_words last.Trace.heap_words);
     match Analysis.stalls ~factor:stall_factor a with
     | [] -> if hbs <> [] then Format.printf "no stalls detected@."
     | stalls ->

@@ -26,44 +26,6 @@ type audit = {
   l1 : float;
 }
 
-type span_agg = {
-  span_name : string;
-  span_count : int;
-  span_total_s : float;
-  span_self_s : float;
-  span_minor_words : float;
-  span_major_words : float;
-}
-
-type snapshot_point = {
-  sn_time : float;
-  sn_seq : int;
-  sn_events : int;
-  sn_d_events : int;
-  sn_live : int;
-  sn_live_by_level : int list;
-  sn_queue : int;
-  sn_footprint : int;
-  sn_peak_live : int;
-  sn_peak_queue : int;
-  sn_hot : (int * int) list;
-  sn_counters : (string * int) list;
-  sn_slo_good : int;
-  sn_slo_bad : int;
-  sn_slo_burn : float;
-}
-
-type heartbeat_point = {
-  hb_time : float;
-  hb_seq : int;
-  hb_wall_s : float;
-  hb_d_events : int;
-  hb_ops_per_s : float;
-  hb_minor_words : float;
-  hb_major_words : float;
-  hb_heap_words : int;
-}
-
 type request_record = {
   rq_rid : int;
   rq_verb : string;
@@ -107,10 +69,10 @@ type t = {
   upgrade_ts : float list;
   activation_ts : float list;
   drop_ts : float list;
-  spans : span_agg list;
+  spans : Span.agg list;
   max_depth : int;
-  snaps : snapshot_point list; (* in trace order *)
-  hbs : heartbeat_point list;
+  snaps : (float * Trace.snapshot) list; (* in trace order *)
+  hbs : (float * Trace.heartbeat) list;
   reqs : (int, req_cell) Hashtbl.t;
 }
 
@@ -136,14 +98,6 @@ let bump tbl key = Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl
 let sorted_counts tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-type span_cell = {
-  mutable s_count : int;
-  mutable s_total : float;
-  mutable s_self : float;
-  mutable s_minor : float;
-  mutable s_major : float;
-}
 
 let of_events evs =
   let events = Array.of_list evs in
@@ -206,7 +160,8 @@ let of_events evs =
   let upgrade_ts = ref [] in
   let activation_ts = ref [] in
   let drop_ts = ref [] in
-  let span_cells : (string, span_cell) Hashtbl.t = Hashtbl.create 16 in
+  (* [Span_end] records replay through the profiler's own aggregation. *)
+  let prof = Span.create ~keep:0 () in
   let depth = ref 0 in
   let max_depth = ref 0 in
   let snaps = ref [] in
@@ -296,71 +251,20 @@ let of_events evs =
       | Span_begin _ ->
         incr depth;
         if !depth > !max_depth then max_depth := !depth
-      | Span_end { name; total_s; self_s; minor_words; major_words; _ } ->
+      | Span_end { name; wall_s; total_s; self_s; minor_words; major_words } ->
         if !depth > 0 then decr depth;
-        let c =
-          match Hashtbl.find_opt span_cells name with
-          | Some c -> c
-          | None ->
-            let c = { s_count = 0; s_total = 0.; s_self = 0.; s_minor = 0.; s_major = 0. } in
-            Hashtbl.replace span_cells name c;
-            c
-        in
-        c.s_count <- c.s_count + 1;
-        c.s_total <- c.s_total +. total_s;
-        c.s_self <- c.s_self +. self_s;
-        c.s_minor <- c.s_minor +. minor_words;
-        c.s_major <- c.s_major +. major_words
-      | Snapshot
+        Span.add prof
           {
-            seq;
-            events = sn_events;
-            d_events;
-            live;
-            live_by_level;
-            queue;
-            footprint;
-            peak_live;
-            peak_queue;
-            hot;
-            counters;
-            slo_good;
-            slo_bad;
-            slo_burn;
-          } ->
-        snaps :=
-          {
-            sn_time = time;
-            sn_seq = seq;
-            sn_events;
-            sn_d_events = d_events;
-            sn_live = live;
-            sn_live_by_level = live_by_level;
-            sn_queue = queue;
-            sn_footprint = footprint;
-            sn_peak_live = peak_live;
-            sn_peak_queue = peak_queue;
-            sn_hot = hot;
-            sn_counters = counters;
-            sn_slo_good = slo_good;
-            sn_slo_bad = slo_bad;
-            sn_slo_burn = slo_burn;
+            Span.name;
+            depth = !depth;
+            start_s = wall_s -. total_s;
+            total_s;
+            self_s;
+            minor_words;
+            major_words;
           }
-          :: !snaps
-      | Heartbeat { seq; wall_s; d_events; ops_per_s; minor_words; major_words; heap_words }
-        ->
-        hbs :=
-          {
-            hb_time = time;
-            hb_seq = seq;
-            hb_wall_s = wall_s;
-            hb_d_events = d_events;
-            hb_ops_per_s = ops_per_s;
-            hb_minor_words = minor_words;
-            hb_major_words = major_words;
-            hb_heap_words = heap_words;
-          }
-          :: !hbs)
+      | Snapshot s -> snaps := (time, s) :: !snaps
+      | Heartbeat h -> hbs := (time, h) :: !hbs)
     events;
   (* Channels still live at the end of the trace accrue to the horizon. *)
   Hashtbl.iter (fun _ c -> if c.c_open then accrue c.c_level (horizon -. c.c_since)) chans;
@@ -377,24 +281,6 @@ let of_events evs =
       chain_samples = !chain_samples;
     }
   in
-  let spans =
-    Hashtbl.fold
-      (fun name c acc ->
-        {
-          span_name = name;
-          span_count = c.s_count;
-          span_total_s = c.s_total;
-          span_self_s = c.s_self;
-          span_minor_words = c.s_minor;
-          span_major_words = c.s_major;
-        }
-        :: acc)
-      span_cells []
-    |> List.sort (fun a b ->
-           match Float.compare b.span_self_s a.span_self_s with
-           | 0 -> compare a.span_name b.span_name
-           | c -> c)
-  in
   {
     events;
     horizon;
@@ -408,7 +294,7 @@ let of_events evs =
     upgrade_ts = List.rev !upgrade_ts;
     activation_ts = List.rev !activation_ts;
     drop_ts = List.rev !drop_ts;
-    spans;
+    spans = Span.aggregate prof;
     max_depth = !max_depth;
     snaps = List.rev !snaps;
     hbs = List.rev !hbs;
@@ -525,11 +411,11 @@ let heartbeats t = t.hbs
    seq and time form an interval. *)
 let ops_series t =
   let rec go acc = function
-    | a :: (b :: _ as rest) ->
-      let dt = b.sn_time -. a.sn_time in
+    | (ta, (a : Trace.snapshot)) :: ((tb, (b : Trace.snapshot)) :: _ as rest) ->
+      let dt = tb -. ta in
       let acc =
-        if b.sn_seq > a.sn_seq && dt > 0. then
-          (b.sn_time, float_of_int (b.sn_events - a.sn_events) /. dt) :: acc
+        if b.seq > a.seq && dt > 0. then
+          (tb, float_of_int (b.events - a.events) /. dt) :: acc
         else acc
       in
       go acc rest
@@ -547,10 +433,9 @@ let median = function
 let stalls ?(factor = 3.) ?expected t =
   if factor <= 0. then invalid_arg "Analysis.stalls: factor must be positive";
   let rec gaps acc = function
-    | a :: (b :: _ as rest) ->
+    | (_, (a : Trace.heartbeat)) :: ((_, (b : Trace.heartbeat)) :: _ as rest) ->
       let acc =
-        if b.hb_seq > a.hb_seq then (b.hb_wall_s, b.hb_wall_s -. a.hb_wall_s) :: acc
-        else acc
+        if b.seq > a.seq then (b.wall_s, b.wall_s -. a.wall_s) :: acc else acc
       in
       gaps acc rest
     | _ -> List.rev acc
@@ -725,6 +610,27 @@ let attribution t =
 (* ------------------------------------------------------------------ *)
 (* Perfetto export                                                     *)
 
+(* The Chrome trace-event envelope both exports share: the
+   [{"traceEvents": [...]}] document of the entries [emit push] pushes,
+   in order, with timestamps in microseconds. *)
+let perfetto_doc emit =
+  let out = ref [] in
+  emit (fun ev -> out := ev :: !out);
+  Jsonx.Obj [ ("traceEvents", Jsonx.List (List.rev !out)) ]
+
+(* The ["M"] record naming the process (tid 0) or one of its threads. *)
+let meta ~tid name =
+  Jsonx.Obj
+    [
+      ("name", Jsonx.String (if tid = 0 then "process_name" else "thread_name"));
+      ("ph", Jsonx.String "M");
+      ("pid", Jsonx.Int 1);
+      ("tid", Jsonx.Int tid);
+      ("args", Jsonx.Obj [ ("name", Jsonx.String name) ]);
+    ]
+
+let us x = x *. 1e6
+
 (* Two tracks under one pid: tid 1 carries the profiler spans on their
    wall-time axis, tid 2 carries the simulation (phases as spans, every
    other event as an instant) on simulation time.  The two axes are
@@ -732,18 +638,7 @@ let attribution t =
    viewer never mixes them.  Timestamps are clamped non-decreasing per
    track so the file loads whatever the trace contains. *)
 let to_perfetto t =
-  let out = ref [] in
-  let push ev = out := ev :: !out in
-  let meta ~tid name =
-    Jsonx.Obj
-      [
-        ("name", Jsonx.String (if tid = 0 then "process_name" else "thread_name"));
-        ("ph", Jsonx.String "M");
-        ("pid", Jsonx.Int 1);
-        ("tid", Jsonx.Int tid);
-        ("args", Jsonx.Obj [ ("name", Jsonx.String name) ]);
-      ]
-  in
+  perfetto_doc @@ fun push ->
   push (meta ~tid:0 "drqos trace");
   push (meta ~tid:1 "profiler (wall time)");
   push (meta ~tid:2 "simulation (sim time)");
@@ -754,7 +649,6 @@ let to_perfetto t =
     last.(track) <- ts;
     ts
   in
-  let us x = x *. 1e6 in
   let entry ~name ~ph ~tid ~ts args =
     Jsonx.Obj
       ([
@@ -821,8 +715,7 @@ let to_perfetto t =
         push
           (entry ~name:(Trace.kind ev) ~ph:"i" ~tid:2 ~ts:(clamp 1 (us time))
              (("s", Jsonx.String "t") :: args_of ~time ev)))
-    t.events;
-  Jsonx.Obj [ ("traceEvents", Jsonx.List (List.rev !out)) ]
+    t.events
 
 (* Tail-anatomy export: one thread per stage (pipeline order), requests
    laid end-to-end on a synthetic duration axis — request N starts where
@@ -835,18 +728,7 @@ let to_perfetto t =
 let requests_to_perfetto t =
   let recs = List.filter (fun r -> r.rq_complete) (requests t) in
   let stages = stage_order recs in
-  let out = ref [] in
-  let push ev = out := ev :: !out in
-  let meta ~tid name =
-    Jsonx.Obj
-      [
-        ("name", Jsonx.String (if tid = 0 then "process_name" else "thread_name"));
-        ("ph", Jsonx.String "M");
-        ("pid", Jsonx.Int 1);
-        ("tid", Jsonx.Int tid);
-        ("args", Jsonx.Obj [ ("name", Jsonx.String name) ]);
-      ]
-  in
+  perfetto_doc @@ fun push ->
   push (meta ~tid:0 "drqos request anatomy");
   List.iteri (fun i st -> push (meta ~tid:(i + 1) ("stage: " ^ st))) stages;
   let residual_tid = List.length stages + 1 in
@@ -858,7 +740,6 @@ let requests_to_perfetto t =
     in
     go 1 stages
   in
-  let us x = x *. 1e6 in
   let base = ref 0. in
   List.iter
     (fun r ->
@@ -903,5 +784,4 @@ let requests_to_perfetto t =
         | None -> !off
       in
       base := !base +. Float.max span 1e-9)
-    recs;
-  Jsonx.Obj [ ("traceEvents", Jsonx.List (List.rev !out)) ]
+    recs

@@ -15,8 +15,9 @@
     - an {e audit} comparing the empirical residency against the
       analytic stationary vector of the paper's chain
       ({!Model.synthetic} + {!Ctmc.stationary}) for the same rates;
-    - profiler views: span aggregates from [Span_end] events and a
-      Chrome/Perfetto trace-event export.
+    - profiler views: span aggregates, rebuilt by replaying [Span_end]
+      events through {!Span.add}, and a Chrome/Perfetto trace-event
+      export.
 
     Everything here is a pure function of the trace bytes, so analyses
     are reproducible: same file, same output. *)
@@ -144,18 +145,12 @@ val audit :
 
 (** {1 Profiler views} *)
 
-type span_agg = {
-  span_name : string;
-  span_count : int;
-  span_total_s : float;
-  span_self_s : float;
-  span_minor_words : float;
-  span_major_words : float;
-}
-
-val top_spans : ?limit:int -> t -> span_agg list
-(** Aggregated [span_end] events, sorted by self time (descending; name
-    breaks ties), truncated to [limit] (default all). *)
+val top_spans : ?limit:int -> t -> Span.agg list
+(** The [span_end] events fed through {!Span.add} into a [~keep:0]
+    profiler: its {!Span.aggregate} (self time descending, name breaking
+    ties), truncated to [limit] (default all).  For a trace carrying
+    every span one profiler closed (no worker profilers merged into
+    it), this equals that profiler's aggregate. *)
 
 val max_span_depth : t -> int
 (** Deepest [span_begin] nesting observed; [0] for a span-free trace. *)
@@ -167,40 +162,12 @@ val max_span_depth : t -> int
     sweep file carries one stream per point; streams are delimited by
     their sequence numbers restarting at 0. *)
 
-type snapshot_point = {
-  sn_time : float;  (** simulation time of the tick. *)
-  sn_seq : int;
-  sn_events : int;
-  sn_d_events : int;
-  sn_live : int;
-  sn_live_by_level : int list;
-  sn_queue : int;
-  sn_footprint : int;
-  sn_peak_live : int;
-  sn_peak_queue : int;
-  sn_hot : (int * int) list;
-  sn_counters : (string * int) list;
-  sn_slo_good : int;  (** cumulative in-SLO requests at the tick. *)
-  sn_slo_bad : int;
-  sn_slo_burn : float;  (** bad fraction over the preceding interval. *)
-}
+val snapshots : t -> (float * Trace.snapshot) list
+(** Event-time snapshots with their simulation-time stamps, in trace
+    order. *)
 
-type heartbeat_point = {
-  hb_time : float;
-  hb_seq : int;
-  hb_wall_s : float;
-  hb_d_events : int;
-  hb_ops_per_s : float;
-  hb_minor_words : float;
-  hb_major_words : float;
-  hb_heap_words : int;
-}
-
-val snapshots : t -> snapshot_point list
-(** Event-time snapshots in trace order. *)
-
-val heartbeats : t -> heartbeat_point list
-(** Wall-clock heartbeats in trace order. *)
+val heartbeats : t -> (float * Trace.heartbeat) list
+(** Wall-clock heartbeats with their stamps, in trace order. *)
 
 val ops_series : t -> (float * float) list
 (** Event-dispatch rate over simulation time: one [(time, d_events/dt)]

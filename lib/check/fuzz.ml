@@ -163,27 +163,21 @@ let replay ?(extra_invariant = fun (_ : Drcomm.t) -> ()) cfg (ops : Op.t array) 
   and drops = ref 0
   and restores = ref 0
   and backup_losses = ref 0 in
-  (* Expected drcomm.* counters, predicted from the returned reports. *)
-  let exp_admits = ref 0
-  and exp_rejects = ref 0
-  and exp_terms = ref 0
-  and exp_fail = ref 0
-  and exp_rep = ref 0
-  and exp_act = ref 0
-  and exp_lost = ref 0
-  and exp_drops = ref 0
-  and exp_rest = ref 0 in
+  (* Expected drcomm.* counters, predicted from the returned reports: a
+     successful restoration is an internal admit, and with restoration
+     on, each drop is a failed restoration attempt — an internal admit
+     rejection. *)
   let expected () =
     {
-      Invariants.admits = !exp_admits;
-      rejects = !exp_rejects;
-      terminations = !exp_terms;
-      link_failures = !exp_fail;
-      link_repairs = !exp_rep;
-      backup_activations = !exp_act;
-      backup_losses = !exp_lost;
-      drops = !exp_drops;
-      restores = !exp_rest;
+      Invariants.admits = !admitted + !restores;
+      rejects = (!rejected + if cfg.restore_on_failure then !drops else 0);
+      terminations = !terminated;
+      link_failures = !edge_failures;
+      link_repairs = !edge_repairs;
+      backup_activations = !activations;
+      backup_losses = !backup_losses;
+      drops = !drops;
+      restores = !restores;
     }
   in
   let live_sorted () = List.sort compare (Drcomm.active_channels t) in
@@ -194,19 +188,14 @@ let replay ?(extra_invariant = fun (_ : Drcomm.t) -> ()) cfg (ops : Op.t array) 
       let dst = if n <= 1 then src else (src + 1 + (dst mod (n - 1))) mod n in
       let qos = qos_palette.(qos mod Array.length qos_palette) in
       (match Drcomm.admit t ~src ~dst ~qos with
-      | Drcomm.Admitted _ ->
-        incr admitted;
-        incr exp_admits
-      | Drcomm.Rejected _ ->
-        incr rejected;
-        incr exp_rejects)
+      | Drcomm.Admitted _ -> incr admitted
+      | Drcomm.Rejected _ -> incr rejected)
     | Op.Terminate k -> (
       match live_sorted () with
       | [] -> ()
       | ids ->
         ignore (Drcomm.terminate t (List.nth ids (k mod List.length ids)));
-        incr terminated;
-        incr exp_terms)
+        incr terminated)
     | Op.Change_qos (k, q) -> (
       match live_sorted () with
       | [] -> ()
@@ -222,33 +211,17 @@ let replay ?(extra_invariant = fun (_ : Drcomm.t) -> ()) cfg (ops : Op.t array) 
         let e = k mod ec in
         let fresh = not (Net_state.edge_failed net e) in
         let r = Drcomm.fail_edge t e in
-        if fresh then begin
-          incr edge_failures;
-          incr exp_fail
-        end
+        if fresh then incr edge_failures
         else if
           r.Drcomm.recoveries <> [] || r.Drcomm.event.Drcomm.transitions <> []
         then failwith "fail_edge on an already-failed edge was not a no-op";
         List.iter
           (fun { Drcomm.outcome; _ } ->
             match outcome with
-            | `Switched_to_backup _ ->
-              incr activations;
-              incr exp_act
-            | `Dropped ->
-              incr drops;
-              incr exp_drops;
-              (* A failed restoration attempt is an internal admit
-                 rejection. *)
-              if cfg.restore_on_failure then incr exp_rejects
-            | `Restored _ ->
-              incr restores;
-              incr exp_rest;
-              (* A successful restoration is an internal admit. *)
-              incr exp_admits
-            | `Backup_lost _ ->
-              incr backup_losses;
-              incr exp_lost)
+            | `Switched_to_backup _ -> incr activations
+            | `Dropped -> incr drops
+            | `Restored _ -> incr restores
+            | `Backup_lost _ -> incr backup_losses)
           r.Drcomm.recoveries
       end
     | Op.Repair k ->
@@ -260,8 +233,7 @@ let replay ?(extra_invariant = fun (_ : Drcomm.t) -> ()) cfg (ops : Op.t array) 
           Drcomm.repair_edge t (k mod ec)
         | failed ->
           Drcomm.repair_edge t (List.nth failed (k mod List.length failed));
-          incr edge_repairs;
-          incr exp_rep
+          incr edge_repairs
       end
     | Op.Set_auto b ->
       let was = Drcomm.auto_redistribute t in

@@ -285,7 +285,7 @@ let fold_lines ic ~init ~f =
   go init 1
 
 (* ------------------------------------------------------------------ *)
-(* Accessors used by tests and the bench harness. *)
+(* Accessors: the trace and protocol decoders read through [field]. *)
 
 let member key = function
   | Obj fields -> List.assoc_opt key fields
@@ -294,3 +294,21 @@ let member key = function
 let to_int = function Int i -> Some i | _ -> None
 let to_float = function Float x -> Some x | Int i -> Some (float_of_int i) | _ -> None
 let to_str = function String s -> Some s | _ -> None
+let to_bool = function Bool b -> Some b | _ -> None
+
+let to_list conv = function
+  | List xs ->
+    let rec go acc = function
+      | [] -> Some (List.rev acc)
+      | x :: rest -> ( match conv x with Some y -> go (y :: acc) rest | None -> None)
+    in
+    go [] xs
+  | _ -> None
+
+let field key conv doc =
+  match member key doc with
+  | None -> Error (Printf.sprintf "missing field %S" key)
+  | Some v -> (
+    match conv v with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "field %S has the wrong type" key))

@@ -52,3 +52,14 @@ val to_float : t -> float option
 (** [to_float] accepts both [Float] and [Int]. *)
 
 val to_str : t -> string option
+val to_bool : t -> bool option
+
+val to_list : (t -> 'a option) -> t -> 'a list option
+(** [to_list conv (List xs)] converts every element through [conv];
+    [None] for a non-list or when any element fails. *)
+
+val field : string -> (t -> 'a option) -> t -> ('a, string) result
+(** [field key conv doc] reads [key] of the object [doc] through [conv]:
+    [Error "missing field \"key\""] when it is absent,
+    [Error "field \"key\" has the wrong type"] when [conv] gives
+    [None].  The one field reader of the trace and protocol decoders. *)

@@ -10,7 +10,7 @@ type source = {
 }
 
 type t = {
-  sink : string -> unit;
+  sink : Trace.sink;
   sim_every : float option;
   wall_every : float option;
   mutable src : source option;
@@ -105,7 +105,7 @@ let counter_deltas ~prev ~cur =
   go [] prev cur
 
 let emit t ~time ev =
-  t.sink (Jsonx.to_string (Trace.to_json ~time ev));
+  t.sink.Trace.emit time ev;
   t.emitted <- t.emitted + 1
 
 let tick t =

@@ -1,8 +1,8 @@
-(** Periodic run-telemetry heartbeats, streamed as trace JSONL.
+(** Periodic run-telemetry heartbeats, emitted as trace events.
 
     An emitter turns live simulation state (read through a {!source} of
-    accessors) into {!Trace.Snapshot} lines on an event-time cadence
-    and, optionally, {!Trace.Heartbeat} lines on a wall-clock cadence:
+    accessors) into {!Trace.Snapshot} events on an event-time cadence
+    and, optionally, {!Trace.Heartbeat} events on a wall-clock cadence:
 
     - {e event-time snapshots} ([sim_every] simulation-time units,
       ticked by {!Engine}'s heartbeat hook) carry ops, live connections
@@ -14,8 +14,10 @@
       GC rate (minor/major allocation, heap size).  They carry
       wall-clock values and are excluded from determinism gates.
 
-    The sink receives one serialised JSONL line per tick (no trailing
-    newline); {!Analysis} and [drqos_cli top] replay the stream. *)
+    Each tick emits one timestamped {!Trace.event} into a {!Trace.sink};
+    the owner picks the serialisation ({!Trace.jsonl_sink} for a
+    heartbeat file).  {!Analysis} and [drqos_cli top] replay the stream
+    as {!Trace.snapshot} and {!Trace.heartbeat} records. *)
 
 type source = {
   sim_time : unit -> float;
@@ -36,11 +38,11 @@ type source = {
 
 type t
 
-val create : ?sim_every:float -> ?wall_every:float -> sink:(string -> unit) -> unit -> t
+val create : ?sim_every:float -> ?wall_every:float -> sink:Trace.sink -> unit -> t
 (** An emitter with the given cadences ([sim_every] in simulation time
     units, [wall_every] in seconds; each optional, raising
     [Invalid_argument] when non-positive).  Call {!start} before
-    ticking. *)
+    ticking.  The emitter never closes [sink]; its owner does. *)
 
 val sim_every : t -> float option
 val wall_every : t -> float option
@@ -50,12 +52,11 @@ val start : t -> source -> unit
     the first {!tick} reports deltas relative to this instant. *)
 
 val tick : t -> unit
-(** Emit one event-time {!Trace.Snapshot} line (no-op before
-    {!start}). *)
+(** Emit one event-time {!Trace.Snapshot}, stamped with the source's
+    [sim_time] (no-op before {!start}). *)
 
 val wall_tick : t -> unit
-(** Emit one wall-clock {!Trace.Heartbeat} line (no-op before
-    {!start}). *)
+(** Emit one wall-clock {!Trace.Heartbeat} (no-op before {!start}). *)
 
 val emitted : t -> int
-(** Total lines emitted (snapshots + heartbeats). *)
+(** Total events emitted (snapshots + heartbeats). *)

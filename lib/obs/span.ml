@@ -107,6 +107,21 @@ let agg_cell t name =
     Hashtbl.replace t.aggs name c;
     c
 
+let add t r =
+  if t.on then begin
+    if t.n_recs < t.keep then begin
+      t.recs <- r :: t.recs;
+      t.n_recs <- t.n_recs + 1
+    end
+    else t.dropped <- t.dropped + 1;
+    let c = agg_cell t r.name in
+    c.a_count <- c.a_count + 1;
+    c.a_total <- c.a_total +. r.total_s;
+    c.a_self <- c.a_self +. r.self_s;
+    c.a_minor <- c.a_minor +. r.minor_words;
+    c.a_major <- c.a_major +. r.major_words
+  end
+
 let exit t frame =
   if not t.on then None
   else begin
@@ -134,17 +149,7 @@ let exit t frame =
         major_words = Float.max 0. (major -. frame.f_major0);
       }
     in
-    if t.n_recs < t.keep then begin
-      t.recs <- r :: t.recs;
-      t.n_recs <- t.n_recs + 1
-    end
-    else t.dropped <- t.dropped + 1;
-    let c = agg_cell t r.name in
-    c.a_count <- c.a_count + 1;
-    c.a_total <- c.a_total +. r.total_s;
-    c.a_self <- c.a_self +. r.self_s;
-    c.a_minor <- c.a_minor +. r.minor_words;
-    c.a_major <- c.a_major +. r.major_words;
+    add t r;
     Some r
   end
 

@@ -63,6 +63,14 @@ val exit : t -> frame -> record option
 (** Close a span.  The frame must be the innermost open one (raises
     [Invalid_argument] otherwise — spans are strictly nested). *)
 
+val add : t -> record -> unit
+(** Count one completed record: into its name's aggregate, and into the
+    retained records while fewer than [keep] are held (else the drop
+    tally).  {!exit} does exactly this with the record it builds;
+    replaying a trace's [Span_end] events through [add] on a [~keep:0]
+    profiler rebuilds the live profiler's {!aggregate}.  No-op on a
+    disabled profiler. *)
+
 val frame_name : frame -> string
 val frame_start : frame -> float
 

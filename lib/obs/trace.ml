@@ -1,3 +1,33 @@
+(* The telemetry payloads share the labels [seq] and [d_events], so they
+   are declared before [event] rather than joined to it with [and]:
+   warning 30 rejects duplicate labels within one recursive type group. *)
+type snapshot = {
+  seq : int;
+  events : int;
+  d_events : int;
+  live : int;
+  live_by_level : int list;
+  queue : int;
+  footprint : int;
+  peak_live : int;
+  peak_queue : int;
+  hot : (int * int) list;
+  counters : (string * int) list;
+  slo_good : int;
+  slo_bad : int;
+  slo_burn : float;
+}
+
+type heartbeat = {
+  seq : int;
+  wall_s : float;
+  d_events : int;
+  ops_per_s : float;
+  minor_words : float;
+  major_words : float;
+  heap_words : int;
+}
+
 type event =
   | Admit of { channel : int; direct : int; indirect : int }
   | Reject of { reason : string }
@@ -32,31 +62,8 @@ type event =
       sched_s : float;
       latency_s : float;
     }
-  | Snapshot of {
-      seq : int;
-      events : int;
-      d_events : int;
-      live : int;
-      live_by_level : int list;
-      queue : int;
-      footprint : int;
-      peak_live : int;
-      peak_queue : int;
-      hot : (int * int) list;
-      counters : (string * int) list;
-      slo_good : int;
-      slo_bad : int;
-      slo_burn : float;
-    }
-  | Heartbeat of {
-      seq : int;
-      wall_s : float;
-      d_events : int;
-      ops_per_s : float;
-      minor_words : float;
-      major_words : float;
-      heap_words : int;
-    }
+  | Snapshot of snapshot
+  | Heartbeat of heartbeat
 
 let kind = function
   | Admit _ -> "admit"
@@ -150,53 +157,36 @@ let fields = function
       ("sched_s", Jsonx.Float sched_s);
       ("latency_s", Jsonx.Float latency_s);
     ]
-  | Snapshot
-      {
-        seq;
-        events;
-        d_events;
-        live;
-        live_by_level;
-        queue;
-        footprint;
-        peak_live;
-        peak_queue;
-        hot;
-        counters;
-        slo_good;
-        slo_bad;
-        slo_burn;
-      } ->
+  | Snapshot s ->
     [
-      ("seq", Jsonx.Int seq);
-      ("events", Jsonx.Int events);
-      ("d_events", Jsonx.Int d_events);
-      ("live", Jsonx.Int live);
-      ("levels", Jsonx.List (List.map (fun n -> Jsonx.Int n) live_by_level));
-      ("queue", Jsonx.Int queue);
-      ("footprint", Jsonx.Int footprint);
-      ("peak_live", Jsonx.Int peak_live);
-      ("peak_queue", Jsonx.Int peak_queue);
+      ("seq", Jsonx.Int s.seq);
+      ("events", Jsonx.Int s.events);
+      ("d_events", Jsonx.Int s.d_events);
+      ("live", Jsonx.Int s.live);
+      ("levels", Jsonx.List (List.map (fun n -> Jsonx.Int n) s.live_by_level));
+      ("queue", Jsonx.Int s.queue);
+      ("footprint", Jsonx.Int s.footprint);
+      ("peak_live", Jsonx.Int s.peak_live);
+      ("peak_queue", Jsonx.Int s.peak_queue);
       ( "hot",
         Jsonx.List
           (List.map
              (fun (key, cnt) -> Jsonx.List [ Jsonx.Int key; Jsonx.Int cnt ])
-             hot) );
-      ("counters", Jsonx.Obj (List.map (fun (k, v) -> (k, Jsonx.Int v)) counters));
-      ("slo_good", Jsonx.Int slo_good);
-      ("slo_bad", Jsonx.Int slo_bad);
-      ("slo_burn", Jsonx.Float slo_burn);
+             s.hot) );
+      ("counters", Jsonx.Obj (List.map (fun (k, v) -> (k, Jsonx.Int v)) s.counters));
+      ("slo_good", Jsonx.Int s.slo_good);
+      ("slo_bad", Jsonx.Int s.slo_bad);
+      ("slo_burn", Jsonx.Float s.slo_burn);
     ]
-  | Heartbeat { seq; wall_s; d_events; ops_per_s; minor_words; major_words; heap_words }
-    ->
+  | Heartbeat h ->
     [
-      ("seq", Jsonx.Int seq);
-      ("wall_s", Jsonx.Float wall_s);
-      ("d_events", Jsonx.Int d_events);
-      ("ops_per_s", Jsonx.Float ops_per_s);
-      ("minor_words", Jsonx.Float minor_words);
-      ("major_words", Jsonx.Float major_words);
-      ("heap_words", Jsonx.Int heap_words);
+      ("seq", Jsonx.Int h.seq);
+      ("wall_s", Jsonx.Float h.wall_s);
+      ("d_events", Jsonx.Int h.d_events);
+      ("ops_per_s", Jsonx.Float h.ops_per_s);
+      ("minor_words", Jsonx.Float h.minor_words);
+      ("major_words", Jsonx.Float h.major_words);
+      ("heap_words", Jsonx.Int h.heap_words);
     ]
 
 let to_json ~time ev =
@@ -207,20 +197,10 @@ let to_json ~time ev =
 
 let of_json doc =
   let ( let* ) r f = Result.bind r f in
-  let field name conv =
-    match Jsonx.member name doc with
-    | None -> Error (Printf.sprintf "missing field %S" name)
-    | Some v -> (
-      match conv v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "field %S has the wrong type" name))
-  in
-  let int name = field name Jsonx.to_int in
-  let num name = field name Jsonx.to_float in
-  let str name = field name Jsonx.to_str in
-  let bool name =
-    field name (function Jsonx.Bool b -> Some b | _ -> None)
-  in
+  let int name = Jsonx.field name Jsonx.to_int doc in
+  let num name = Jsonx.field name Jsonx.to_float doc in
+  let str name = Jsonx.field name Jsonx.to_str doc in
+  let bool name = Jsonx.field name Jsonx.to_bool doc in
   let* time = num "t" in
   let* k = str "ev" in
   let* ev =
@@ -307,57 +287,26 @@ let of_json doc =
       let* latency_s = num "latency_s" in
       Ok (Req_client { rid; verb; sched_s; latency_s })
     | "snapshot" ->
-      let int_list name =
-        field name (function
-          | Jsonx.List l ->
-            let rec go acc = function
-              | [] -> Some (List.rev acc)
-              | x :: rest -> (
-                match Jsonx.to_int x with
-                | Some n -> go (n :: acc) rest
-                | None -> None)
-            in
-            go [] l
-          | _ -> None)
+      let pair v =
+        match Jsonx.to_list Jsonx.to_int v with Some [ x; y ] -> Some (x, y) | _ -> None
       in
-      let pair_list name =
-        field name (function
-          | Jsonx.List l ->
-            let rec go acc = function
-              | [] -> Some (List.rev acc)
-              | Jsonx.List [ a; b ] :: rest -> (
-                match (Jsonx.to_int a, Jsonx.to_int b) with
-                | Some x, Some y -> go ((x, y) :: acc) rest
-                | _ -> None)
-              | _ -> None
-            in
-            go [] l
-          | _ -> None)
-      in
-      let counter_obj name =
-        field name (function
-          | Jsonx.Obj kvs ->
-            let rec go acc = function
-              | [] -> Some (List.rev acc)
-              | (k, v) :: rest -> (
-                match Jsonx.to_int v with
-                | Some n -> go ((k, n) :: acc) rest
-                | None -> None)
-            in
-            go [] kvs
-          | _ -> None)
+      let counter_obj = function
+        | Jsonx.Obj kvs ->
+          Jsonx.to_list Jsonx.to_int (Jsonx.List (List.map snd kvs))
+          |> Option.map (List.combine (List.map fst kvs))
+        | _ -> None
       in
       let* seq = int "seq" in
       let* events = int "events" in
       let* d_events = int "d_events" in
       let* live = int "live" in
-      let* live_by_level = int_list "levels" in
+      let* live_by_level = Jsonx.field "levels" (Jsonx.to_list Jsonx.to_int) doc in
       let* queue = int "queue" in
       let* footprint = int "footprint" in
       let* peak_live = int "peak_live" in
       let* peak_queue = int "peak_queue" in
-      let* hot = pair_list "hot" in
-      let* counters = counter_obj "counters" in
+      let* hot = Jsonx.field "hot" (Jsonx.to_list pair) doc in
+      let* counters = Jsonx.field "counters" counter_obj doc in
       (* SLO fields arrived with request tracing (DESIGN.md §15); they
          default to zero so pre-tracing recorded streams still replay. *)
       let opt_or default read name =

@@ -11,6 +11,46 @@
     sites should still guard event {e construction} with {!enabled} so a
     disabled trace allocates nothing. *)
 
+(** Periodic event-time heartbeat ({!Snapshot} module).  Every field
+    derives from simulation state only, so equal runs emit
+    byte-identical snapshot streams whatever [--jobs] is. *)
+type snapshot = {
+  seq : int;  (** per-emitter sequence number, from 0. *)
+  events : int;  (** engine events dispatched so far. *)
+  d_events : int;  (** events since the previous snapshot. *)
+  live : int;  (** live connections. *)
+  live_by_level : int list;  (** live connections per QoS level. *)
+  queue : int;  (** event-queue size at the tick. *)
+  footprint : int;  (** {!Event_queue.footprint} at the tick. *)
+  peak_live : int;  (** high watermark of sampled [live]. *)
+  peak_queue : int;  (** high watermark of sampled [queue]. *)
+  hot : (int * int) list;
+      (** hottest links as [(link, churn count)] from the service's
+          heavy-hitter sketch, hottest first. *)
+  counters : (string * int) list;
+      (** metrics-registry counter deltas since the previous snapshot,
+          name-sorted, zero deltas omitted. *)
+  slo_good : int;  (** cumulative requests that met the SLO. *)
+  slo_bad : int;  (** cumulative requests that missed it. *)
+  slo_burn : float;
+      (** bad fraction over the interval since the previous snapshot
+          ([d_bad / (d_good + d_bad)]; 0 when idle) — the rolling burn
+          rate. *)
+}
+
+(** Periodic wall-clock heartbeat: real throughput and GC rate.  Carries
+    wall-clock values, so it is {e not} byte-reproducible — the
+    deterministic stream gates exclude it. *)
+type heartbeat = {
+  seq : int;
+  wall_s : float;  (** wall time since the emitter started. *)
+  d_events : int;  (** events since the previous heartbeat. *)
+  ops_per_s : float;  (** [d_events] over the wall interval. *)
+  minor_words : float;  (** GC allocation since the previous beat. *)
+  major_words : float;
+  heap_words : int;  (** current major-heap size. *)
+}
+
 type event =
   | Admit of { channel : int; direct : int; indirect : int }
       (** Connection admitted; [direct]/[indirect] count the chained
@@ -70,44 +110,8 @@ type event =
           the server's [Req_*] records on [rid] — the difference
           between [latency_s] and the server's stage sum is network +
           socket-queue time. *)
-  | Snapshot of {
-      seq : int;  (** per-emitter sequence number, from 0. *)
-      events : int;  (** engine events dispatched so far. *)
-      d_events : int;  (** events since the previous snapshot. *)
-      live : int;  (** live connections. *)
-      live_by_level : int list;  (** live connections per QoS level. *)
-      queue : int;  (** event-queue size at the tick. *)
-      footprint : int;  (** {!Event_queue.footprint} at the tick. *)
-      peak_live : int;  (** high watermark of sampled [live]. *)
-      peak_queue : int;  (** high watermark of sampled [queue]. *)
-      hot : (int * int) list;
-          (** hottest links as [(link, churn count)] from the service's
-              heavy-hitter sketch, hottest first. *)
-      counters : (string * int) list;
-          (** metrics-registry counter deltas since the previous
-              snapshot, name-sorted, zero deltas omitted. *)
-      slo_good : int;  (** cumulative requests that met the SLO. *)
-      slo_bad : int;  (** cumulative requests that missed it. *)
-      slo_burn : float;
-          (** bad fraction over the interval since the previous
-              snapshot ([d_bad / (d_good + d_bad)]; 0 when idle) — the
-              rolling burn rate. *)
-    }
-      (** Periodic event-time heartbeat ({!Snapshot} module).  Every
-          field derives from simulation state only, so equal runs emit
-          byte-identical snapshot streams whatever [--jobs] is. *)
-  | Heartbeat of {
-      seq : int;
-      wall_s : float;  (** wall time since the emitter started. *)
-      d_events : int;  (** events since the previous heartbeat. *)
-      ops_per_s : float;  (** [d_events] over the wall interval. *)
-      minor_words : float;  (** GC allocation since the previous beat. *)
-      major_words : float;
-      heap_words : int;  (** current major-heap size. *)
-    }
-      (** Periodic wall-clock heartbeat: real throughput and GC rate.
-          Carries wall-clock values, so it is {e not} byte-reproducible —
-          the deterministic stream gates exclude it. *)
+  | Snapshot of snapshot
+  | Heartbeat of heartbeat
 
 val kind : event -> string
 (** The ["ev"] discriminator, e.g. ["backup_activate"]. *)

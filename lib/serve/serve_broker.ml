@@ -8,48 +8,14 @@ type t = {
   mutable requests : int;
   req_counter : Metrics.counter;
   err_counter : Metrics.counter;
-  mutable snap : Snapshot.t;
-  mutable snap_last : string option;
+  snap : Snapshot.t;
+  (* The emitter's sink keeps the last snapshot document it was handed:
+     the [snapshot] reply. *)
+  snap_doc : Jsonx.t option ref;
   (* The server's request tracer owns the SLO counts; the broker only
      forwards them into its snapshot source.  Default: no SLO. *)
   mutable slo_fn : unit -> int * int;
 }
-
-let create ?config ?obs net =
-  let obs = match obs with Some o -> o | None -> Obs.default () in
-  let service = Drcomm.create ?config ~obs net in
-  let t =
-    {
-      service;
-      net;
-      obs;
-      channels = Hashtbl.create 1024;
-      requests = 0;
-      req_counter = Obs.counter obs "serve.requests";
-      err_counter = Obs.counter obs "serve.errors";
-      snap = Snapshot.create ~sink:ignore ();
-      snap_last = None;
-      slo_fn = (fun () -> (0, 0));
-    }
-  in
-  (* Trace timestamps and snapshot sim_time advance with the request
-     stream: byte-reproducible for equal request sequences, unlike a
-     wall clock. *)
-  Obs.set_clock obs (fun () -> float_of_int t.requests);
-  (* Request tracing wants the redistribution slice of each dispatch;
-     two clock reads per churn event are noise next to socket I/O. *)
-  Drcomm.set_time_redistribution service true;
-  t
-
-let service t = t.service
-let obs t = t.obs
-let requests t = t.requests
-
-let live_channels t =
-  List.sort compare
-    (List.map Drcomm.Channel_id.to_int (Drcomm.active_channels t.service))
-
-let failed_edges t = List.sort compare (Net_state.failed_edges t.net)
 
 let snapshot_source t =
   {
@@ -64,6 +30,45 @@ let snapshot_source t =
     counters = (fun () -> Metrics.counter_values (Obs.metrics t.obs));
     slo = (fun () -> t.slo_fn ());
   }
+
+let create ?config ?obs net =
+  let obs = match obs with Some o -> o | None -> Obs.default () in
+  let service = Drcomm.create ?config ~obs net in
+  let snap_doc = ref None in
+  let keep_doc time ev = snap_doc := Some (Trace.to_json ~time ev) in
+  let t =
+    {
+      service;
+      net;
+      obs;
+      channels = Hashtbl.create 1024;
+      requests = 0;
+      req_counter = Obs.counter obs "serve.requests";
+      err_counter = Obs.counter obs "serve.errors";
+      snap = Snapshot.create ~sink:{ Trace.emit = keep_doc; close = ignore } ();
+      snap_doc;
+      slo_fn = (fun () -> (0, 0));
+    }
+  in
+  (* Trace timestamps and snapshot sim_time advance with the request
+     stream: byte-reproducible for equal request sequences, unlike a
+     wall clock. *)
+  Obs.set_clock obs (fun () -> float_of_int t.requests);
+  (* Request tracing wants the redistribution slice of each dispatch;
+     two clock reads per churn event are noise next to socket I/O. *)
+  Drcomm.set_time_redistribution service true;
+  Snapshot.start t.snap (snapshot_source t);
+  t
+
+let service t = t.service
+let obs t = t.obs
+let requests t = t.requests
+
+let live_channels t =
+  List.sort compare
+    (List.map Drcomm.Channel_id.to_int (Drcomm.active_channels t.service))
+
+let failed_edges t = List.sort compare (Net_state.failed_edges t.net)
 
 let set_slo_source t fn = t.slo_fn <- fn
 
@@ -169,14 +174,11 @@ let apply t (req : Serve_proto.request) : Serve_proto.response =
         requests = t.requests;
       }
   | Serve_proto.Snapshot -> (
-    t.snap_last <- None;
+    t.snap_doc := None;
     Snapshot.tick t.snap;
-    match t.snap_last with
-    | Some line -> (
-      match Jsonx.of_string line with
-      | doc -> Serve_proto.Snapshot_reply doc
-      | exception Jsonx.Parse_error msg -> error "snapshot serialisation: %s" msg)
-    | None -> error "snapshot emitter produced no line")
+    match !(t.snap_doc) with
+    | Some doc -> Serve_proto.Snapshot_reply doc
+    | None -> error "snapshot emitter produced no snapshot")
   | Serve_proto.Metrics -> Serve_proto.Metrics_reply (Obs.metrics_json t.obs)
   | Serve_proto.Ping -> Serve_proto.Pong
   | Serve_proto.Subscribe _ -> error "subscribe is a connection-level request"
@@ -214,12 +216,3 @@ let dispatch_timed t req =
     Float.max 0. (Float.min total (Drcomm.redistribution_seconds t.service -. r0))
   in
   (resp, Float.max 0. (total -. redist_s), redist_s)
-
-(* The snapshot emitter's sink writes [snap_last], which needs the
-   record — finish initialisation here, in place (the sink and clock
-   closures hold this exact record). *)
-let create ?config ?obs net =
-  let t = create ?config ?obs net in
-  t.snap <- Snapshot.create ~sink:(fun line -> t.snap_last <- Some line) ();
-  Snapshot.start t.snap (snapshot_source t);
-  t

@@ -61,65 +61,48 @@ let qos_to_json (q : Qos.t) =
 
 let ( let* ) r f = match r with Ok x -> f x | Error _ as e -> e
 
-let int_field doc key =
-  match Option.bind (Jsonx.member key doc) Jsonx.to_int with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or non-integer %S" key)
-
-let float_field ~default doc key =
-  match Jsonx.member key doc with
-  | None -> Ok default
-  | Some v -> (
-    match Jsonx.to_float v with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "non-numeric %S" key))
-
-let str_field doc key =
-  match Option.bind (Jsonx.member key doc) Jsonx.to_str with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "missing or non-string %S" key)
-
-let bool_field doc key =
-  match Jsonx.member key doc with
-  | Some (Jsonx.Bool b) -> Ok b
-  | Some _ | None -> Error (Printf.sprintf "missing or non-boolean %S" key)
-
 let qos_of_json doc =
-  match Jsonx.member "qos" doc with
-  | None -> Error "missing \"qos\""
-  | Some q ->
-    let* b_min = int_field q "b_min" in
-    let* b_max = int_field q "b_max" in
-    let* increment = int_field q "increment" in
-    let* utility = float_field ~default:1.0 q "utility" in
-    (match Qos.make ~utility ~b_min ~b_max ~increment () with
-    | qos when Qos.levels qos > max_levels ->
-      Error
-        (Printf.sprintf "qos has %d levels; the broker accepts at most %d"
-           (Qos.levels qos) max_levels)
-    | qos -> Ok qos
-    | exception Invalid_argument msg -> Error ("invalid qos: " ^ msg))
+  let* q = Jsonx.field "qos" Option.some doc in
+  let* b_min = Jsonx.field "b_min" Jsonx.to_int q in
+  let* b_max = Jsonx.field "b_max" Jsonx.to_int q in
+  let* increment = Jsonx.field "increment" Jsonx.to_int q in
+  let* utility =
+    if Jsonx.member "utility" q = None then Ok 1.0
+    else Jsonx.field "utility" Jsonx.to_float q
+  in
+  match Qos.make ~utility ~b_min ~b_max ~increment () with
+  | qos when Qos.levels qos > max_levels ->
+    Error
+      (Printf.sprintf "qos has %d levels; the broker accepts at most %d"
+         (Qos.levels qos) max_levels)
+  | qos -> Ok qos
+  | exception Invalid_argument msg -> Error ("invalid qos: " ^ msg)
 
 (* ------------------------------------------------------------------ *)
 (* Requests                                                            *)
 
-let request_verb = function
-  | Admit _ -> "admit"
-  | Teardown _ -> "teardown"
-  | Change_qos _ -> "chqos"
-  | Fail _ -> "fail"
-  | Repair _ -> "repair"
-  | Set_auto _ -> "auto"
-  | Redistribute -> "redistribute"
-  | Stats -> "stats"
-  | Snapshot -> "snapshot"
-  | Metrics -> "metrics"
-  | Subscribe _ -> "subscribe"
-  | Ping -> "ping"
-  | Shutdown -> "shutdown"
+(* The wire verbs in the order of the [request] type, then the
+   pseudo-verb the server charges undecodable lines to.  A verb's
+   position is its small-int key for the [req.slow_verbs] heavy-hitter
+   sketch (its keys are ints). *)
+let verbs =
+  [
+    "admit";
+    "teardown";
+    "chqos";
+    "fail";
+    "repair";
+    "auto";
+    "redistribute";
+    "stats";
+    "snapshot";
+    "metrics";
+    "subscribe";
+    "ping";
+    "shutdown";
+    "undecodable";
+  ]
 
-(* A small-int key per verb, for the [req.slow_verbs] heavy-hitter
-   sketch (its keys are ints).  Order matches the [request] type. *)
 let request_index = function
   | Admit _ -> 0
   | Teardown _ -> 1
@@ -135,24 +118,14 @@ let request_index = function
   | Ping -> 11
   | Shutdown -> 12
 
-let verb_of_index = function
-  | 0 -> "admit"
-  | 1 -> "teardown"
-  | 2 -> "chqos"
-  | 3 -> "fail"
-  | 4 -> "repair"
-  | 5 -> "auto"
-  | 6 -> "redistribute"
-  | 7 -> "stats"
-  | 8 -> "snapshot"
-  | 9 -> "metrics"
-  | 10 -> "subscribe"
-  | 11 -> "ping"
-  | 12 -> "shutdown"
-  | 13 -> "undecodable"
-  | i -> Printf.sprintf "verb#%d" i
-
 let undecodable_index = 13
+
+let verb_of_index i =
+  match if i < 0 then None else List.nth_opt verbs i with
+  | Some verb -> verb
+  | None -> Printf.sprintf "verb#%d" i
+
+let request_verb req = verb_of_index (request_index req)
 
 let request_to_json ?trace ~id req =
   let fields =
@@ -197,37 +170,37 @@ let trace_ctx_of_json doc =
     | _ -> None)
 
 let request_of_json doc =
-  let* id = int_field doc "id" in
-  let* verb = str_field doc "req" in
+  let* id = Jsonx.field "id" Jsonx.to_int doc in
+  let* verb = Jsonx.field "req" Jsonx.to_str doc in
   let* req =
     match verb with
     | "admit" ->
-      let* src = int_field doc "src" in
-      let* dst = int_field doc "dst" in
+      let* src = Jsonx.field "src" Jsonx.to_int doc in
+      let* dst = Jsonx.field "dst" Jsonx.to_int doc in
       let* qos = qos_of_json doc in
       Ok (Admit { src; dst; qos })
     | "teardown" ->
-      let* channel = int_field doc "channel" in
+      let* channel = Jsonx.field "channel" Jsonx.to_int doc in
       Ok (Teardown { channel })
     | "chqos" ->
-      let* channel = int_field doc "channel" in
+      let* channel = Jsonx.field "channel" Jsonx.to_int doc in
       let* qos = qos_of_json doc in
       Ok (Change_qos { channel; qos })
     | "fail" ->
-      let* edge = int_field doc "edge" in
+      let* edge = Jsonx.field "edge" Jsonx.to_int doc in
       Ok (Fail { edge })
     | "repair" ->
-      let* edge = int_field doc "edge" in
+      let* edge = Jsonx.field "edge" Jsonx.to_int doc in
       Ok (Repair { edge })
     | "auto" ->
-      let* on = bool_field doc "on" in
+      let* on = Jsonx.field "on" Jsonx.to_bool doc in
       Ok (Set_auto on)
     | "redistribute" -> Ok Redistribute
     | "stats" -> Ok Stats
     | "snapshot" -> Ok Snapshot
     | "metrics" -> Ok Metrics
     | "subscribe" -> (
-      let* stream = str_field doc "stream" in
+      let* stream = Jsonx.field "stream" Jsonx.to_str doc in
       match stream with
       | "trace" -> Ok (Subscribe `Trace)
       | "heartbeat" -> Ok (Subscribe `Heartbeat)
@@ -263,10 +236,10 @@ let recovery_to_json r =
     ]
 
 let recovery_of_json doc =
-  let* rw_channel = int_field doc "channel" in
-  let* outcome = str_field doc "outcome" in
+  let* rw_channel = Jsonx.field "channel" Jsonx.to_int doc in
+  let* outcome = Jsonx.field "outcome" Jsonx.to_str doc in
   let* rw_outcome = outcome_of_string outcome in
-  let* rw_reprotected = bool_field doc "reprotected" in
+  let* rw_reprotected = Jsonx.field "reprotected" Jsonx.to_bool doc in
   Ok { rw_channel; rw_outcome; rw_reprotected }
 
 let response_kind = function
@@ -334,79 +307,68 @@ let response_to_json ~id resp =
       :: ("re", Jsonx.String (response_kind resp))
       :: fields)
 
-let list_field doc key =
-  match Jsonx.member key doc with
-  | Some (Jsonx.List l) -> Ok l
-  | Some _ | None -> Error (Printf.sprintf "missing or non-list %S" key)
-
-let data_field doc =
-  match Jsonx.member "data" doc with
-  | Some d -> Ok d
-  | None -> Error "missing \"data\""
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
-
 let response_of_json doc =
-  let* id = int_field doc "id" in
-  let* ok = bool_field doc "ok" in
+  let* id = Jsonx.field "id" Jsonx.to_int doc in
+  let* ok = Jsonx.field "ok" Jsonx.to_bool doc in
   if not ok then
-    let* message = str_field doc "error" in
+    let* message = Jsonx.field "error" Jsonx.to_str doc in
     Ok (id, Error_reply { message })
   else
-    let* kind = str_field doc "re" in
+    let* kind = Jsonx.field "re" Jsonx.to_str doc in
     let* resp =
       match kind with
       | "admitted" ->
-        let* channel = int_field doc "channel" in
-        let* level = int_field doc "level" in
+        let* channel = Jsonx.field "channel" Jsonx.to_int doc in
+        let* level = Jsonx.field "level" Jsonx.to_int doc in
         Ok (Admitted { channel; level })
       | "rejected" ->
-        let* reason = str_field doc "reason" in
+        let* reason = Jsonx.field "reason" Jsonx.to_str doc in
         Ok (Admit_rejected { reason })
       | "torn_down" ->
-        let* channel = int_field doc "channel" in
+        let* channel = Jsonx.field "channel" Jsonx.to_int doc in
         Ok (Torn_down { channel })
       | "qos_changed" ->
-        let* channel = int_field doc "channel" in
-        let* accepted = bool_field doc "accepted" in
+        let* channel = Jsonx.field "channel" Jsonx.to_int doc in
+        let* accepted = Jsonx.field "accepted" Jsonx.to_bool doc in
         Ok (Qos_changed { channel; accepted })
       | "edge_failed" ->
-        let* edge = int_field doc "edge" in
-        let* fresh = bool_field doc "fresh" in
-        let* l = list_field doc "recoveries" in
-        let* recoveries = map_result recovery_of_json l in
+        let* edge = Jsonx.field "edge" Jsonx.to_int doc in
+        let* fresh = Jsonx.field "fresh" Jsonx.to_bool doc in
+        let* recoveries =
+          Jsonx.field "recoveries"
+            (Jsonx.to_list (fun r -> Result.to_option (recovery_of_json r)))
+            doc
+        in
         Ok (Edge_failed { edge; fresh; recoveries })
       | "edge_repaired" ->
-        let* edge = int_field doc "edge" in
-        let* was_failed = bool_field doc "was_failed" in
+        let* edge = Jsonx.field "edge" Jsonx.to_int doc in
+        let* was_failed = Jsonx.field "was_failed" Jsonx.to_bool doc in
         Ok (Edge_repaired { edge; was_failed })
       | "auto" ->
-        let* on = bool_field doc "on" in
+        let* on = Jsonx.field "on" Jsonx.to_bool doc in
         Ok (Auto_set { on })
       | "redistributed" -> Ok Redistributed
       | "stats" ->
-        let* live = int_field doc "live" in
-        let* total_reserved = int_field doc "total_reserved_kbps" in
-        let* average_kbps = float_field ~default:0. doc "average_kbps" in
-        let* dropped = int_field doc "dropped" in
-        let* failed_edges = int_field doc "failed_edges" in
-        let* requests = int_field doc "requests" in
+        let* live = Jsonx.field "live" Jsonx.to_int doc in
+        let* total_reserved = Jsonx.field "total_reserved_kbps" Jsonx.to_int doc in
+        let* average_kbps =
+          if Jsonx.member "average_kbps" doc = None then Ok 0.
+          else Jsonx.field "average_kbps" Jsonx.to_float doc
+        in
+        let* dropped = Jsonx.field "dropped" Jsonx.to_int doc in
+        let* failed_edges = Jsonx.field "failed_edges" Jsonx.to_int doc in
+        let* requests = Jsonx.field "requests" Jsonx.to_int doc in
         Ok
           (Stats_reply
              { live; total_reserved; average_kbps; dropped; failed_edges; requests })
       | "snapshot" ->
-        let* d = data_field doc in
+        let* d = Jsonx.field "data" Option.some doc in
         Ok (Snapshot_reply d)
       | "metrics" ->
-        let* d = data_field doc in
+        let* d = Jsonx.field "data" Option.some doc in
         Ok (Metrics_reply d)
       | "subscribed" ->
-        let* stream = str_field doc "stream" in
+        let* stream = Jsonx.field "stream" Jsonx.to_str doc in
         Ok (Subscribed { stream })
       | "pong" -> Ok Pong
       | "shutting_down" -> Ok Shutting_down

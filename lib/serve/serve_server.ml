@@ -17,11 +17,19 @@ type conn = {
   mutable want_trace : bool;
   mutable want_heartbeat : bool;
   mutable alive : bool;
+  (* False once the connection was refused for an over-long line:
+     nothing more is read, and the loop closes it once the refusal is
+     flushed. *)
+  mutable reading : bool;
   (* When [select] marked this fd readable: the start of the queue
      stage.  Lines drained later out of the same chunk correctly charge
      the earlier lines' processing time to their queue wait. *)
   mutable ready_at : float;
 }
+
+(* The longest partial line a connection may hold.  An unterminated
+   stream past it is refused rather than buffered without bound. *)
+let max_line_bytes = 1 lsl 20
 
 type state = {
   listen_fd : Unix.file_descr;
@@ -74,6 +82,9 @@ let send conn line =
   end
 
 let send_json conn doc = send conn (Jsonx.to_string doc)
+
+(* One trace event as a pushed line. *)
+let event_line time ev = Jsonx.to_string (Trace.to_json ~time ev)
 
 let pending conn = not (Queue.is_empty conn.outq)
 
@@ -225,29 +236,45 @@ let handle_line t conn line =
         ~service_s ~redist_s ~write_s
   end
 
-(* Drain every complete line out of the connection's input buffer. *)
-let drain_lines t conn =
-  let data = Buffer.contents conn.inbuf in
-  Buffer.clear conn.inbuf;
-  let n = String.length data in
+(* A partial line past [max_line_bytes]: one id-0 error reply naming
+   the cap, charged to [serve.undecodable]; then the connection stops
+   reading and closes once the reply is flushed. *)
+let refuse_line t conn =
+  Buffer.reset conn.inbuf;
+  conn.reading <- false;
+  conn.want_trace <- false;
+  conn.want_heartbeat <- false;
+  Metrics.incr t.c_undecodable;
+  let message =
+    Printf.sprintf "line longer than %d bytes; closing the connection" max_line_bytes
+  in
+  send_json conn
+    (Serve_proto.response_to_json ~id:0 (Serve_proto.Error_reply { message }));
+  t.log (Printf.sprintf "serve: %s refused: %s" conn.peer message)
+
+(* Frame the [n] bytes just read: each newline completes the partial
+   line held in [inbuf].  Only a completed line is copied out, so a
+   long line costs linear time, and the partial line is capped. *)
+let drain_lines t conn chunk n =
   let start = ref 0 in
-  (try
-     for i = 0 to n - 1 do
-       if data.[i] = '\n' then begin
-         handle_line t conn (String.sub data !start (i - !start));
-         start := i + 1;
-         if not t.running then raise Exit
-       end
-     done
-   with Exit -> ());
-  if !start < n then Buffer.add_substring conn.inbuf data !start (n - !start)
+  let i = ref 0 in
+  while !i < n && t.running do
+    if Bytes.get chunk !i = '\n' then begin
+      Buffer.add_subbytes conn.inbuf chunk !start (!i - !start);
+      let line = Buffer.contents conn.inbuf in
+      Buffer.clear conn.inbuf;
+      start := !i + 1;
+      handle_line t conn line
+    end;
+    incr i
+  done;
+  Buffer.add_subbytes conn.inbuf chunk !start (n - !start);
+  if Buffer.length conn.inbuf > max_line_bytes then refuse_line t conn
 
 let read_chunk t conn scratch =
   match Unix.read conn.fd scratch 0 (Bytes.length scratch) with
   | 0 -> conn.alive <- false
-  | n ->
-    Buffer.add_subbytes conn.inbuf scratch 0 n;
-    drain_lines t conn
+  | n -> drain_lines t conn scratch n
   | exception
       Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
     ()
@@ -276,6 +303,7 @@ let accept_conn t =
         want_trace = false;
         want_heartbeat = false;
         alive = true;
+        reading = true;
         ready_at = Clock.now ();
       }
     in
@@ -320,7 +348,7 @@ let run ?config ?(wall_every = 1.0) ?backlog ?slo ?trace_file ?slow_dir
     {
       Trace.emit =
         (fun time ev ->
-          let line = Jsonx.to_string (Trace.to_json ~time ev) in
+          let line = event_line time ev in
           (match trace_oc with
           | Some oc ->
             output_string oc line;
@@ -378,10 +406,11 @@ let run ?config ?(wall_every = 1.0) ?backlog ?slo ?trace_file ?slow_dir
   t_ref := Some t;
   (* Wall heartbeats: the Snapshot emitter pushes Trace.Heartbeat lines
      to subscribed connections on a monotonic cadence. *)
+  let push_heartbeat time ev =
+    broadcast t (fun c -> c.want_heartbeat) (event_line time ev)
+  in
   let hb =
-    Snapshot.create ~wall_every
-      ~sink:(fun line -> broadcast t (fun c -> c.want_heartbeat) line)
-      ()
+    Snapshot.create ~wall_every ~sink:{ Trace.emit = push_heartbeat; close = ignore } ()
   in
   Snapshot.start hb (Serve_broker.snapshot_source broker);
   (match addr with
@@ -396,7 +425,10 @@ let run ?config ?(wall_every = 1.0) ?backlog ?slo ?trace_file ?slow_dir
       hb_last := now
     end;
     let timeout = Float.max 0.01 (wall_every -. (now -. !hb_last)) in
-    let fds = listen_fd :: List.map (fun c -> c.fd) t.conns in
+    let fds =
+      listen_fd
+      :: List.filter_map (fun c -> if c.reading then Some c.fd else None) t.conns
+    in
     (* Only fds with a backlog enter the write set: an always-writable
        idle socket would turn every select into a busy spin. *)
     let wfds =
@@ -420,9 +452,12 @@ let run ?config ?(wall_every = 1.0) ?backlog ?slo ?trace_file ?slow_dir
           end)
         t.conns;
       (* Replies generated this iteration go out now when the socket has
-         room; anything left waits for write-readiness above. *)
+         room; anything left waits for write-readiness above.  A refused
+         connection closes once its reply is out. *)
       List.iter
-        (fun conn -> if conn.alive && pending conn then try_flush conn)
+        (fun conn ->
+          if conn.alive && pending conn then try_flush conn;
+          if not (conn.reading || pending conn) then conn.alive <- false)
         t.conns
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
     let dead, live = List.partition (fun c -> not c.alive) t.conns in

@@ -16,7 +16,11 @@
     queued per connection; the select loop writes queues out as fds
     become writable.  The dispatch path therefore never blocks on a
     peer — a subscriber that stops reading stalls only its own stream,
-    and is reaped once its backlog passes [max_pending_bytes].
+    and is reaped once its backlog passes [max_pending_bytes].  Input is
+    bounded too: a connection whose unterminated line passes 1 MiB gets
+    one id-0 error reply naming the cap (counted in
+    [serve.undecodable]), is read no further, and closes once the reply
+    is flushed.
 
     The server builds its own observability context: a live metrics
     registry (served by the [metrics] request) and a tracer whose sink

@@ -22,18 +22,16 @@ else
   step "fmt check skipped (ocamlformat not installed)"
 fi
 
-step "bench smoke: fig2 --quick"
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
-dune exec bench/main.exe -- fig2 --quick --out "$tmpdir" >/dev/null
-test -s "$tmpdir/fig2.metrics.json" || {
-  echo "FAIL: fig2 --quick did not write a metrics manifest" >&2
-  exit 1
-}
 
 step "bench determinism: fig2 --quick --jobs 2 vs --jobs 1"
 dune exec bench/main.exe -- fig2 --quick --heartbeat --jobs 2 --out "$tmpdir/verify-bench-j2" >/dev/null
 dune exec bench/main.exe -- fig2 --quick --heartbeat --jobs 1 --out "$tmpdir/verify-bench-j1" >/dev/null
+test -s "$tmpdir/verify-bench-j1/fig2.metrics.json" || {
+  echo "FAIL: fig2 --quick did not write a metrics manifest" >&2
+  exit 1
+}
 diff "$tmpdir/verify-bench-j1/fig2.dat" "$tmpdir/verify-bench-j2/fig2.dat" || {
   echo "FAIL: parallel fig2 sweep diverged from the sequential run" >&2
   exit 1
@@ -55,6 +53,12 @@ hb_count=$(wc -l < "$tmpdir/verify-bench-j1/fig2.heartbeat.jsonl")
 }
 test -s "$tmpdir/verify-bench-j1/fig2.hb.dat" || {
   echo "FAIL: heartbeat replay wrote no fig2.hb.dat ops series" >&2
+  exit 1
+}
+# The dashboard reads the same stream through Analysis.snapshots.
+dune exec bin/drqos_cli.exe -- top "$tmpdir/verify-bench-j1/fig2.heartbeat.jsonl" \
+  > "$tmpdir/top.txt" && grep -q 'live by level' "$tmpdir/top.txt" || {
+  echo "FAIL: drqos_cli top could not render fig2.heartbeat.jsonl" >&2
   exit 1
 }
 

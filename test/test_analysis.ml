@@ -159,13 +159,11 @@ let triangle_graph () =
   done;
   g
 
-let run_triangle_scenario () =
+let run_triangle_scenario ?(spans = Span.create ()) () =
   let path = Filename.temp_file "drqos_analysis" ".jsonl" in
   let oc = open_out path in
   let trace = Trace.create (Trace.jsonl_sink oc) in
-  let obs =
-    Obs.create ~metrics:(Metrics.create ()) ~trace ~spans:(Span.create ()) ()
-  in
+  let obs = Obs.create ~metrics:(Metrics.create ()) ~trace ~spans () in
   let engine = Engine.create ~obs () in
   Obs.set_clock obs (fun () -> Engine.now engine);
   let net = Net_state.create (triangle_graph ()) in
@@ -331,17 +329,29 @@ let test_top_spans_from_trace () =
   List.iter
     (fun s ->
       Alcotest.(check bool)
-        (s.Analysis.span_name ^ " count positive")
-        true (s.Analysis.span_count > 0);
+        (s.Span.agg_name ^ " count positive")
+        true (s.Span.count > 0);
       Alcotest.(check bool)
-        (s.Analysis.span_name ^ " self <= total")
+        (s.Span.agg_name ^ " self <= total")
         true
-        (s.Analysis.span_self_s <= s.Analysis.span_total_s +. 1e-9))
+        (s.Span.agg_self_s <= s.Span.agg_total_s +. 1e-9))
     spans;
   (* Sorted by self time, descending. *)
-  let selfs = List.map (fun s -> s.Analysis.span_self_s) spans in
+  let selfs = List.map (fun s -> s.Span.agg_self_s) spans in
   Alcotest.(check (list (float 0.)))
     "sorted by self time" (List.sort (Fun.flip compare) selfs) selfs
+
+(* The replay feeds [Span_end] events through the profiler's own
+   aggregation, and span floats round-trip exactly through the trace's
+   number format, so the replayed table equals the live one. *)
+let test_replayed_spans_match_profiler () =
+  let spans = Span.create () in
+  let path = run_triangle_scenario ~spans () in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let live = Span.aggregate spans in
+  Alcotest.(check bool) "the run profiled some spans" true (live <> []);
+  Alcotest.(check bool) "replayed aggregates equal the live profiler's" true
+    (Analysis.top_spans (Analysis.of_file path) = live)
 
 (* --- telemetry views --- *)
 
@@ -389,13 +399,13 @@ let test_snapshot_replay () =
   let a = Analysis.of_events events in
   let snaps = Analysis.snapshots a in
   Alcotest.(check int) "three snapshots" 3 (List.length snaps);
-  let first = List.hd snaps in
-  Alcotest.check approx "time" 10. first.Analysis.sn_time;
-  Alcotest.(check int) "live" 5 first.Analysis.sn_live;
+  let time, first = List.hd snaps in
+  Alcotest.check approx "time" 10. time;
+  Alcotest.(check int) "live" 5 first.Trace.live;
   Alcotest.(check bool) "hot links survive the round-trip" true
-    (first.Analysis.sn_hot = [ (3, 100) ]);
+    (first.Trace.hot = [ (3, 100) ]);
   Alcotest.(check bool) "counters survive the round-trip" true
-    (first.Analysis.sn_counters = [ ("drcomm.admitted", 100) ]);
+    (first.Trace.counters = [ ("drcomm.admitted", 100) ]);
   (* d_events / dt between consecutive same-stream snapshots. *)
   Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
     "ops series" [ (20., 6.); (30., 4.) ] (Analysis.ops_series a)
@@ -791,6 +801,8 @@ let () =
           Alcotest.test_case "perfetto export" `Quick test_perfetto_export;
           Alcotest.test_case "deterministic" `Quick test_analysis_deterministic;
           Alcotest.test_case "top spans" `Quick test_top_spans_from_trace;
+          Alcotest.test_case "replayed spans match the profiler" `Quick
+            test_replayed_spans_match_profiler;
         ] );
       ( "telemetry",
         [

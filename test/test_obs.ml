@@ -66,6 +66,30 @@ let test_jsonx_bad_unicode_escape () =
     | Jsonx.String s -> s = "A"
     | _ -> false)
 
+let test_jsonx_field () =
+  let doc = Jsonx.of_string {|{"n":3,"s":"x","b":true}|} in
+  let check_result name expected got =
+    Alcotest.(check (result int string)) name expected got
+  in
+  check_result "present and well-typed" (Ok 3) (Jsonx.field "n" Jsonx.to_int doc);
+  check_result "missing key" (Error {|missing field "k"|})
+    (Jsonx.field "k" Jsonx.to_int doc);
+  check_result "wrong type" (Error {|field "s" has the wrong type|})
+    (Jsonx.field "s" Jsonx.to_int doc);
+  Alcotest.(check (result bool string)) "booleans read through to_bool" (Ok true)
+    (Jsonx.field "b" Jsonx.to_bool doc);
+  check_result "a non-object has no fields" (Error {|missing field "n"|})
+    (Jsonx.field "n" Jsonx.to_int (Jsonx.List []))
+
+let test_jsonx_to_list () =
+  let ints = Jsonx.to_list Jsonx.to_int in
+  Alcotest.(check (option (list int))) "every element converts" (Some [ 1; 2; 3 ])
+    (ints (Jsonx.of_string "[1,2,3]"));
+  Alcotest.(check (option (list int))) "empty list" (Some []) (ints (Jsonx.List []));
+  Alcotest.(check (option (list int))) "one bad element" None
+    (ints (Jsonx.of_string {|[1,"two",3]|}));
+  Alcotest.(check (option (list int))) "not a list" None (ints (Jsonx.Int 1))
+
 (* --- Jsonx.fold_lines --- *)
 
 let fold_string text =
@@ -751,6 +775,11 @@ type fake_run = {
   mutable fr_slo : int * int;
 }
 
+(* Keeps each emitted event as its JSONL line, newest first. *)
+let line_sink lines =
+  let emit time ev = lines := Jsonx.to_string (Trace.to_json ~time ev) :: !lines in
+  { Trace.emit; close = ignore }
+
 let fake_source r =
   {
     Snapshot.sim_time = (fun () -> r.fr_time);
@@ -766,7 +795,7 @@ let fake_source r =
 let test_snapshot_emitter_roundtrip () =
   let lines = ref [] in
   let snap =
-    Snapshot.create ~sim_every:10. ~sink:(fun l -> lines := l :: !lines) ()
+    Snapshot.create ~sim_every:10. ~sink:(line_sink lines) ()
   in
   Alcotest.(check bool) "sim_every exposed" true
     (Snapshot.sim_every snap = Some 10.);
@@ -854,14 +883,14 @@ let test_snapshot_emitter_roundtrip () =
 let test_snapshot_create_validates () =
   let bad f = match f () with exception Invalid_argument _ -> true | _ -> false in
   Alcotest.(check bool) "sim_every <= 0 rejected" true
-    (bad (fun () -> Snapshot.create ~sim_every:0. ~sink:ignore ()));
+    (bad (fun () -> Snapshot.create ~sim_every:0. ~sink:Trace.null_sink ()));
   Alcotest.(check bool) "wall_every <= 0 rejected" true
-    (bad (fun () -> Snapshot.create ~wall_every:(-1.) ~sink:ignore ()))
+    (bad (fun () -> Snapshot.create ~wall_every:(-1.) ~sink:Trace.null_sink ()))
 
 let test_snapshot_tick_before_start () =
   let lines = ref [] in
   let snap =
-    Snapshot.create ~sim_every:1. ~sink:(fun l -> lines := l :: !lines) ()
+    Snapshot.create ~sim_every:1. ~sink:(line_sink lines) ()
   in
   Snapshot.tick snap;
   Snapshot.wall_tick snap;
@@ -869,34 +898,11 @@ let test_snapshot_tick_before_start () =
 
 (* --- Wall heartbeats --- *)
 
-type hb = {
-  hb_seq : int;
-  hb_wall_s : float;
-  hb_d_events : int;
-  hb_ops_per_s : float;
-  hb_minor : float;
-  hb_major : float;
-  hb_heap : int;
-}
-
-let heartbeat_lines lines =
+let heartbeat_lines lines : Trace.heartbeat list =
   List.rev_map
     (fun line ->
       match Trace.of_json (Jsonx.of_string line) with
-      | Ok
-          ( _,
-            Trace.Heartbeat
-              { seq; wall_s; d_events; ops_per_s; minor_words; major_words; heap_words }
-          ) ->
-        {
-          hb_seq = seq;
-          hb_wall_s = wall_s;
-          hb_d_events = d_events;
-          hb_ops_per_s = ops_per_s;
-          hb_minor = minor_words;
-          hb_major = major_words;
-          hb_heap = heap_words;
-        }
+      | Ok (_, Trace.Heartbeat h) -> h
       | Ok (_, ev) -> Alcotest.failf "non-heartbeat line: %s" (Trace.kind ev)
       | Error msg -> Alcotest.failf "unparseable heartbeat line: %s" msg)
     lines
@@ -904,7 +910,7 @@ let heartbeat_lines lines =
 let test_wall_heartbeat_cadence () =
   let lines = ref [] in
   let snap =
-    Snapshot.create ~wall_every:0.001 ~sink:(fun l -> lines := l :: !lines) ()
+    Snapshot.create ~wall_every:0.001 ~sink:(line_sink lines) ()
   in
   Alcotest.(check bool) "wall_every exposed" true
     (Snapshot.wall_every snap = Some 0.001);
@@ -927,25 +933,25 @@ let test_wall_heartbeat_cadence () =
   match heartbeat_lines !lines with
   | [ h0; h1; h2 ] ->
     Alcotest.(check (list int)) "seq increments from 0" [ 0; 1; 2 ]
-      [ h0.hb_seq; h1.hb_seq; h2.hb_seq ];
+      [ h0.seq; h1.seq; h2.seq ];
     (* The monotonic clock can never run backwards, so the cumulative
        wall_s series is non-negative and non-decreasing. *)
-    Alcotest.(check bool) "wall_s non-negative" true (h0.hb_wall_s >= 0.);
+    Alcotest.(check bool) "wall_s non-negative" true (h0.wall_s >= 0.);
     Alcotest.(check bool) "wall_s non-decreasing" true
-      (h0.hb_wall_s <= h1.hb_wall_s && h1.hb_wall_s <= h2.hb_wall_s);
+      (h0.wall_s <= h1.wall_s && h1.wall_s <= h2.wall_s);
     (* Event deltas are against the previous *wall* tick. *)
     Alcotest.(check (list int)) "d_events per wall interval" [ 30; 5; 0 ]
-      [ h0.hb_d_events; h1.hb_d_events; h2.hb_d_events ];
+      [ h0.d_events; h1.d_events; h2.d_events ];
     List.iter
-      (fun h ->
-        Alcotest.(check bool) "ops_per_s non-negative" true (h.hb_ops_per_s >= 0.))
+      (fun (h : Trace.heartbeat) ->
+        Alcotest.(check bool) "ops_per_s non-negative" true (h.ops_per_s >= 0.))
       [ h0; h1; h2 ]
   | l -> Alcotest.failf "expected 3 heartbeats, got %d" (List.length l)
 
 let test_wall_heartbeat_gc_sanity () =
   let lines = ref [] in
   let snap =
-    Snapshot.create ~wall_every:0.001 ~sink:(fun l -> lines := l :: !lines) ()
+    Snapshot.create ~wall_every:0.001 ~sink:(line_sink lines) ()
   in
   let r =
     {
@@ -973,14 +979,14 @@ let test_wall_heartbeat_gc_sanity () =
   match heartbeat_lines !lines with
   | [ h0; h1 ] ->
     Alcotest.(check bool) "allocation shows up in the first delta" true
-      (h0.hb_minor > 0.);
+      (h0.minor_words > 0.);
     (* GC deltas are between consecutive ticks of monotone cumulative
        counters: never negative, on any tick. *)
     List.iter
-      (fun h ->
-        Alcotest.(check bool) "minor delta >= 0" true (h.hb_minor >= 0.);
-        Alcotest.(check bool) "major delta >= 0" true (h.hb_major >= 0.);
-        Alcotest.(check bool) "heap_words positive" true (h.hb_heap > 0))
+      (fun (h : Trace.heartbeat) ->
+        Alcotest.(check bool) "minor delta >= 0" true (h.minor_words >= 0.);
+        Alcotest.(check bool) "major delta >= 0" true (h.major_words >= 0.);
+        Alcotest.(check bool) "heap_words positive" true (h.heap_words > 0))
       [ h0; h1 ]
   | l -> Alcotest.failf "expected 2 heartbeats, got %d" (List.length l)
 
@@ -991,7 +997,7 @@ let test_wall_heartbeat_interleaves_with_snapshots () =
   let lines = ref [] in
   let snap =
     Snapshot.create ~sim_every:10. ~wall_every:0.001
-      ~sink:(fun l -> lines := l :: !lines)
+      ~sink:(line_sink lines)
       ()
   in
   let r =
@@ -1235,7 +1241,7 @@ let test_reqtrace_merges_exactly_across_forks () =
 let test_snapshot_slo_fields () =
   let lines = ref [] in
   let snap =
-    Snapshot.create ~sim_every:10. ~sink:(fun l -> lines := l :: !lines) ()
+    Snapshot.create ~sim_every:10. ~sink:(line_sink lines) ()
   in
   let r =
     {
@@ -1328,6 +1334,8 @@ let () =
           Alcotest.test_case "rejects garbage" `Quick test_jsonx_rejects_garbage;
           Alcotest.test_case "bad unicode escape" `Quick
             test_jsonx_bad_unicode_escape;
+          Alcotest.test_case "field reader" `Quick test_jsonx_field;
+          Alcotest.test_case "to_list" `Quick test_jsonx_to_list;
           Alcotest.test_case "fold_lines good stream" `Quick test_fold_lines_good;
           Alcotest.test_case "fold_lines truncated" `Quick test_fold_lines_truncated;
           Alcotest.test_case "fold_lines garbage line" `Quick

@@ -586,6 +586,74 @@ let test_socket_garbage_line () =
       | _ -> Alcotest.fail "shutdown not acknowledged");
       Serve_client.close c)
 
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* Regression for unbounded input buffering: a client streaming bytes
+   with no newline used to grow the daemon's memory without bound, at
+   quadratic copying cost.  Past the 1 MiB line cap it gets one id-0
+   error reply naming the cap and then the end of its stream, while
+   other clients are unaffected.  Socket timeouts make a daemon that
+   never answers fail the test instead of hanging it. *)
+let test_socket_line_cap () =
+  with_server (fun path _join ->
+      let c = Serve_client.connect ~retries:50 (`Unix path) in
+      Fun.protect
+        ~finally:(fun () ->
+          ignore (Serve_client.request c Serve_proto.Shutdown);
+          Serve_client.close c)
+      @@ fun () ->
+      let cap = 1 lsl 20 in
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+      Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.;
+      let flood = Bytes.make (cap + 65536) 'x' in
+      ignore (Unix.write fd flood 0 (Bytes.length flood));
+      let got = Buffer.create 256 in
+      let chunk = Bytes.create 4096 in
+      (* Bytes the daemon never read make closing reset the stream
+         rather than end it; both are the end of the connection. *)
+      let rec read_to_end () =
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> `Closed
+        | n ->
+          Buffer.add_subbytes got chunk 0 n;
+          read_to_end ()
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> `Closed
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          `Timed_out
+      in
+      let ending = read_to_end () in
+      (match String.split_on_char '\n' (Buffer.contents got) with
+      | [ line; "" ] -> (
+        match Serve_proto.response_of_json (Jsonx.of_string line) with
+        | Ok (0, Serve_proto.Error_reply { message }) ->
+          Alcotest.(check bool)
+            ("the reply names the cap: " ^ message)
+            true
+            (contains ~sub:(string_of_int cap) message)
+        | _ -> Alcotest.failf "expected an id-0 error reply, got %s" line)
+      | _ ->
+        Alcotest.failf "expected exactly one reply line, got %S"
+          (Buffer.contents got));
+      Alcotest.(check bool) "the connection ends after the reply" true
+        (ending = `Closed);
+      (match Serve_client.request c Serve_proto.Ping with
+      | Serve_proto.Pong -> ()
+      | _ -> Alcotest.fail "a second client's ping must still pong");
+      match Serve_client.request c Serve_proto.Metrics with
+      | Serve_proto.Metrics_reply doc ->
+        Alcotest.(check (option int)) "counted as undecodable" (Some 1)
+          (Option.bind
+             (Option.bind (Jsonx.member "counters" doc)
+                (Jsonx.member "serve.undecodable"))
+             Jsonx.to_int)
+      | _ -> Alcotest.fail "metrics request failed")
+
 (* Regression for the event-loop blocking fix (lint R8): replies and
    broadcasts are queued per connection and written by the select loop,
    so a subscriber that stops reading stalls only itself.  Once its
@@ -838,6 +906,8 @@ let () =
             test_socket_heartbeat_push;
           Alcotest.test_case "garbage line does not kill the connection" `Slow
             test_socket_garbage_line;
+          Alcotest.test_case "unterminated line past the cap is refused" `Slow
+            test_socket_line_cap;
           Alcotest.test_case "slow subscriber is reaped, others unaffected"
             `Slow test_socket_slow_subscriber_reaped;
           Alcotest.test_case "unopenable trace file leaves no socket" `Quick
