@@ -209,8 +209,7 @@ let paper_config ~scale ~offered ~increment ~seed =
    ops/sec-vs-live curve to the record. *)
 let with_manifest ?plateaus name scale f =
   let obs =
-    Obs.create ~metrics:(Metrics.create ()) ~spans:(Span.create ())
-      ~heavy:(Heavy.create ()) ()
+    Obs.create ~metrics:(Metrics.create ()) ~spans:(Span.create ()) ()
   in
   Obs.set_default obs;
   let (result, wall_s), gc =

@@ -83,7 +83,7 @@ let open_out_or_exit path =
     Printf.eprintf "drqos_cli: cannot open output file: %s\n" msg;
     exit 1
 
-let make_obs ?(profile = false) ?heavy ?flight ~trace ~metrics () =
+let make_obs ?(profile = false) ?flight ~trace ~metrics () =
   (* Open (or validate) every output file before a single sink exists:
      [open_out_or_exit] calls [exit 1], and once [Obs.install] has run
      an exit triggers the at_exit trace flush — which must never fire
@@ -110,7 +110,7 @@ let make_obs ?(profile = false) ?heavy ?flight ~trace ~metrics () =
     match metrics with None -> Metrics.disabled | Some _ -> Metrics.create ()
   in
   let spans = if profile then Span.create () else Span.disabled in
-  let obs = Obs.create ~metrics:registry ~trace:tracer ~spans ?heavy ?flight () in
+  let obs = Obs.create ~metrics:registry ~trace:tracer ~spans ?flight () in
   Obs.install obs;
   obs
 
@@ -268,15 +268,12 @@ let run_cmd =
         gamma;
       }
     in
-    (* Heavy-hitter sketches only pay for themselves when something will
-       read them — the snapshot stream's hottest-links field. *)
-    let heavy = if heartbeat <> None then Heavy.create () else Heavy.disabled in
     (* The heartbeat sink opens before [make_obs] installs the trace and
        metrics sinks: a bad --heartbeat path must exit before any other
        output file has been created (regression covered in test_cli). *)
     let hb_oc = Option.map open_out_or_exit heartbeat in
     let obs =
-      make_obs ~profile ~trace ~metrics ~heavy
+      make_obs ~profile ~trace ~metrics
         ~flight:(Flight.create ~capacity:2048 ()) ()
     in
     Obs.set_flight_dump obs flight_dump;
@@ -991,10 +988,12 @@ let top_cmd =
           0 snaps
       in
       let reaped = total "serve.reaped" in
+      let refused = total "serve.refused" in
       let undecodable = total "serve.undecodable" in
-      if reaped > 0 || undecodable > 0 then
-        Format.printf "serve: %d connections reaped, %d undecodable lines@."
-          reaped undecodable;
+      if reaped > 0 || refused > 0 || undecodable > 0 then
+        Format.printf
+          "serve: %d connections reaped, %d refused, %d undecodable lines@."
+          reaped refused undecodable;
       if last.Trace.slo_good + last.Trace.slo_bad > 0 then
         Format.printf
           "slo: %d good / %d bad cumulative (burn rate %.4f%% this beat)@."

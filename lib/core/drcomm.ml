@@ -93,6 +93,7 @@ type t = {
   mutable total_res : int;
   mutable hist : int array; (* live channels per elastic level *)
   elastic_on_link : int array; (* per directed link: elastic primaries *)
+  churn_on_link : int array; (* per directed link: operations that touched it *)
   (* The dirty-link set: directed links whose membership or reservation
      changed since the last water-filling pass. *)
   mutable dirty_links : int array;
@@ -117,12 +118,6 @@ type t = {
   m_drops : Metrics.counter;
   m_restores : Metrics.counter;
   live_hwm : Metrics.hwm;
-  (* Per-run (standalone) link-churn sketch: interning it in the obs
-     registry would accumulate across runs sharing a worker registry,
-     making per-run "hottest links" depend on sweep scheduling.  It is
-     folded into the registry sketch by [absorb_heavy] at run end. *)
-  h_churn : Heavy.sketch;
-  h_reject : Heavy.sketch;
 }
 
 let create ?(config = Config.default) ?obs net =
@@ -140,6 +135,7 @@ let create ?(config = Config.default) ?obs net =
     total_res = 0;
     hist = Array.make 8 0;
     elastic_on_link = Array.make (max 1 (Net_state.link_count net)) 0;
+    churn_on_link = Array.make (max 1 (Net_state.link_count net)) 0;
     dirty_links = [||];
     dirty_n = 0;
     dirty_mark = Bytes.make (max 1 (Net_state.link_count net)) '\000';
@@ -158,8 +154,6 @@ let create ?(config = Config.default) ?obs net =
     m_drops = Obs.counter obs "drcomm.drops";
     m_restores = Obs.counter obs "drcomm.restores";
     live_hwm = Metrics.hwm (Obs.metrics obs) "drcomm.live_hwm";
-    h_churn = Heavy.standalone ~enabled:(Heavy.enabled (Obs.heavy obs)) ();
-    h_reject = Obs.heavy_sketch obs "drcomm.reject_endpoints";
   }
 
 let set_auto_redistribute t flag = t.auto_redistribute <- flag
@@ -264,19 +258,18 @@ let remove_live t ch =
   t.hist.(ch.level) <- t.hist.(ch.level) - 1;
   t.total_res <- t.total_res - bandwidth_at ch ch.level
 
-(* One churn unit per link the operation touched: admissions, retreats
-   and upgrades all count, so the sketch's top-k is the set of links the
-   elastic machinery works hardest. *)
-let offer_churn t links =
-  if Heavy.sketch_enabled t.h_churn then
-    List.iter (fun dl -> Heavy.offer t.h_churn dl) links
+(* One churn unit per link the operation touched: admissions, retreats,
+   upgrades and terminations all count, so the largest counts are the
+   links the elastic machinery works hardest. *)
+let add_churn t links =
+  List.iter (fun dl -> t.churn_on_link.(dl) <- t.churn_on_link.(dl) + 1) links
 
 let set_level t ch lvl =
   if lvl <> ch.level then begin
     let bw = bandwidth_at ch lvl in
     List.iter (fun dl -> Link_state.set_primary (Net_state.link t.net dl) ~channel:ch.id bw)
       ch.primary;
-    offer_churn t ch.primary;
+    add_churn t ch.primary;
     if lvl > ch.level then Metrics.incr t.m_upgrades else Metrics.incr t.m_retreats;
     if Obs.tracing t.obs then
       Obs.event t.obs
@@ -508,8 +501,6 @@ let admit ?(want_indirect = true) ?(want_report = true) t ~src ~dst ~qos =
   let req = Flooding.request ~hop_bound:t.cfg.Config.hop_bound ~src ~dst ~floor () in
   let rejected reason =
     Metrics.incr t.m_rejects;
-    Heavy.offer t.h_reject src;
-    Heavy.offer t.h_reject dst;
     if Obs.tracing t.obs then
       Obs.event t.obs
         (Trace.Reject
@@ -578,7 +569,7 @@ let admit ?(want_indirect = true) ?(want_report = true) t ~src ~dst ~qos =
       t.next_id <- id + 1;
       add_live t ch;
       bump_elastic t ch 1;
-      offer_churn t plinks;
+      add_churn t plinks;
       Metrics.observe_hwm t.live_hwm (float_of_int t.n_live);
       (* Freed extras and remaining spare are redistributed; the new
          channel participates too. *)
@@ -628,7 +619,7 @@ let terminate ?(report = true) t handle =
   unregister_backup_links t ch;
   remove_live t ch;
   add_dirty_path t ch.primary;
-  offer_churn t ch.primary;
+  add_churn t ch.primary;
   maybe_redistribute t;
   Metrics.incr t.m_terminations;
   if Obs.tracing t.obs then Obs.event t.obs (Trace.Terminate { channel = ch.id });
@@ -961,13 +952,27 @@ let average_bandwidth t =
 
 let dropped_connections t = t.dropped
 
+(* One pass in link-id order keeps the [k] hottest links, coldest
+   first: a link displaces the coldest only with a strictly larger
+   count, so ties go to the lower id.  O(links * k). *)
 let hot_links t ~k =
-  List.map (fun (key, cnt, _err) -> (key, cnt)) (Heavy.top ~k t.h_churn)
-
-let absorb_heavy t =
-  let reg = Obs.heavy t.obs in
-  if Heavy.enabled reg then
-    Heavy.merge_sketch_into ~into:(Heavy.sketch reg "drcomm.link_churn") t.h_churn
+  let rec insert ((_, n) as x) = function
+    | ((_, m) as y) :: rest when m < n -> y :: insert x rest
+    | rest -> x :: rest
+  in
+  let top = ref [] and size = ref 0 in
+  Array.iteri
+    (fun dl n ->
+      if n > 0 then
+        match !top with
+        | (_, m) :: rest when !size >= k -> if n > m then top := insert (dl, n) rest
+        | coldest_first ->
+          if k > 0 then begin
+            top := insert (dl, n) coldest_first;
+            incr size
+          end)
+    t.churn_on_link;
+  List.rev !top
 
 (* Full audit: the per-channel checks of old, plus a from-scratch
    recomputation of every maintained aggregate (live index, histogram,

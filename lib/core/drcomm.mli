@@ -124,11 +124,8 @@ val create : ?config:Config.t -> ?obs:Obs.t -> Net_state.t -> t
 
     Telemetry beyond the counters: the high watermark
     [drcomm.live_hwm] (peak live connections, max-merged across
-    domains); a per-run link-churn heavy-hitter sketch behind
-    {!hot_links} (folded into the registry sketch [drcomm.link_churn]
-    by {!absorb_heavy}); and the registry sketch
-    [drcomm.reject_endpoints] counting the endpoints of rejected
-    requests. *)
+    domains) and the always-on per-link churn count behind
+    {!hot_links}. *)
 
 val net : t -> Net_state.t
 val config : t -> Config.t
@@ -305,17 +302,11 @@ val dropped_connections : t -> int
 (** Cumulative count of connections lost to failures. *)
 
 val hot_links : t -> k:int -> (Dirlink.id * int) list
-(** The [k] highest-churn directed links of this run as [(link,
-    estimated churn)] — one churn unit per link touched by an admission,
-    retreat/upgrade, or termination.  Estimates come from a space-saving
-    sketch ({!Heavy}): deterministic for equal runs, possibly
-    over-counting by at most the sketch error.  [[]] when the context's
-    heavy-hitter registry is disabled. *)
-
-val absorb_heavy : t -> unit
-(** Fold the per-run churn sketch into the obs registry's
-    [drcomm.link_churn] sketch.  {!Scenario.run} calls this at the end
-    of a run; no-op when the registry is disabled. *)
+(** The [k] highest-churn directed links of this service as [(link,
+    churn)], hottest first, ties to the lower link id.  Churn is an
+    exact count: one unit per link touched by each admission, upgrade,
+    retreat or termination.  Links never touched are left out.
+    O(links * k) per call. *)
 
 val check_invariants : t -> unit
 (** Full consistency audit: per-link accounting, level/reservation

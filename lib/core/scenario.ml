@@ -368,7 +368,6 @@ let run ?obs ?snapshot (cfg : config) =
       ignore (Engine.run engine));
   probe_tick probe service ~now:(Engine.now engine) ~qos:cfg.qos;
   Drcomm.check_invariants service;
-  Drcomm.absorb_heavy service;
   let model_avg =
     Obs.span obs "solve" (fun () ->
         let params =

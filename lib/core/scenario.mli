@@ -89,9 +89,8 @@ val run : ?obs:Obs.t -> ?snapshot:Snapshot.t -> config -> result
     its event-time cadence fires on deterministic simulation-time
     boundaries (see {!Engine.on_heartbeat}) reading live/level counts,
     queue footprint, hottest links and counter deltas; its optional
-    wall-clock cadence adds throughput/GC heartbeats.  The service's
-    churn sketch is folded into the obs heavy-hitter registry
-    ({!Drcomm.absorb_heavy}) before returning. *)
+    wall-clock cadence adds throughput/GC heartbeats.  The hottest links
+    are the run's exact per-link churn counts ({!Drcomm.hot_links}). *)
 
 (** Aggregate over independent replications (different seeds — fresh
     topology instance and workload each). *)

@@ -99,7 +99,6 @@ let r7_exempt =
     "Trace";
     "Span";
     "Stats";
-    "Heavy";
     "Flight";
     "Snapshot";
     "Reqtrace";

@@ -2,7 +2,6 @@ type t = {
   metrics : Metrics.t;
   trace : Trace.t;
   spans : Span.t;
-  heavy : Heavy.t;
   flight : Flight.t;
   mutable flight_dump : string option;
   mutable flight_dumped : bool;
@@ -16,7 +15,6 @@ let null =
     metrics = Metrics.disabled;
     trace = Trace.disabled;
     spans = Span.disabled;
-    heavy = Heavy.disabled;
     flight = Flight.disabled;
     flight_dump = None;
     flight_dumped = false;
@@ -24,13 +22,11 @@ let null =
   }
 
 let create ?(metrics = Metrics.disabled) ?(trace = Trace.disabled)
-    ?(spans = Span.disabled) ?(heavy = Heavy.disabled)
-    ?(flight = Flight.disabled) () =
+    ?(spans = Span.disabled) ?(flight = Flight.disabled) () =
   {
     metrics;
     trace;
     spans;
-    heavy;
     flight;
     flight_dump = None;
     flight_dumped = false;
@@ -40,12 +36,11 @@ let create ?(metrics = Metrics.disabled) ?(trace = Trace.disabled)
 let metrics t = t.metrics
 let trace t = t.trace
 let spans t = t.spans
-let heavy t = t.heavy
 let flight t = t.flight
 
 let enabled t =
   Metrics.enabled t.metrics || Trace.enabled t.trace || Span.enabled t.spans
-  || Heavy.enabled t.heavy || Flight.enabled t.flight
+  || Flight.enabled t.flight
 
 (* The flight recorder consumes the same events as the tracer, so call
    sites guarding event construction with [tracing] feed it even when
@@ -68,20 +63,17 @@ let fork t =
     if Metrics.enabled t.metrics then Metrics.create () else Metrics.disabled
   in
   let spans = if Span.enabled t.spans then Span.create () else Span.disabled in
-  let heavy = if Heavy.enabled t.heavy then Heavy.create () else Heavy.disabled in
-  create ~metrics ~spans ~heavy ()
+  create ~metrics ~spans ()
 
 let absorb ~into worker =
   if worker != into then begin
     Metrics.merge_into ~into:into.metrics worker.metrics;
-    Span.merge_into ~into:into.spans worker.spans;
-    Heavy.merge_into ~into:into.heavy worker.heavy
+    Span.merge_into ~into:into.spans worker.spans
   end
 
 let counter t name = Metrics.counter t.metrics name
 let gauge t name = Metrics.gauge t.metrics name
 let timer t name = Metrics.timer t.metrics name
-let heavy_sketch ?capacity t name = Heavy.sketch ?capacity t.heavy name
 
 let event t ev =
   if Trace.enabled t.trace then Trace.emit t.trace ~time:(t.clock ()) ev;

@@ -1,6 +1,6 @@
 (** The observability context: a {!Metrics} registry, a {!Trace} tracer,
-    a {!Heavy} heavy-hitter registry, a {!Flight} recorder, and a
-    simulation clock, bundled so instrumented components take one value.
+    a {!Span} profiler, a {!Flight} recorder, and a simulation clock,
+    bundled so instrumented components take one value.
 
     Components accept [?obs] at creation and default to the process-wide
     {!default} (initially {!null}, so nothing is recorded until an
@@ -18,7 +18,6 @@ val create :
   ?metrics:Metrics.t ->
   ?trace:Trace.t ->
   ?spans:Span.t ->
-  ?heavy:Heavy.t ->
   ?flight:Flight.t ->
   unit ->
   t
@@ -27,12 +26,11 @@ val create :
 val metrics : t -> Metrics.t
 val trace : t -> Trace.t
 val spans : t -> Span.t
-val heavy : t -> Heavy.t
 val flight : t -> Flight.t
 
 val enabled : t -> bool
-(** True when any component — metrics, tracer, profiler, heavy-hitter
-    registry, or flight recorder — is live. *)
+(** True when any component — metrics, tracer, profiler or flight
+    recorder — is live. *)
 
 val tracing : t -> bool
 (** True when the tracer {e or the flight recorder} is live — guard
@@ -56,24 +54,19 @@ val set_default : t -> unit
     until the merge at join time. *)
 
 val fork : t -> t
-(** A worker-private context mirroring [t]: fresh metrics, span and
-    heavy-hitter components (each enabled iff [t]'s is), no tracer or
-    flight recorder (traces do not cross domains), an independent
-    clock. *)
+(** A worker-private context mirroring [t]: fresh metrics and span
+    components (each enabled iff [t]'s is), no tracer or flight recorder
+    (traces do not cross domains), an independent clock. *)
 
 val absorb : into:t -> t -> unit
-(** Merge a {!fork}ed worker's metrics, span and heavy-hitter aggregates
-    back into [into] ({!Metrics.merge_into}, {!Span.merge_into},
-    {!Heavy.merge_into}); call it after joining the worker's domain.  A
-    no-op when the two contexts are the same. *)
+(** Merge a {!fork}ed worker's metrics and span aggregates back into
+    [into] ({!Metrics.merge_into}, {!Span.merge_into}); call it after
+    joining the worker's domain.  A no-op when the two contexts are the
+    same. *)
 
 val counter : t -> string -> Metrics.counter
 val gauge : t -> string -> Metrics.gauge
 val timer : t -> string -> Metrics.timer
-
-val heavy_sketch : ?capacity:int -> t -> string -> Heavy.sketch
-(** Intern a named sketch in the context's heavy-hitter registry
-    ({!Heavy.sketch}). *)
 
 val event : t -> Trace.event -> unit
 (** Emit at the current clock to the trace sink (when tracing) and the

@@ -56,7 +56,6 @@ type t = {
   obs : Obs.t;
   stage_timers : Metrics.timer array; (* indexed by stage_index *)
   total_timer : Metrics.timer;
-  slow : Heavy.sketch;
   slo : float option;
   on_exemplar : exemplar -> unit;
   mutable good : int;
@@ -73,7 +72,6 @@ let create ?slo ?(on_exemplar = fun _ -> ()) obs =
       Array.of_list
         (List.map (fun st -> Obs.timer obs (timer_name st)) all_stages);
     total_timer = Obs.timer obs "req.total";
-    slow = Obs.heavy_sketch obs "req.slow_verbs";
     slo;
     on_exemplar;
     good = 0;
@@ -84,18 +82,14 @@ let slo_counts t = (t.good, t.bad)
 let slo_threshold t = t.slo
 
 (* One completed request: feed the mergeable per-stage log-bucket
-   timers, the slowest-verb sketch (weighted by microseconds, so [top]
-   ranks verbs by where the latency mass lives, not call counts), the
-   SLO counters, and — when tracing — the [Req_begin]/[Req_stage]*/
-   [Req_end] trio, emitted together at completion so one request's
-   records never interleave with another connection's. *)
-let observe t ~rid ~verb ~verb_index ~ok ~stages ~total_s =
+   timers, the SLO counters, and — when tracing — the [Req_begin]/
+   [Req_stage]*/[Req_end] trio, emitted together at completion so one
+   request's records never interleave with another connection's. *)
+let observe t ~rid ~verb ~ok ~stages ~total_s =
   List.iter
     (fun (st, s) -> Metrics.observe t.stage_timers.(stage_index st) s)
     stages;
   Metrics.observe t.total_timer total_s;
-  if Heavy.sketch_enabled t.slow then
-    Heavy.offer ~by:(max 1 (int_of_float (total_s *. 1e6))) t.slow verb_index;
   if Obs.tracing t.obs then begin
     Obs.event t.obs (Trace.Req_begin { rid; verb });
     List.iter

@@ -1,8 +1,7 @@
 (** Request-scoped tracing for the serving plane: a propagatable trace
     context, a closed per-request stage taxonomy, and a recorder that
-    turns one completed request into mergeable per-stage timers, a
-    slowest-verb sketch, SLO good/bad counts, and [Req_*] trace events
-    (DESIGN.md §15).
+    turns one completed request into mergeable per-stage timers, SLO
+    good/bad counts, and [Req_*] trace events (DESIGN.md §15).
 
     The context travels on the wire as an optional [trace] field of the
     request line; the server decomposes every request — traced or not —
@@ -57,8 +56,7 @@ type t
 
 val create : ?slo:float -> ?on_exemplar:(exemplar -> unit) -> Obs.t -> t
 (** A recorder over [obs]: per-stage timers [req.<stage>] + [req.total]
-    in its metrics registry, the [req.slow_verbs] sketch in its
-    heavy-hitter registry, trace events through its tracer.  [slo]
+    in its metrics registry, trace events through its tracer.  [slo]
     (seconds, positive — raises [Invalid_argument] otherwise) arms SLO
     counting: requests at or under the threshold count good, the rest
     bad and are handed to [on_exemplar] (default: dropped).  Without
@@ -68,15 +66,13 @@ val observe :
   t ->
   rid:int ->
   verb:string ->
-  verb_index:int ->
   ok:bool ->
   stages:(stage * float) list ->
   total_s:float ->
   unit
-(** Record one completed request.  [total_s] should be the stage sum;
-    [verb_index] is the verb's small-int key for the sketch.  Emits the
-    [Req_begin]/[Req_stage]*/[Req_end] trio when the context is
-    tracing. *)
+(** Record one completed request.  [total_s] should be the stage sum.
+    Emits the [Req_begin]/[Req_stage]*/[Req_end] trio when the context
+    is tracing. *)
 
 val slo_counts : t -> int * int
 (** Cumulative [(good, bad)] — a {!Snapshot.source}'s [slo] accessor. *)

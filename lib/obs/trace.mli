@@ -25,8 +25,8 @@ type snapshot = {
   peak_live : int;  (** high watermark of sampled [live]. *)
   peak_queue : int;  (** high watermark of sampled [queue]. *)
   hot : (int * int) list;
-      (** hottest links as [(link, churn count)] from the service's
-          heavy-hitter sketch, hottest first. *)
+      (** hottest links as [(link, churn count)], the service's exact
+          per-link counts, hottest first. *)
   counters : (string * int) list;
       (** metrics-registry counter deltas since the previous snapshot,
           name-sorted, zero deltas omitted. *)

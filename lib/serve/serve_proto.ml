@@ -81,51 +81,20 @@ let qos_of_json doc =
 (* ------------------------------------------------------------------ *)
 (* Requests                                                            *)
 
-(* The wire verbs in the order of the [request] type, then the
-   pseudo-verb the server charges undecodable lines to.  A verb's
-   position is its small-int key for the [req.slow_verbs] heavy-hitter
-   sketch (its keys are ints). *)
-let verbs =
-  [
-    "admit";
-    "teardown";
-    "chqos";
-    "fail";
-    "repair";
-    "auto";
-    "redistribute";
-    "stats";
-    "snapshot";
-    "metrics";
-    "subscribe";
-    "ping";
-    "shutdown";
-    "undecodable";
-  ]
-
-let request_index = function
-  | Admit _ -> 0
-  | Teardown _ -> 1
-  | Change_qos _ -> 2
-  | Fail _ -> 3
-  | Repair _ -> 4
-  | Set_auto _ -> 5
-  | Redistribute -> 6
-  | Stats -> 7
-  | Snapshot -> 8
-  | Metrics -> 9
-  | Subscribe _ -> 10
-  | Ping -> 11
-  | Shutdown -> 12
-
-let undecodable_index = 13
-
-let verb_of_index i =
-  match if i < 0 then None else List.nth_opt verbs i with
-  | Some verb -> verb
-  | None -> Printf.sprintf "verb#%d" i
-
-let request_verb req = verb_of_index (request_index req)
+let request_verb = function
+  | Admit _ -> "admit"
+  | Teardown _ -> "teardown"
+  | Change_qos _ -> "chqos"
+  | Fail _ -> "fail"
+  | Repair _ -> "repair"
+  | Set_auto _ -> "auto"
+  | Redistribute -> "redistribute"
+  | Stats -> "stats"
+  | Snapshot -> "snapshot"
+  | Metrics -> "metrics"
+  | Subscribe _ -> "subscribe"
+  | Ping -> "ping"
+  | Shutdown -> "shutdown"
 
 let request_to_json ?trace ~id req =
   let fields =

@@ -90,20 +90,7 @@ val trace_ctx_of_json : Jsonx.t -> Reqtrace.ctx option
 
 val request_verb : request -> string
 (** The wire verb of a request — the same string its JSONL line's
-    ["req"] field carries; [verb_of_index (request_index req)]. *)
-
-val request_index : request -> int
-(** A dense small-int key per verb (order of the [request] type), for
-    int-keyed sketches; {!undecodable_index} extends it with the
-    pseudo-verb for undecodable lines. *)
-
-val verb_of_index : int -> string
-(** The verb at that position of the one verb list, so the inverse of
-    {!request_index} ∪ {!undecodable_index}; out-of-range indices print
-    as ["verb#N"]. *)
-
-val undecodable_index : int
-(** The pseudo-verb index the server charges undecodable lines to. *)
+    ["req"] field carries. *)
 
 val response_to_json : id:int -> response -> Jsonx.t
 val response_of_json : Jsonx.t -> (int * response, string) result

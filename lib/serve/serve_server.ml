@@ -31,11 +31,19 @@ type conn = {
    stream past it is refused rather than buffered without bound. *)
 let max_line_bytes = 1 lsl 20
 
+(* [select] cannot watch an fd at or above FD_SETSIZE (1024).  The cap
+   on live connections leaves room below it for the daemon's own fds:
+   the standard streams, the listener, the trace file. *)
+let max_connections = 1000
+
+let listen_backlog = 64
+
 type state = {
   listen_fd : Unix.file_descr;
   broker : Serve_broker.t;
   reqtrace : Reqtrace.t;
   c_reaped : Metrics.counter;
+  c_refused : Metrics.counter;
   c_undecodable : Metrics.counter;
   max_pending : int;  (* per-connection output backlog cap, bytes *)
   mutable anon_rids : int; (* server-assigned rids for untraced requests *)
@@ -49,13 +57,13 @@ let unlink_quietly path =
   | () -> ()
   | exception Unix.Unix_error (_, _, _) -> ()
 
-let bind_listener ?(backlog = 64) (addr : address) =
+let bind_listener (addr : address) =
   match addr with
   | `Unix path ->
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     unlink_quietly path;
     Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd backlog;
+    Unix.listen fd listen_backlog;
     fd
   | `Tcp (host, port) ->
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -65,7 +73,7 @@ let bind_listener ?(backlog = 64) (addr : address) =
       else Unix.inet_addr_of_string host
     in
     Unix.bind fd (Unix.ADDR_INET (ip, port));
-    Unix.listen fd backlog;
+    Unix.listen fd listen_backlog;
     fd
 
 (* Queue one framed line for [conn].  The dispatch path never touches
@@ -166,7 +174,7 @@ let connection_response t conn (req : Serve_proto.request) =
   | Serve_proto.Metrics | Serve_proto.Ping ->
     None
 
-let record_request t ~ctx ~verb ~verb_index ~ok ~queue_s ~parse_s ~service_s
+let record_request t ~ctx ~verb ~ok ~queue_s ~parse_s ~service_s
     ~redist_s ~write_s =
   let rid =
     match ctx with
@@ -187,7 +195,7 @@ let record_request t ~ctx ~verb ~verb_index ~ok ~queue_s ~parse_s ~service_s
     ]
   in
   let total_s = queue_s +. parse_s +. service_s +. redist_s +. write_s in
-  Reqtrace.observe t.reqtrace ~rid ~verb ~verb_index ~ok ~stages ~total_s
+  Reqtrace.observe t.reqtrace ~rid ~verb ~ok ~stages ~total_s
 
 (* One request line, decomposed into the five-stage anatomy on the
    monotonic clock: queue (readable -> here), parse, service (broker
@@ -216,9 +224,8 @@ let handle_line t conn line =
       send_json conn
         (Serve_proto.response_to_json ~id:0 (Serve_proto.Error_reply { message }));
       let write_s = Float.max 0. (Clock.now () -. t_w0) in
-      record_request t ~ctx:None ~verb:"undecodable"
-        ~verb_index:Serve_proto.undecodable_index ~ok:false ~queue_s ~parse_s
-        ~service_s:0. ~redist_s:0. ~write_s
+      record_request t ~ctx:None ~verb:"undecodable" ~ok:false ~queue_s
+        ~parse_s ~service_s:0. ~redist_s:0. ~write_s
     | Ok (id, req, ctx) ->
       let resp, service_s, redist_s =
         match connection_response t conn req with
@@ -231,9 +238,8 @@ let handle_line t conn line =
       let t_w0 = Clock.now () in
       send_json conn (Serve_proto.response_to_json ~id resp);
       let write_s = Float.max 0. (Clock.now () -. t_w0) in
-      record_request t ~ctx ~verb:(Serve_proto.request_verb req)
-        ~verb_index:(Serve_proto.request_index req) ~ok ~queue_s ~parse_s
-        ~service_s ~redist_s ~write_s
+      record_request t ~ctx ~verb:(Serve_proto.request_verb req) ~ok
+        ~queue_s ~parse_s ~service_s ~redist_s ~write_s
   end
 
 (* A partial line past [max_line_bytes]: one id-0 error reply naming
@@ -287,8 +293,33 @@ let peer_name fd =
     Printf.sprintf "%s:%d" (Unix.string_of_inet_addr ip) port
   | exception Unix.Unix_error (_, _, _) -> "client"
 
+(* A connection past [max_connections]: one id-0 error reply naming the
+   cap, then closed at once.  A fresh socket's send buffer is empty, so
+   the short non-blocking write goes out whole. *)
+let refuse_conn t fd =
+  Metrics.incr t.c_refused;
+  let message =
+    Printf.sprintf "connection limit of %d reached; closing the connection"
+      max_connections
+  in
+  let line =
+    Jsonx.to_string
+      (Serve_proto.response_to_json ~id:0 (Serve_proto.Error_reply { message }))
+    ^ "\n"
+  in
+  (try
+     Unix.set_nonblock fd;
+     ignore (Unix.write_substring fd line 0 (String.length line))
+   with Unix.Unix_error (_, _, _) -> ());
+  t.log (Printf.sprintf "serve: %s refused: %s" (peer_name fd) message);
+  match Unix.close fd with
+  | () -> ()
+  | exception Unix.Unix_error (_, _, _) -> ()
+
 let accept_conn t =
   match Unix.accept t.listen_fd with
+  | fd, _ when List.compare_length_with t.conns max_connections >= 0 ->
+    refuse_conn t fd
   | fd, _ ->
     Unix.set_nonblock fd;
     let conn =
@@ -313,7 +344,7 @@ let accept_conn t =
       Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
     ()
 
-let run ?config ?(wall_every = 1.0) ?backlog ?slo ?trace_file ?slow_dir
+let run ?config ?(wall_every = 1.0) ?slo ?trace_file ?slow_dir
     ?(max_pending_bytes = 4 * 1024 * 1024) ?(log = ignore) (addr : address) net
     =
   if max_pending_bytes <= 0 then
@@ -333,7 +364,7 @@ let run ?config ?(wall_every = 1.0) ?backlog ?slo ?trace_file ?slow_dir
     | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ()));
   let trace_oc = Option.map open_out trace_file in
   let listen_fd =
-    match bind_listener ?backlog addr with
+    match bind_listener addr with
     | fd -> fd
     | exception e ->
       Option.iter close_out trace_oc;
@@ -395,6 +426,7 @@ let run ?config ?(wall_every = 1.0) ?backlog ?slo ?trace_file ?slow_dir
       broker;
       reqtrace;
       c_reaped = Obs.counter obs "serve.reaped";
+      c_refused = Obs.counter obs "serve.refused";
       c_undecodable = Obs.counter obs "serve.undecodable";
       max_pending = max_pending_bytes;
       anon_rids = 0;

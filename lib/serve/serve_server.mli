@@ -20,7 +20,9 @@
     bounded too: a connection whose unterminated line passes 1 MiB gets
     one id-0 error reply naming the cap (counted in
     [serve.undecodable]), is read no further, and closes once the reply
-    is flushed.
+    is flushed.  So is the connection count: a connection accepted while
+    {!max_connections} are live gets one id-0 error reply naming that
+    cap and is closed at once (counted in [serve.refused]).
 
     The server builds its own observability context: a live metrics
     registry (served by the [metrics] request) and a tracer whose sink
@@ -29,12 +31,17 @@
 
 type address = [ `Unix of string | `Tcp of string * int ]
 (** [`Unix path] is unlinked (if stale) before binding and again on
-    shutdown.  [`Tcp (host, port)] binds with [SO_REUSEADDR]. *)
+    shutdown.  [`Tcp (host, port)] binds with [SO_REUSEADDR]; both
+    listen with a backlog of 64. *)
+
+val max_connections : int
+(** The live-connection cap, 1000: [select] cannot watch an fd at or
+    above [FD_SETSIZE] (1024), and the cap leaves room below it for the
+    daemon's own fds. *)
 
 val run :
   ?config:Drcomm.Config.t ->
   ?wall_every:float ->
-  ?backlog:int ->
   ?slo:float ->
   ?trace_file:string ->
   ?slow_dir:string ->
@@ -57,10 +64,10 @@ val run :
     {b Request tracing} (DESIGN.md §15).  Every request — decodable or
     not — is decomposed into queue/parse/service/redistribute/write
     stage durations on the monotonic clock and fed to a {!Reqtrace}
-    recorder: per-stage [req.*] timers in the metrics registry, the
-    [req.slow_verbs] sketch, and [Req_begin]/[Req_stage]/[Req_end]
-    trace events for subscribers.  [trace_file] tees the full trace
-    stream to a JSONL file (closed on shutdown).  [slo] (seconds) arms
+    recorder: per-stage [req.*] timers in the metrics registry and
+    [Req_begin]/[Req_stage]/[Req_end] trace events for subscribers.
+    [trace_file] tees the full trace stream to a JSONL file (closed on
+    shutdown).  [slo] (seconds) arms
     SLO counting — good/bad totals and a rolling burn rate ride the
     snapshot heartbeats — and emits a [slow_request] note per miss;
     with [slow_dir] (created if missing) the first few misses also dump

@@ -49,7 +49,6 @@ type t = {
   m_delivered : Metrics.counter;
   m_missed : Metrics.counter;
   m_skipped : Metrics.counter;
-  h_util : Heavy.sketch;
 }
 
 let create ?(propagation_delay = 0.) ?obs engine graph ~rate_of =
@@ -70,7 +69,6 @@ let create ?(propagation_delay = 0.) ?obs engine graph ~rate_of =
     m_delivered = Obs.counter obs "netsim.packets_delivered";
     m_missed = Obs.counter obs "netsim.deadline_misses";
     m_skipped = Obs.counter obs "netsim.packets_skipped";
-    h_util = Obs.heavy_sketch obs "netsim.link_util";
   }
 
 let insert_by_deadline p queue =
@@ -108,9 +106,6 @@ let rec start_service t dl =
     s.busy <- true;
     let tx = float_of_int p.size_bits /. (float_of_int s.rate *. 1000.) in
     s.busy_time <- s.busy_time +. tx;
-    (* Bit-weighted, so the top-k ranks links by carried traffic, not
-       packet count. *)
-    Heavy.offer ~by:p.size_bits t.h_util dl;
     ignore
       (Engine.schedule t.engine ~delay:tx (fun _ ->
            let now = Engine.now t.engine in

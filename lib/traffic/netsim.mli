@@ -19,9 +19,7 @@ val create : ?propagation_delay:float -> ?obs:Obs.t -> Engine.t -> Graph.t ->
     (seconds per hop, default 0) is added after each transmission.
     [obs] (default {!Obs.default}) receives the counters
     [netsim.packets_sent], [netsim.packets_delivered],
-    [netsim.deadline_misses] and [netsim.packets_skipped], plus the
-    heavy-hitter sketch [netsim.link_util] ranking directed links by
-    transmitted bits. *)
+    [netsim.deadline_misses] and [netsim.packets_skipped]. *)
 
 val add_flow :
   t ->

@@ -39,7 +39,7 @@ diff "$tmpdir/verify-bench-j1/fig2.dat" "$tmpdir/verify-bench-j2/fig2.dat" || {
 
 step "telemetry determinism: heartbeat stream byte-identical across --jobs"
 # Snapshot contents are purely sim-derived (event-time ticks, zero-
-# suppressed counter deltas, per-run churn sketches), so the
+# suppressed counter deltas, per-run link churn counts), so the
 # concatenated stream must not depend on the worker-pool width.
 cmp "$tmpdir/verify-bench-j1/fig2.heartbeat.jsonl" \
   "$tmpdir/verify-bench-j2/fig2.heartbeat.jsonl" || {
@@ -55,10 +55,12 @@ test -s "$tmpdir/verify-bench-j1/fig2.hb.dat" || {
   echo "FAIL: heartbeat replay wrote no fig2.hb.dat ops series" >&2
   exit 1
 }
-# The dashboard reads the same stream through Analysis.snapshots.
+# The dashboard reads the same stream through Analysis.snapshots; it is
+# the one consumer of the link churn counts, so their line must show.
 dune exec bin/drqos_cli.exe -- top "$tmpdir/verify-bench-j1/fig2.heartbeat.jsonl" \
-  > "$tmpdir/top.txt" && grep -q 'live by level' "$tmpdir/top.txt" || {
-  echo "FAIL: drqos_cli top could not render fig2.heartbeat.jsonl" >&2
+  > "$tmpdir/top.txt" && grep -q 'live by level' "$tmpdir/top.txt" &&
+  grep -q 'hottest links' "$tmpdir/top.txt" || {
+  echo "FAIL: drqos_cli top could not render fig2.heartbeat.jsonl and its hottest links" >&2
   exit 1
 }
 

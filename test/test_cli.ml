@@ -375,6 +375,119 @@ let test_latency_errors () =
   Alcotest.(check int) "unreadable file exits 1" 1
     (exit_of (cli ^ " latency /no/such/trace.jsonl"))
 
+(* --- drqos_cli serve: connection cap --- *)
+
+(* One line from a blocking socket, byte at a time so a thousand open
+   sockets carry no channel buffers; [None] at EOF. *)
+let read_line fd =
+  let buf = Buffer.create 128 and byte = Bytes.create 1 in
+  let rec go () =
+    match Unix.read fd byte 0 1 with
+    | 0 -> if Buffer.length buf = 0 then None else Some (Buffer.contents buf)
+    | _ when Bytes.get byte 0 = '\n' -> Some (Buffer.contents buf)
+    | _ ->
+      Buffer.add_char buf (Bytes.get byte 0);
+      go ()
+  in
+  go ()
+
+(* A raw client socket.  Blocking connects wait while the listen backlog
+   is full; EAGAIN is retried after a pause.  Reads time out, so a
+   daemon that never answers fails the test instead of hanging it. *)
+let dial path =
+  let rec go tries =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 20.;
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () -> fd
+    | exception Unix.Unix_error (Unix.EAGAIN, _, _) when tries > 0 ->
+      Unix.close fd;
+      Unix.sleepf 0.01;
+      go (tries - 1)
+    | exception e ->
+      Unix.close fd;
+      raise e
+  in
+  go 500
+
+(* Poll for the daemon's exit code, bounded. *)
+let wait_exit pid =
+  let rec go tries =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when tries > 0 ->
+      Unix.sleepf 0.05;
+      go (tries - 1)
+    | 0, _ -> None
+    | _, Unix.WEXITED code -> Some code
+    | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> Some (-1)
+  in
+  go 600
+
+(* Regression: select cannot watch an fd at or above FD_SETSIZE, so the
+   daemon died (EINVAL from select, exit 125) near its 1024th fd.  It
+   must run as a subprocess: in process, the test's own client fds
+   would push the daemon's fds past 1024 long before any cap. *)
+let test_serve_connection_cap () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let cap = Serve_server.max_connections in
+  let sock = Filename.temp_file "drqos_cap" ".sock" in
+  Sys.remove sock;
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Unix.create_process cli [| cli; "serve"; "--socket"; sock |] devnull devnull
+      devnull
+  in
+  Unix.close devnull;
+  let exit_code = ref None and raw = ref [] and first = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !raw;
+      Option.iter Serve_client.close !first;
+      if !exit_code = None then begin
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid)
+      end;
+      if Sys.file_exists sock then Sys.remove sock)
+  @@ fun () ->
+  let c = Serve_client.connect ~retries:200 (`Unix sock) in
+  first := Some c;
+  for _ = 2 to cap + 100 do
+    raw := dial sock :: !raw
+  done;
+  (* Connections are accepted in connect order, so the last 100 are the
+     ones past the cap. *)
+  let refusals =
+    List.filteri (fun i _ -> i < 100) !raw
+    |> List.map (fun fd ->
+           let line = read_line fd in
+           Alcotest.(check (option string)) "then EOF" None (read_line fd);
+           line)
+  in
+  (match List.sort_uniq compare refusals with
+  | [ Some line ] -> (
+    match Serve_proto.response_of_json (Jsonx.of_string line) with
+    | Ok (0, Serve_proto.Error_reply { message }) ->
+      Alcotest.(check bool) "the refusal names the cap" true
+        (mentions (string_of_int cap) message)
+    | _ -> Alcotest.fail "past the cap: not an id-0 error reply")
+  | _ -> Alcotest.fail "past the cap: not one identical reply each");
+  (match Serve_client.request c Serve_proto.Ping with
+  | Serve_proto.Pong -> ()
+  | _ -> Alcotest.fail "ping on the first connection");
+  (match Serve_client.request c Serve_proto.Metrics with
+  | Serve_proto.Metrics_reply doc ->
+    Alcotest.(check (option int)) "serve.refused" (Some 100)
+      (Option.bind
+         (Option.bind (Jsonx.member "counters" doc)
+            (Jsonx.member "serve.refused"))
+         Jsonx.to_int)
+  | _ -> Alcotest.fail "metrics request failed");
+  (match Serve_client.request c Serve_proto.Shutdown with
+  | Serve_proto.Shutting_down -> ()
+  | _ -> Alcotest.fail "shutdown not acknowledged");
+  exit_code := wait_exit pid;
+  Alcotest.(check (option int)) "daemon exits 0" (Some 0) !exit_code
+
 (* --- drqos_cli perfdiff --- *)
 
 let baseline name = Filename.concat "../bench/baselines" ("BENCH_" ^ name ^ ".json")
@@ -451,6 +564,11 @@ let () =
           Alcotest.test_case "--check gates on consistency" `Quick
             test_latency_check_gate;
           Alcotest.test_case "error exit codes" `Quick test_latency_errors;
+        ] );
+      ( "serve",
+        [
+          Alcotest.test_case "connections past the cap are refused" `Quick
+            test_serve_connection_cap;
         ] );
       ( "perfdiff",
         [

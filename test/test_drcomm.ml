@@ -1030,6 +1030,78 @@ let test_admit_major_words () =
   if per_admit > 400. then
     Alcotest.failf "%.0f major words per admit (bound 400)" per_admit
 
+(* --- Link churn --- *)
+
+(* [hot_links] is an exact count that is always on.  The service under
+   test runs on the default (null) context; a traced twin replays the
+   same operations, and its trace gives the expected counts without
+   Drcomm's own counter: one unit per primary link of the channel named
+   by each Admit, Upgrade, Retreat and Terminate event. *)
+let test_hot_links_exact () =
+  let ops t =
+    let primaries = Hashtbl.create 8 in
+    let admit ~src ~dst =
+      let id, _ = admit_ok t ~src ~dst ~qos:qos5 in
+      Hashtbl.replace primaries (Drcomm.Channel_id.to_int id)
+        (Drcomm.primary_links t id);
+      id
+    in
+    let a = admit ~src:0 ~dst:1 in
+    let b = admit ~src:0 ~dst:2 in
+    let c = admit ~src:1 ~dst:3 in
+    ignore
+      (Drcomm.change_qos t b (Qos.make ~b_min:200 ~b_max:600 ~increment:100 ()));
+    ignore (Drcomm.terminate t a);
+    ignore (admit ~src:2 ~dst:0);
+    ignore (Drcomm.terminate t c);
+    primaries
+  in
+  let graph () =
+    let g = Graph.create 4 in
+    List.iter
+      (fun (u, v) -> ignore (Graph.add_edge g u v))
+      [ (0, 1); (1, 2); (2, 3); (3, 0) ];
+    Net_state.create ~capacity:600 g
+  in
+  let service = Drcomm.create (graph ()) in
+  ignore (ops service);
+  let events = ref [] in
+  let sink =
+    { Trace.emit = (fun _ ev -> events := ev :: !events); close = ignore }
+  in
+  let twin =
+    Drcomm.create ~obs:(Obs.create ~trace:(Trace.create sink) ()) (graph ())
+  in
+  let primaries = ops twin in
+  let counts = Hashtbl.create 8 in
+  List.iter
+    (function
+      | Trace.Admit { channel; _ }
+      | Trace.Upgrade { channel; _ }
+      | Trace.Retreat { channel; _ }
+      | Trace.Terminate { channel } ->
+        List.iter
+          (fun dl ->
+            Hashtbl.replace counts dl
+              (1 + Option.value ~default:0 (Hashtbl.find_opt counts dl)))
+          (Hashtbl.find primaries channel)
+      | _ -> ())
+    !events;
+  let expected =
+    List.sort
+      (fun (a, na) (b, nb) -> if na <> nb then compare nb na else compare a b)
+      (Hashtbl.fold (fun dl n acc -> (dl, n) :: acc) counts [])
+  in
+  let pairs = Alcotest.(list (pair int int)) in
+  Alcotest.(check bool) "some links churned" true (List.length expected >= 3);
+  List.iter
+    (fun k ->
+      Alcotest.check pairs
+        (Printf.sprintf "hot_links ~k:%d" k)
+        (List.filteri (fun i _ -> i < k) expected)
+        (Drcomm.hot_links service ~k))
+    [ 1; 2; 3; 4; List.length expected; 100 ]
+
 let () =
   Alcotest.run "drcomm"
     [
@@ -1131,6 +1203,11 @@ let () =
           Alcotest.test_case "soak with two backups" `Quick test_soak_two_backups;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest qcheck_soak ]);
+      ( "churn",
+        [
+          Alcotest.test_case "hot links are exact counts" `Quick
+            test_hot_links_exact;
+        ] );
       ( "allocation",
         [
           Alcotest.test_case "admit major words on the scale transit-stub" `Quick

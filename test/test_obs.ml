@@ -591,113 +591,6 @@ let test_counter_values_sorted_and_disabled () =
     "disabled registry exposes nothing" []
     (Metrics.counter_values Metrics.disabled)
 
-(* --- Heavy-hitter sketches --- *)
-
-(* A deterministic skewed stream: key k with true frequency freq(k). *)
-let heavy_stream =
-  let freqs = [ (1, 500); (2, 240); (3, 120); (4, 60); (5, 30) ] in
-  let tail = List.init 40 (fun i -> (100 + i, 3)) in
-  freqs @ tail
-
-let offer_stream sk =
-  (* Interleave round-robin so the tail keys contend with the heavy
-     ones, exercising eviction rather than insertion order. *)
-  let remaining = ref (List.map (fun (k, n) -> (k, ref n)) heavy_stream) in
-  while !remaining <> [] do
-    remaining :=
-      List.filter
-        (fun (k, n) ->
-          if !n > 0 then begin
-            Heavy.offer sk k;
-            decr n
-          end;
-          !n > 0)
-        !remaining
-  done
-
-let test_heavy_error_bound () =
-  let sk = Heavy.standalone ~capacity:16 ~enabled:true () in
-  offer_stream sk;
-  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 heavy_stream in
-  Alcotest.(check int) "total is exact" total (Heavy.total sk);
-  Alcotest.(check bool) "tracked bounded by capacity" true
-    (Heavy.tracked sk <= Heavy.capacity sk);
-  let bound = total / Heavy.capacity sk in
-  List.iter
-    (fun (key, cnt, err) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "key %d error within total/capacity" key)
-        true (err <= bound);
-      match List.assoc_opt key heavy_stream with
-      | None -> ()
-      | Some truth ->
-        Alcotest.(check bool)
-          (Printf.sprintf "key %d: true <= est <= true + err" key)
-          true
-          (truth <= cnt && cnt <= truth + err))
-    (Heavy.top sk);
-  (* Every key with true frequency above total/capacity must be tracked,
-     with its estimate sandwiched by the space-saving guarantee. *)
-  List.iter
-    (fun (key, truth) ->
-      if truth > bound then
-        match Heavy.estimate sk key with
-        | None ->
-          Alcotest.failf "heavy key %d (freq %d > %d) not tracked" key truth
-            bound
-        | Some (cnt, err) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "estimate of %d sandwiched" key)
-            true
-            (cnt - err <= truth && truth <= cnt))
-    heavy_stream;
-  (* The heaviest key wins the top-1 slot outright. *)
-  match Heavy.top ~k:1 sk with
-  | [ (key, _, _) ] -> Alcotest.(check int) "top-1 is the heaviest key" 1 key
-  | l -> Alcotest.failf "top ~k:1 returned %d entries" (List.length l)
-
-let test_heavy_merge_associative () =
-  (* Three streams whose key union fits the capacity: merging is an
-     exact sum, so both association orders agree exactly. *)
-  let mk offers =
-    let sk = Heavy.standalone ~capacity:16 ~enabled:true () in
-    List.iter (fun (k, n) -> Heavy.offer ~by:n sk k) offers;
-    sk
-  in
-  let sa = [ (1, 10); (2, 5) ]
-  and sb = [ (2, 7); (3, 2) ]
-  and sc = [ (3, 4); (4, 1) ] in
-  (* (a ⊕ b) ⊕ c *)
-  let left = mk sa in
-  let b1 = mk sb in
-  Heavy.merge_sketch_into ~into:left b1;
-  Heavy.merge_sketch_into ~into:left (mk sc);
-  (* a ⊕ (b ⊕ c) *)
-  let bc = mk sb in
-  Heavy.merge_sketch_into ~into:bc (mk sc);
-  let right = mk sa in
-  Heavy.merge_sketch_into ~into:right bc;
-  Alcotest.(check bool) "association orders agree" true
-    (Heavy.top left = Heavy.top right);
-  Alcotest.(check int) "merged total" (10 + 5 + 7 + 2 + 4 + 1)
-    (Heavy.total left);
-  Alcotest.(check bool) "exact sums below capacity"
-    true
-    (Heavy.top left
-    = [ (2, 12, 0); (1, 10, 0); (3, 6, 0); (4, 1, 0) ])
-
-let test_heavy_registry_merge () =
-  let a = Heavy.create () and b = Heavy.create () in
-  Heavy.offer ~by:3 (Heavy.sketch a "links") 7;
-  Heavy.offer ~by:2 (Heavy.sketch b "links") 7;
-  Heavy.offer (Heavy.sketch b "links") 9;
-  Heavy.merge_into ~into:a b;
-  Alcotest.(check bool) "same-named sketches folded" true
-    (Heavy.top (Heavy.sketch a "links") = [ (7, 5, 0); (9, 1, 0) ]);
-  Alcotest.(check bool) "disabled sketch never records" true
-    (Heavy.total (Heavy.sketch Heavy.disabled "links") = 0
-    && not (Heavy.sketch_enabled (Heavy.sketch Heavy.disabled "links")))
-
 (* --- Flight recorder --- *)
 
 let test_flight_wraparound () =
@@ -1116,18 +1009,17 @@ let test_reqtrace_observe_records () =
       close = (fun () -> ()) }
   in
   let obs =
-    Obs.create ~metrics:(Metrics.create ()) ~trace:(Trace.create sink)
-      ~heavy:(Heavy.create ()) ()
+    Obs.create ~metrics:(Metrics.create ()) ~trace:(Trace.create sink) ()
   in
   let exemplars = ref [] in
   let rt =
     Reqtrace.create ~slo:0.5 ~on_exemplar:(fun e -> exemplars := e :: !exemplars)
       obs
   in
-  Reqtrace.observe rt ~rid:7 ~verb:"admit" ~verb_index:0 ~ok:true
+  Reqtrace.observe rt ~rid:7 ~verb:"admit" ~ok:true
     ~stages:(stage_list [ 0.01; 0.02; 0.03; 0.04; 0.05 ])
     ~total_s:0.15;
-  Reqtrace.observe rt ~rid:8 ~verb:"chqos" ~verb_index:2 ~ok:false
+  Reqtrace.observe rt ~rid:8 ~verb:"chqos" ~ok:false
     ~stages:(stage_list [ 0.2; 0.1; 0.3; 0.2; 0.2 ])
     ~total_s:1.0;
   Alcotest.(check (pair int int)) "slo counts" (1, 1) (Reqtrace.slo_counts rt);
@@ -1191,7 +1083,7 @@ let test_reqtrace_slo_validation () =
     | exception Invalid_argument _ -> true
     | _ -> false);
   let rt = Reqtrace.create obs in
-  Reqtrace.observe rt ~rid:1 ~verb:"ping" ~verb_index:11 ~ok:true
+  Reqtrace.observe rt ~rid:1 ~verb:"ping" ~ok:true
     ~stages:(stage_list [ 0.; 0.; 0.; 0.; 0. ])
     ~total_s:0.;
   Alcotest.(check (pair int int)) "no slo, no counting" (0, 0)
@@ -1210,7 +1102,7 @@ let test_reqtrace_merges_exactly_across_forks () =
             let rt = Reqtrace.create fork in
             for i = 1 to per_fork do
               let s = float_of_int ((f * per_fork) + i) *. 1e-4 in
-              Reqtrace.observe rt ~rid:i ~verb:"admit" ~verb_index:0 ~ok:true
+              Reqtrace.observe rt ~rid:i ~verb:"admit" ~ok:true
                 ~stages:(stage_list [ s; s; s; s; s ])
                 ~total_s:(5. *. s)
             done;
@@ -1394,14 +1286,6 @@ let () =
             test_hwm_merge_order_independent;
           Alcotest.test_case "counter_values sorted / disabled" `Quick
             test_counter_values_sorted_and_disabled;
-        ] );
-      ( "heavy",
-        [
-          Alcotest.test_case "space-saving error bound" `Quick
-            test_heavy_error_bound;
-          Alcotest.test_case "merge is associative under capacity" `Quick
-            test_heavy_merge_associative;
-          Alcotest.test_case "registry merge" `Quick test_heavy_registry_merge;
         ] );
       ( "flight",
         [

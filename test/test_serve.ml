@@ -421,6 +421,25 @@ let test_broker_snapshot_and_metrics () =
     Alcotest.(check bool) "metrics doc has counters" true (counters <> None)
   | _ -> Alcotest.fail "metrics reply expected"
 
+(* The snapshot reply's hottest links are the service's exact churn
+   counts, not an empty list. *)
+let test_broker_snapshot_hot_links () =
+  let broker = Serve_broker.create (ring_net ()) in
+  List.iter
+    (fun (src, dst) -> ignore (admit_ok broker ~src ~dst))
+    [ (0, 1); (0, 2); (1, 3); (2, 3) ];
+  match Serve_broker.dispatch broker Serve_proto.Snapshot with
+  | Serve_proto.Snapshot_reply doc -> (
+    match Trace.of_json doc with
+    | Ok (_, Trace.Snapshot { hot; _ }) ->
+      Alcotest.(check bool) "hot is non-empty" true (hot <> []);
+      Alcotest.(check (list (pair int int)))
+        "hot is the service's churn count"
+        (Drcomm.hot_links (Serve_broker.service broker) ~k:5)
+        hot
+    | _ -> Alcotest.fail "snapshot reply is not a snapshot event")
+  | _ -> Alcotest.fail "snapshot reply expected"
+
 (* ------------------------------------------------------------------ *)
 (* Live socket session                                                 *)
 
@@ -754,27 +773,48 @@ let test_trace_field_roundtrip () =
   none {|{"id":1,"req":"ping","trace":{"rid":-1,"t_sched":0.5}}|};
   none {|{"id":1,"req":"ping","trace":7}|}
 
-let test_verb_index_bridge () =
+(* Decoding is total at the byte level: any line either fails to parse
+   with [Parse_error] or yields a document that the request and trace
+   decoders take without raising.  Inputs are arbitrary byte strings and
+   valid request lines with 1-4 bytes replaced. *)
+let qcheck_decode_total =
+  let open QCheck.Gen in
+  let mutated =
+    let* req = oneofl all_requests in
+    let* traced = bool in
+    let trace =
+      if traced then Some { Reqtrace.rid = 3; t_sched = 0.25 } else None
+    in
+    let line = Jsonx.to_string (Serve_proto.request_to_json ?trace ~id:7 req) in
+    let* n = int_range 1 4 in
+    let* edits =
+      list_repeat n (pair (int_bound (String.length line - 1)) char)
+    in
+    let b = Bytes.of_string line in
+    List.iter (fun (i, c) -> Bytes.set b i c) edits;
+    return (Bytes.to_string b)
+  in
+  let line = oneof [ string_size ~gen:char (int_bound 96); mutated ] in
+  QCheck.Test.make ~name:"byte-level decode totality" ~count:3000
+    (QCheck.make ~print:String.escaped line)
+    (fun line ->
+      match Jsonx.of_string line with
+      | exception Jsonx.Parse_error _ -> true
+      | doc ->
+        ignore (Serve_proto.request_of_json doc);
+        ignore (Serve_proto.trace_ctx_of_json doc);
+        true)
+
+(* request_verb is the wire's "req" field. *)
+let test_request_verb_is_wire_field () =
   List.iter
     (fun req ->
-      let verb = Serve_proto.request_verb req in
-      (* request_verb is the wire's "req" field... *)
-      (match
-         Jsonx.member "req" (Serve_proto.request_to_json ~id:1 req)
-       with
+      match Jsonx.member "req" (Serve_proto.request_to_json ~id:1 req) with
       | Some (Jsonx.String wire) ->
-        Alcotest.(check string) "verb matches the wire" wire verb
-      | _ -> Alcotest.fail "request line has no req field");
-      (* ...and verb_of_index inverts request_index. *)
-      Alcotest.(check string)
-        ("index inverts for " ^ verb)
-        verb
-        (Serve_proto.verb_of_index (Serve_proto.request_index req)))
-    all_requests;
-  Alcotest.(check string) "undecodable pseudo-verb" "undecodable"
-    (Serve_proto.verb_of_index Serve_proto.undecodable_index);
-  Alcotest.(check string) "out-of-range prints" "verb#42"
-    (Serve_proto.verb_of_index 42)
+        Alcotest.(check string) "verb matches the wire" wire
+          (Serve_proto.request_verb req)
+      | _ -> Alcotest.fail "request line has no req field")
+    all_requests
 
 let test_dispatch_timed () =
   let broker = Serve_broker.create ~obs:(Obs.create ()) (ring_net ()) in
@@ -873,6 +913,7 @@ let () =
           Alcotest.test_case "qos utility defaults to 1" `Quick
             test_qos_utility_defaults;
           Alcotest.test_case "push framing rule" `Quick test_is_push;
+          QCheck_alcotest.to_alcotest qcheck_decode_total;
         ] );
       ( "op-bridge",
         [
@@ -896,6 +937,8 @@ let () =
             test_broker_failure_recovery;
           Alcotest.test_case "snapshot and metrics requests" `Quick
             test_broker_snapshot_and_metrics;
+          Alcotest.test_case "snapshot hot links are exact" `Quick
+            test_broker_snapshot_hot_links;
           Alcotest.test_case "loadgen worker against an in-process broker" `Quick
             test_loadgen_worker;
         ] );
@@ -919,7 +962,8 @@ let () =
         [
           Alcotest.test_case "trace field round-trips" `Quick
             test_trace_field_roundtrip;
-          Alcotest.test_case "verb/index bridge" `Quick test_verb_index_bridge;
+          Alcotest.test_case "request verb is the wire req field" `Quick
+            test_request_verb_is_wire_field;
           Alcotest.test_case "timed dispatch decomposition" `Quick
             test_dispatch_timed;
           Alcotest.test_case "stage records over the socket" `Slow
