@@ -118,6 +118,40 @@ let bench_backup_fallback () =
       i := (!i + 1) mod Array.length cases;
       ignore (Flooding.backup_route net req ~primary_edges))
 
+(* The backup admission test on its own: multiplexed pool queries on
+   the paper network after 5 000 offered admissions with backups, over a
+   fixed set of 256 (link, primary-edge array) pairs.  The arrays are
+   the edges of primary routes and the links lie off them, as the
+   disjoint flood asks.  One run is one pass over the set: a single
+   query takes tens of nanoseconds, below what one timed call resolves. *)
+let bench_backup_pool_query () =
+  let g = Lazy.force paper_graph in
+  let net = Net_state.create g in
+  let service = Drcomm.create net in
+  Drcomm.set_auto_redistribute service false;
+  let rng = Prng.create 8 in
+  let qos = Qos.paper_spec ~increment:50 in
+  for _ = 1 to 5_000 do
+    let src, dst = Prng.sample_distinct_pair rng (Graph.node_count g) in
+    ignore (Drcomm.admit ~want_indirect:false ~want_report:false service ~src ~dst ~qos)
+  done;
+  let cases = ref [] in
+  while List.length !cases < 256 do
+    let src, dst = Prng.sample_distinct_pair rng (Graph.node_count g) in
+    let route = Flooding.primary_route net (Flooding.request ~src ~dst ~floor:100 ()) in
+    let dl = Prng.int rng (Net_state.link_count net) in
+    match route with
+    | Some p when not (List.mem (Dirlink.edge dl) p.Paths.edges) ->
+      cases := (Net_state.link net dl, Array.of_list p.Paths.edges) :: !cases
+    | _ -> ()
+  done;
+  let cases = Array.of_list !cases in
+  Staged.stage (fun () ->
+      Array.iter
+        (fun (l, primary_edges) ->
+          ignore (Link_state.backup_pool_with l ~b_min:100 ~primary_edges))
+        cases)
+
 (* Built when the micro bench runs, not at start-up: the fallback case
    loads 20 000 connections. *)
 let tests () =
@@ -126,6 +160,8 @@ let tests () =
     Test.make ~name:"backup route search" (bench_backup_route ());
     Test.make ~name:"backup route fallback (loaded transit-stub)"
       (bench_backup_fallback ());
+    Test.make ~name:"backup pool query x256 (loaded paper network)"
+      (bench_backup_pool_query ());
     Test.make ~name:"DR admission + termination" (bench_admission ());
     Test.make ~name:"9-state Markov solve (table1/fig2)" (bench_markov_solve ());
     Test.make ~name:"100-node Waxman generation" (bench_waxman ());

@@ -426,15 +426,17 @@ let unregister_backup_path t ch blinks =
     blinks
 
 (* Register one backup path's reservations, all-or-nothing: roll back
-   the prefix on failure. *)
+   the prefix on failure.  Every link of the path keeps the same array
+   of primary edges; nothing mutates it. *)
 let try_register_backup_path ?floor t ch blinks =
   let floor = Option.value ~default:ch.qos.Qos.b_min floor in
+  let primary_edges = Array.of_list ch.primary_edges in
   let registered = ref [] in
   try
     List.iter
       (fun dl ->
         Link_state.register_backup (Net_state.link t.net dl) ~channel:ch.id
-          ~b_min:floor ~primary_edges:ch.primary_edges;
+          ~b_min:floor ~primary_edges;
         registered := dl :: !registered)
       blinks;
     true

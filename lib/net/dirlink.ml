@@ -8,6 +8,9 @@ let of_edge g ~edge ~src =
   else if src = b then (2 * edge) + 1
   else invalid_arg "Dirlink.of_edge: node not on edge"
 
+(* [Graph.endpoints] lists the lower node first. *)
+let of_step ~src ~dst edge = if src < dst then 2 * edge else (2 * edge) + 1
+
 let edge id = id / 2
 
 let reverse id = id lxor 1

@@ -16,6 +16,14 @@ val of_edge : Graph.t -> edge:int -> src:int -> id
 (** The directed link over [edge] leaving node [src].  Raises
     [Invalid_argument] if [src] is not an endpoint of [edge]. *)
 
+val of_step : src:int -> dst:int -> int -> id
+(** [of_step ~src ~dst e] is [of_edge g ~edge:e ~src] for an entry
+    [(dst, e)] of [src]'s adjacency list, computed without reading the
+    graph: the endpoints of [e] are [src] and [dst], and the link from
+    the lower to the higher is [2e].  Nothing checks that [e] joins the
+    two nodes, so it is for walks over {!Graph.neighbors}; anything else
+    calls {!of_edge}. *)
+
 val edge : id -> int
 (** The underlying undirected edge. *)
 

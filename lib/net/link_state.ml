@@ -5,6 +5,16 @@
    over the per-edge demand index, recomputed lazily only after an
    unregistration removed demand at the cached maximum. *)
 
+(* The per-edge demand index, which every backup admission test reads
+   once per primary edge: the stdlib table's buckets and resize policy,
+   with an int hash and equality that make no C call. *)
+module Edge_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash e = e land max_int
+end)
+
 type t = {
   capacity : Bandwidth.t;
   multiplexing : bool;
@@ -18,11 +28,11 @@ type t = {
   (* Backup registrations, slot-indexed. *)
   mutable b_chan : int array;
   mutable b_floor : int array;
-  mutable b_edges : int array array;
+  mutable b_edges : int array array; (* the caller's arrays, shared *)
   mutable b_n : int;
   b_slot : (int, int) Hashtbl.t;
   (* For multiplexing: activation demand per failed undirected edge. *)
-  pool_by_edge : (int, int) Hashtbl.t;
+  pool_by_edge : int Edge_tbl.t;
   mutable pool_max : int; (* cached max demand, valid unless pool_stale *)
   mutable pool_stale : bool;
   mutable primary_total : Bandwidth.t;
@@ -46,7 +56,7 @@ let create ?(multiplexing = true) ~capacity () =
     b_edges = [||];
     b_n = 0;
     b_slot = Hashtbl.create 16;
-    pool_by_edge = Hashtbl.create 16;
+    pool_by_edge = Edge_tbl.create 16;
     pool_max = 0;
     pool_stale = false;
     primary_total = 0;
@@ -62,7 +72,7 @@ let backup_pool t =
   if not t.multiplexing then t.backup_sum
   else begin
     if t.pool_stale then begin
-      t.pool_max <- Hashtbl.fold (fun _ demand acc -> max demand acc) t.pool_by_edge 0;
+      t.pool_max <- Edge_tbl.fold (fun _ demand acc -> max demand acc) t.pool_by_edge 0;
       t.pool_stale <- false
     end;
     t.pool_max
@@ -163,21 +173,33 @@ let iter_extras f t =
       if t.p_res.(slot) > t.p_floor.(slot) then f t.p_chan.(slot) t.p_res.(slot)
     done
 
+let backup_demand_for_edge t e =
+  match Edge_tbl.find_opt t.pool_by_edge e with Some demand -> demand | None -> 0
+
 let backup_pool_with t ~b_min ~primary_edges =
   if not t.multiplexing then t.backup_sum + b_min
-  else
+  else begin
     (* New pool = max over edges of (existing demand + b_min if the new
        backup's primary uses that edge). *)
-    let current = backup_pool t in
-    List.fold_left
-      (fun acc e ->
-        let existing = Option.value ~default:0 (Hashtbl.find_opt t.pool_by_edge e) in
-        max acc (existing + b_min))
-      current primary_edges
+    let pool = ref (backup_pool t) in
+    for i = 0 to Array.length primary_edges - 1 do
+      let demand = backup_demand_for_edge t primary_edges.(i) + b_min in
+      if demand > !pool then pool := demand
+    done;
+    !pool
+  end
+
+(* Every edge's demand is at most the pool, so adding [b_min] on some of
+   them raises the pool by at most [b_min]: when that much fits, so does
+   the exact answer.  Without multiplexing the first test is exact. *)
+let backup_fits t ~b_min ~primary_edges =
+  let room = t.capacity - t.primary_min_total in
+  backup_pool t + b_min <= room
+  || (t.multiplexing && backup_pool_with t ~b_min ~primary_edges <= room)
 
 let register_backup t ~channel ~b_min ~primary_edges =
   if b_min <= 0 then invalid_arg "Link_state.register_backup: non-positive b_min";
-  if primary_edges = [] then
+  if Array.length primary_edges = 0 then
     invalid_arg "Link_state.register_backup: backup needs a non-empty primary path";
   if Hashtbl.mem t.b_slot channel then
     invalid_arg "Link_state.register_backup: channel already registered here";
@@ -194,18 +216,17 @@ let register_backup t ~channel ~b_min ~primary_edges =
   let slot = t.b_n in
   t.b_chan.(slot) <- channel;
   t.b_floor.(slot) <- b_min;
-  t.b_edges.(slot) <- Array.of_list primary_edges;
+  t.b_edges.(slot) <- primary_edges;
   t.b_n <- slot + 1;
   Hashtbl.replace t.b_slot channel slot;
   t.backup_sum <- t.backup_sum + b_min;
-  List.iter
-    (fun e ->
-      let existing = Option.value ~default:0 (Hashtbl.find_opt t.pool_by_edge e) in
-      let demand = existing + b_min in
-      Hashtbl.replace t.pool_by_edge e demand;
-      (* A raise can only move the cached maximum up, stale or not. *)
-      if demand > t.pool_max then t.pool_max <- demand)
-    primary_edges
+  for i = 0 to Array.length primary_edges - 1 do
+    let e = primary_edges.(i) in
+    let demand = backup_demand_for_edge t e + b_min in
+    Edge_tbl.replace t.pool_by_edge e demand;
+    (* A raise can only move the cached maximum up, stale or not. *)
+    if demand > t.pool_max then t.pool_max <- demand
+  done
 
 let unregister_backup t ~channel =
   match Hashtbl.find_opt t.b_slot channel with
@@ -224,18 +245,17 @@ let unregister_backup t ~channel =
     t.b_edges.(last) <- [||];
     t.b_n <- last;
     t.backup_sum <- t.backup_sum - b_min;
-    Array.iter
-      (fun e ->
-        match Hashtbl.find_opt t.pool_by_edge e with
-        | None -> assert false
-        | Some demand ->
-          let remaining = demand - b_min in
-          if remaining = 0 then Hashtbl.remove t.pool_by_edge e
-          else Hashtbl.replace t.pool_by_edge e remaining;
-          (* Shrinking demand at the cached maximum invalidates it; the
-             next pool query recomputes. *)
-          if (not t.pool_stale) && demand = t.pool_max then t.pool_stale <- true)
-      edges
+    for i = 0 to Array.length edges - 1 do
+      let e = edges.(i) in
+      let demand = backup_demand_for_edge t e in
+      assert (demand >= b_min);
+      let remaining = demand - b_min in
+      if remaining = 0 then Edge_tbl.remove t.pool_by_edge e
+      else Edge_tbl.replace t.pool_by_edge e remaining;
+      (* Shrinking demand at the cached maximum invalidates it; the
+         next pool query recomputes. *)
+      if (not t.pool_stale) && demand = t.pool_max then t.pool_stale <- true
+    done
 
 let has_backup t ~channel = Hashtbl.mem t.b_slot channel
 
@@ -260,11 +280,8 @@ let backup_registration t ~channel =
     (fun slot -> (t.b_floor.(slot), Array.to_list t.b_edges.(slot)))
     (Hashtbl.find_opt t.b_slot channel)
 
-let backup_demand_for_edge t e =
-  Option.value ~default:0 (Hashtbl.find_opt t.pool_by_edge e)
-
 let edge_demands t =
-  Hashtbl.fold (fun e demand acc -> (e, demand) :: acc) t.pool_by_edge []
+  Edge_tbl.fold (fun e demand acc -> (e, demand) :: acc) t.pool_by_edge []
 
 let check_invariant t =
   let sum_reserved = ref 0 and sum_floor = ref 0 and extras = ref 0 in
@@ -299,28 +316,27 @@ let check_invariant t =
   (* The per-edge activation-demand index must agree exactly with the
      backup registrations it summarises: every registration contributes
      its floor to each of its primary's edges, and nothing else does. *)
-  let recomputed = Hashtbl.create 16 in
+  let recomputed = Edge_tbl.create 16 in
+  let recomputed_demand e = Option.value ~default:0 (Edge_tbl.find_opt recomputed e) in
   for slot = 0 to t.b_n - 1 do
     Array.iter
-      (fun e ->
-        let existing = Option.value ~default:0 (Hashtbl.find_opt recomputed e) in
-        Hashtbl.replace recomputed e (existing + t.b_floor.(slot)))
+      (fun e -> Edge_tbl.replace recomputed e (recomputed_demand e + t.b_floor.(slot)))
       t.b_edges.(slot)
   done;
-  Hashtbl.iter
+  Edge_tbl.iter
     (fun e demand ->
-      if Option.value ~default:0 (Hashtbl.find_opt recomputed e) <> demand then
+      if recomputed_demand e <> demand then
         failwith (Printf.sprintf "Link_state: stale pool demand on edge %d" e))
     t.pool_by_edge;
-  Hashtbl.iter
+  Edge_tbl.iter
     (fun e demand ->
-      if Option.value ~default:0 (Hashtbl.find_opt t.pool_by_edge e) <> demand then
+      if backup_demand_for_edge t e <> demand then
         failwith (Printf.sprintf "Link_state: missing pool demand on edge %d" e))
     recomputed;
   (* The cached pool maximum, when trusted, must equal the recomputed
      maximum — the incremental cache is audited against full recompute. *)
   if t.multiplexing && not t.pool_stale then begin
-    let true_max = Hashtbl.fold (fun _ d acc -> max d acc) t.pool_by_edge 0 in
+    let true_max = Edge_tbl.fold (fun _ d acc -> max d acc) t.pool_by_edge 0 in
     if t.pool_max <> true_max then
       failwith "Link_state: cached backup pool out of sync"
   end

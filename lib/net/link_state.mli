@@ -75,16 +75,35 @@ val iter_extras : (int -> Bandwidth.t -> unit) -> t -> unit
 (** {1 Backup registrations} *)
 
 val register_backup :
-  t -> channel:int -> b_min:Bandwidth.t -> primary_edges:int list -> unit
+  t -> channel:int -> b_min:Bandwidth.t -> primary_edges:int array -> unit
 (** Register a backup whose primary traverses the given undirected edges.
     Raises [Invalid_argument] if the resulting pool would violate the
-    guarantee constraint, or on double registration. *)
+    guarantee constraint, or on double registration.
 
-val backup_pool_with : t -> b_min:Bandwidth.t -> primary_edges:int list -> Bandwidth.t
+    The link keeps [primary_edges] itself, not a copy: every link of one
+    backup path may register the same array (as [Drcomm] does, one array
+    per backup path).  The caller must never mutate it afterwards. *)
+
+val backup_pool_with : t -> b_min:Bandwidth.t -> primary_edges:int array -> Bandwidth.t
 (** Pool size if such a backup were added — the backup admission test is
     [primary_min_total + backup_pool_with <= capacity].  With multiplexing
-    this is often just the current pool (free dependability — the paper's
-    key resource saving). *)
+    this is [max backup_pool (b_min + backup_demand_for_edge e)] over the
+    primary's edges [e]: one int-keyed lookup per edge, no allocation
+    beyond the lookup's option.  It is often just the current pool (free
+    dependability — the paper's key resource saving).  Without
+    multiplexing it is [backup_dedicated_demand + b_min]. *)
+
+val backup_fits : t -> b_min:Bandwidth.t -> primary_edges:int array -> bool
+(** The backup admission test,
+    [primary_min_total + backup_pool_with ~b_min ~primary_edges <= capacity],
+    for [b_min >= 0].  It answers yes in O(1) when
+    [primary_min_total + backup_pool + b_min <= capacity] and reads the
+    per-edge demands only otherwise.  The shortcut is exact: every
+    edge's demand is at most {!backup_pool} (a stale maximum is
+    recomputed first), so the new pool is at most [backup_pool + b_min].
+    Without multiplexing the pool is the plain sum and the first test is
+    the whole test.  Searches that need the headroom itself, not just
+    the verdict, call {!backup_pool_with}. *)
 
 val unregister_backup : t -> channel:int -> unit
 val has_backup : t -> channel:int -> bool
@@ -108,13 +127,16 @@ val multiplexing : t -> bool
 val backup_registration : t -> channel:int -> (Bandwidth.t * int list) option
 (** The registered floor and the primary's undirected edges for one
     channel's backup here, if any — what external auditors (the fuzzer's
-    cross-layer invariants) compare against the service's own records. *)
+    cross-layer invariants) compare against the service's own records.
+    The list is a fresh copy of the registered array. *)
 
 val backup_demand_for_edge : t -> int -> Bandwidth.t
 (** Activation demand this link would face if the given undirected edge
     failed: sum of floors of backups registered here whose primary
     traverses it.  0 for edges no registered primary uses.  With
-    multiplexing, {!backup_pool} is the max of these over all edges. *)
+    multiplexing, {!backup_pool} is the max of these over all edges.
+    Read from a hash table keyed by edge id with an int hash and
+    equality (no polymorphic hashing or comparison). *)
 
 val edge_demands : t -> (int * Bandwidth.t) list
 (** Every [(edge, demand)] pair with non-zero recorded demand,

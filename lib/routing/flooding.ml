@@ -29,7 +29,7 @@ let search_best net req ~allowance =
       (* An unreached node reads as max_int hops. *)
       let hv = if s.reached.(v) = gen then s.hops.(v) else max_int in
       if hv >= d && Net_state.usable_edge net e then begin
-        let a = allowance (Dirlink.of_edge g ~edge:e ~src:u) in
+        let a = allowance (Dirlink.of_step ~src:u ~dst:v e) in
         if a >= 0 then begin
           let bottleneck = Int.min s.allow.(u) a in
           (* [hv] is [d] here, or unreached. *)
@@ -93,13 +93,14 @@ let backup_route ?(banned_edges = []) net req ~primary_edges =
   let primary = Paths.next_gen s in
   List.iter (fun e -> s.edge_mark.(e) <- primary) primary_edges;
   let on_primary e = s.edge_mark.(e) = primary in
-  let base_allowance = backup_allowance net ~floor:req.floor ~primary_edges in
-  let allowance dl =
-    if List.mem (Dirlink.edge dl) banned_edges then -1 else base_allowance dl
-  in
-  (* First try: fully link-disjoint. *)
+  (* One array for every pool query of this call. *)
+  let primary_edge_array = Array.of_list primary_edges in
+  let banned dl = List.mem (Dirlink.edge dl) banned_edges in
+  (* First try: fully link-disjoint.  The flood ranks routes by
+     headroom, so it needs the exact pool. *)
   let disjoint_allowance dl =
-    if on_primary (Dirlink.edge dl) then -1 else allowance dl
+    if on_primary (Dirlink.edge dl) || banned dl then -1
+    else backup_allowance net ~floor:req.floor ~primary_edges:primary_edge_array dl
   in
   match search_best net req ~allowance:disjoint_allowance with
   | Some _ as found -> found
@@ -110,6 +111,10 @@ let backup_route ?(banned_edges = []) net req ~primary_edges =
     let g = Net_state.graph net in
     let penalty = float_of_int (Graph.node_count g * Graph.node_count g) in
     let weight e = if on_primary e then penalty +. 1. else 1. in
+    let fits dl =
+      Link_state.backup_fits (Net_state.link net dl) ~b_min:req.floor
+        ~primary_edges:primary_edge_array
+    in
     let usable e =
       Net_state.usable_edge net e
       && (not (List.mem e banned_edges))
@@ -118,9 +123,10 @@ let backup_route ?(banned_edges = []) net req ~primary_edges =
          directional, so accept the edge only if at least one direction
          admits — the final path is re-checked by the caller via
          reservation, which raises on the bad direction.  To stay exact we
-         conservatively require both directions to admit. *)
-      allowance (2 * e) >= 0
-      && allowance ((2 * e) + 1) >= 0
+         conservatively require both directions to admit.  Only the
+         verdict matters here, so the O(1) test answers most links. *)
+      fits (2 * e)
+      && fits ((2 * e) + 1)
     in
     (match Paths.dijkstra ~weight ~usable s g req.src req.dst with
     | None -> None

@@ -14,26 +14,24 @@ let primary_admissible net (req : Flooding.request) path =
 let primary_route net req ~candidates =
   List.find_opt (primary_admissible net req) (candidates_of net req ~candidates)
 
-let backup_admissible net (req : Flooding.request) ~primary_edges path =
+let backup_admissible net (req : Flooding.request) ~primary_edge_array path =
   let g = Net_state.graph net in
   List.for_all
     (fun dl ->
-      let l = Net_state.link net dl in
-      let pool' =
-        Link_state.backup_pool_with l ~b_min:req.Flooding.floor ~primary_edges
-      in
-      Link_state.primary_min_total l + pool' <= Link_state.capacity l)
+      Link_state.backup_fits (Net_state.link net dl) ~b_min:req.Flooding.floor
+        ~primary_edges:primary_edge_array)
     (Dirlink.of_path g path)
 
 let shared_edges ~primary_edges path =
   List.length (List.filter (fun e -> List.mem e primary_edges) path.Paths.edges)
 
 let backup_route ?(banned_edges = []) net req ~candidates ~primary_edges =
+  let primary_edge_array = Array.of_list primary_edges in
   let admissible =
     candidates_of net req ~candidates
     |> List.filter (fun p ->
            not (List.exists (fun e -> List.mem e banned_edges) p.Paths.edges))
-    |> List.filter (backup_admissible net req ~primary_edges)
+    |> List.filter (backup_admissible net req ~primary_edge_array)
   in
   match List.find_opt (fun p -> shared_edges ~primary_edges p = 0) admissible with
   | Some _ as found -> found

@@ -115,6 +115,25 @@ dune exec bin/drqos_cli.exe -- fuzz --seed 1 --ops 2000 || {
   exit 1
 }
 
+step "benchmark goldens: full-size route choice, seed 1"
+# Tier-1's benchmark smoke runs seed 3 on shrunk workloads and reads no
+# golden, so route choice at full size is pinned only here: for seed 1,
+# run.exe compares each workload's output digest with
+# benchmark/golden/<workload>.txt and exits 1 on a mismatch.  It reads
+# the goldens by relative path, so it runs from the repo root.  About
+# 40 s for the four workloads.
+for w in paper_fig2 failover scale_20k serve_mix; do
+  _build/default/benchmark/run.exe --workload "$w" --seed 1 --seconds 1 \
+    --trace 0 --out "$tmpdir/bench" > "$tmpdir/bench-$w.txt" || {
+    echo "FAIL: benchmark $w (seed 1) exited non-zero: digest mismatch or failed audit" >&2
+    exit 1
+  }
+  tail -n 1 "$tmpdir/bench-$w.txt" | grep -q '"correct":true' || {
+    echo "FAIL: benchmark $w (seed 1) did not end with a correct result" >&2
+    exit 1
+  }
+done
+
 step "CLI smoke: trace + metrics (profiled)"
 dune exec bin/drqos_cli.exe -- run --offered 100 --churn 100 --warmup 20 \
   --trace "$tmpdir/t.jsonl" --metrics "$tmpdir/m.json" --profile >/dev/null

@@ -136,9 +136,19 @@ let primary_route net (req : Flooding.request) =
   in
   search_best net req ~allowance
 
+(* The pool after adding the backup, from its definition (DESIGN §5):
+   with multiplexing, the worst single failure over the primary's edges
+   (each already-recorded demand is at most the current pool); without,
+   the plain sum of floors. *)
 let backup_allowance net ~floor ~primary_edges dl =
   let l = Net_state.link net dl in
-  let pool' = Link_state.backup_pool_with l ~b_min:floor ~primary_edges in
+  let pool' =
+    if Link_state.multiplexing l then
+      List.fold_left
+        (fun acc e -> max acc (floor + Link_state.backup_demand_for_edge l e))
+        (Link_state.backup_pool l) primary_edges
+    else Link_state.backup_dedicated_demand l + floor
+  in
   let headroom = Link_state.capacity l - Link_state.primary_min_total l - pool' in
   if headroom >= 0 then headroom else -1
 

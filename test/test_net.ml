@@ -94,6 +94,25 @@ let test_dirlink_shares_edge () =
   Alcotest.(check bool) "opposite directions share" true (Dirlink.shares_edge fwd bwd);
   Alcotest.(check bool) "distinct edges do not" false (Dirlink.shares_edge fwd other)
 
+(* [of_step] reads no graph: it must agree with [of_edge] on every
+   adjacency entry of the topologies the benchmarks route on. *)
+let test_dirlink_of_step () =
+  let agrees g =
+    for u = 0 to Graph.node_count g - 1 do
+      List.iter
+        (fun (v, e) ->
+          Alcotest.(check int) "of_step = of_edge" (Dirlink.of_edge g ~edge:e ~src:u)
+            (Dirlink.of_step ~src:u ~dst:v e))
+        (Graph.neighbors g u)
+    done
+  in
+  agrees (Waxman.generate (Prng.create 1) (Waxman.paper_spec ~nodes:100));
+  agrees
+    (Transit_stub.generate (Prng.create 7)
+       (Transit_stub.spec ~transit_domains:4 ~transit_size:8 ~stubs_per_transit_node:4
+          ~stub_size:8 ()))
+      .Transit_stub.graph
+
 (* --- Link_state --- *)
 
 let test_link_reserve_release () =
@@ -154,13 +173,13 @@ let test_link_release_unknown () =
    share the pool; a third whose primary overlaps adds to it. *)
 let test_backup_multiplexing () =
   let l = Link_state.create ~capacity:1000 () in
-  Link_state.register_backup l ~channel:1 ~b_min:100 ~primary_edges:[ 7; 8 ];
+  Link_state.register_backup l ~channel:1 ~b_min:100 ~primary_edges:[| 7; 8 |];
   Alcotest.(check int) "one backup" 100 (Link_state.backup_pool l);
   (* Disjoint primary: multiplexes for free. *)
-  Link_state.register_backup l ~channel:2 ~b_min:100 ~primary_edges:[ 9; 10 ];
+  Link_state.register_backup l ~channel:2 ~b_min:100 ~primary_edges:[| 9; 10 |];
   Alcotest.(check int) "still 100" 100 (Link_state.backup_pool l);
   (* Overlapping primary (edge 8): must add. *)
-  Link_state.register_backup l ~channel:3 ~b_min:100 ~primary_edges:[ 8; 11 ];
+  Link_state.register_backup l ~channel:3 ~b_min:100 ~primary_edges:[| 8; 11 |];
   Alcotest.(check int) "grows to 200" 200 (Link_state.backup_pool l);
   Link_state.unregister_backup l ~channel:3;
   Alcotest.(check int) "shrinks back" 100 (Link_state.backup_pool l);
@@ -168,23 +187,23 @@ let test_backup_multiplexing () =
 
 let test_backup_pool_with_is_pure () =
   let l = Link_state.create ~capacity:1000 () in
-  Link_state.register_backup l ~channel:1 ~b_min:100 ~primary_edges:[ 1 ];
-  let predicted = Link_state.backup_pool_with l ~b_min:150 ~primary_edges:[ 1 ] in
+  Link_state.register_backup l ~channel:1 ~b_min:100 ~primary_edges:[| 1 |];
+  let predicted = Link_state.backup_pool_with l ~b_min:150 ~primary_edges:[| 1 |] in
   Alcotest.(check int) "prediction" 250 predicted;
   Alcotest.(check int) "state unchanged" 100 (Link_state.backup_pool l);
-  Link_state.register_backup l ~channel:2 ~b_min:150 ~primary_edges:[ 1 ];
+  Link_state.register_backup l ~channel:2 ~b_min:150 ~primary_edges:[| 1 |];
   Alcotest.(check int) "prediction was right" predicted (Link_state.backup_pool l)
 
 let test_backup_no_multiplexing_mode () =
   let l = Link_state.create ~multiplexing:false ~capacity:1000 () in
-  Link_state.register_backup l ~channel:1 ~b_min:100 ~primary_edges:[ 7 ];
-  Link_state.register_backup l ~channel:2 ~b_min:100 ~primary_edges:[ 9 ];
+  Link_state.register_backup l ~channel:1 ~b_min:100 ~primary_edges:[| 7 |];
+  Link_state.register_backup l ~channel:2 ~b_min:100 ~primary_edges:[| 9 |];
   (* Disjoint primaries, but without multiplexing the pool is the sum. *)
   Alcotest.(check int) "plain sum" 200 (Link_state.backup_pool l)
 
 let test_backup_blocks_admission () =
   let l = Link_state.create ~capacity:1000 () in
-  Link_state.register_backup l ~channel:1 ~b_min:400 ~primary_edges:[ 1 ];
+  Link_state.register_backup l ~channel:1 ~b_min:400 ~primary_edges:[| 1 |];
   Alcotest.(check int) "headroom" 600 (Link_state.reclaimable_headroom l);
   Alcotest.(check bool) "600 fits" true (Link_state.admissible_primary l ~b_min:600);
   Alcotest.(check bool) "601 does not" false (Link_state.admissible_primary l ~b_min:601)
@@ -194,13 +213,13 @@ let test_backup_pool_overflow_rejected () =
   Link_state.reserve_primary l ~channel:1 ~b_min:800;
   Alcotest.check_raises "pool too big"
     (Invalid_argument "Link_state.register_backup: pool does not fit") (fun () ->
-      Link_state.register_backup l ~channel:2 ~b_min:300 ~primary_edges:[ 1 ])
+      Link_state.register_backup l ~channel:2 ~b_min:300 ~primary_edges:[| 1 |])
 
 let test_extras_borrow_backup_pool () =
   (* The paper's §2.2 point: inactive backup bandwidth is usable as
      extras. *)
   let l = Link_state.create ~capacity:1000 () in
-  Link_state.register_backup l ~channel:9 ~b_min:500 ~primary_edges:[ 3 ];
+  Link_state.register_backup l ~channel:9 ~b_min:500 ~primary_edges:[| 3 |];
   Link_state.reserve_primary l ~channel:1 ~b_min:100;
   Link_state.set_primary l ~channel:1 1000;
   (* 1000 reserved while the pool still guarantees 500: fine... *)
@@ -211,7 +230,7 @@ let test_extras_borrow_backup_pool () =
 
 let test_force_reserve_for_activation () =
   let l = Link_state.create ~capacity:1000 () in
-  Link_state.register_backup l ~channel:9 ~b_min:500 ~primary_edges:[ 3 ];
+  Link_state.register_backup l ~channel:9 ~b_min:500 ~primary_edges:[| 3 |];
   Link_state.reserve_primary l ~channel:1 ~b_min:500;
   (* Normal admission is blocked by the pool... *)
   Alcotest.(check bool) "normal blocked" false
@@ -323,7 +342,10 @@ let qcheck_link_state_model =
           let fits =
             (not (Hashtbl.mem backups ch)) && ref_min_total () + would <= capacity
           in
-          (match Link_state.register_backup l ~channel:ch ~b_min ~primary_edges:edges with
+          (match
+             Link_state.register_backup l ~channel:ch ~b_min
+               ~primary_edges:(Array.of_list edges)
+           with
           | () ->
             if not fits then ok := false else Hashtbl.replace backups ch (b_min, edges)
           | exception Invalid_argument _ -> if fits then ok := false)
@@ -344,6 +366,112 @@ let qcheck_link_state_model =
         | () -> ()
         | exception Failure _ -> ok := false);
         ignore step
+      done;
+      !ok)
+
+(* The backup pool query against its definition.  Backups register on a
+   few links, each registration's primary-edge array shared by every
+   link that takes it (as Drcomm shares one array per backup path), and
+   drop off one link at a time.  After every step, on every link, for a
+   random probe: [backup_pool_with] is the worst single failure
+   recomputed from [edge_demands] (the plain sum of floors without
+   multiplexing), [backup_fits] is the exact admission test, the
+   accounting audit passes, and every registration still reads back
+   its floor and edges. *)
+let qcheck_pool_query_definition =
+  QCheck.Test.make ~name:"backup pool query matches its definition" ~count:60
+    QCheck.(pair small_int bool)
+    (fun (seed, multiplexing) ->
+      let rng = Prng.create seed in
+      let capacity = 1000 in
+      let links =
+        Array.init 3 (fun i ->
+            let l = Link_state.create ~multiplexing ~capacity () in
+            Link_state.reserve_primary l ~channel:100 ~b_min:(100 * (i + 1));
+            l)
+      in
+      (* channel -> (floor, shared edge array, indices of the links holding it) *)
+      let held = Hashtbl.create 8 in
+      let random_edges () =
+        List.init (1 + Prng.int rng 4) (fun _ -> Prng.int rng 8)
+        |> List.sort_uniq compare |> Array.of_list
+      in
+      let pool_by_definition i ~b_min ~primary_edges =
+        let l = links.(i) in
+        if multiplexing then begin
+          let demands = Link_state.edge_demands l in
+          let demand e = Option.value ~default:0 (List.assoc_opt e demands) in
+          let on_probe e = Array.mem e primary_edges in
+          let worst =
+            List.fold_left
+              (fun acc (e, d) -> max acc (if on_probe e then d + b_min else d))
+              0 demands
+          in
+          Array.fold_left (fun acc e -> max acc (demand e + b_min)) worst primary_edges
+        end
+        else
+          Hashtbl.fold
+            (fun _ (floor, _, holders) acc ->
+              if List.mem i holders then acc + floor else acc)
+            held b_min
+      in
+      let ok = ref true in
+      let check cond = if not cond then ok := false in
+      for _ = 1 to 80 do
+        let ch = Prng.int rng 6 in
+        (match Hashtbl.find_opt held ch with
+        | Some (floor, edges, holders) -> (
+          (* Drop the registration from one of its links only. *)
+          let i = List.nth holders (Prng.int rng (List.length holders)) in
+          Link_state.unregister_backup links.(i) ~channel:ch;
+          match List.filter (( <> ) i) holders with
+          | [] -> Hashtbl.remove held ch
+          | rest -> Hashtbl.replace held ch (floor, edges, rest))
+        | None ->
+          let floor = 50 * (1 + Prng.int rng 4) in
+          let edges = random_edges () in
+          let holders = ref [] in
+          Array.iteri
+            (fun i l ->
+              if Prng.bool rng then begin
+                let fits =
+                  Link_state.primary_min_total l
+                  + pool_by_definition i ~b_min:floor ~primary_edges:edges
+                  <= capacity
+                in
+                match
+                  Link_state.register_backup l ~channel:ch ~b_min:floor
+                    ~primary_edges:edges
+                with
+                | () ->
+                  check fits;
+                  holders := i :: !holders
+                | exception Invalid_argument _ -> check (not fits)
+              end)
+            links;
+          if !holders <> [] then Hashtbl.replace held ch (floor, edges, !holders));
+        Array.iteri
+          (fun i l ->
+            let b_min = 50 * (1 + Prng.int rng 8) in
+            let primary_edges = random_edges () in
+            let pool' = Link_state.backup_pool_with l ~b_min ~primary_edges in
+            check (pool' = pool_by_definition i ~b_min ~primary_edges);
+            check
+              (Link_state.backup_fits l ~b_min ~primary_edges
+              = (Link_state.primary_min_total l + pool' <= capacity));
+            (match Link_state.check_invariant l with
+            | () -> ()
+            | exception Failure _ -> ok := false);
+            for ch = 0 to 5 do
+              let expected =
+                match Hashtbl.find_opt held ch with
+                | Some (floor, edges, holders) when List.mem i holders ->
+                  Some (floor, Array.to_list edges)
+                | _ -> None
+              in
+              check (Link_state.backup_registration l ~channel:ch = expected)
+            done)
+          links
       done;
       !ok)
 
@@ -384,8 +512,8 @@ let test_multiplexing_gain () =
   Alcotest.check approx "no backups" 1. (Net_state.multiplexing_gain net);
   (* Two disjoint-primary backups on link 0: dedicated 200, pooled 100. *)
   let l = Net_state.link net 0 in
-  Link_state.register_backup l ~channel:1 ~b_min:100 ~primary_edges:[ 50 ];
-  Link_state.register_backup l ~channel:2 ~b_min:100 ~primary_edges:[ 51 ];
+  Link_state.register_backup l ~channel:1 ~b_min:100 ~primary_edges:[| 50 |];
+  Link_state.register_backup l ~channel:2 ~b_min:100 ~primary_edges:[| 51 |];
   Alcotest.check approx "gain 2" 2. (Net_state.multiplexing_gain net);
   Alcotest.(check int) "dedicated demand" 200 (Link_state.backup_dedicated_demand l);
   Alcotest.(check int) "pool" 100 (Link_state.backup_pool l)
@@ -640,6 +768,7 @@ let () =
           Alcotest.test_case "ids" `Quick test_dirlink_ids;
           Alcotest.test_case "of_path" `Quick test_dirlink_of_path;
           Alcotest.test_case "shares_edge" `Quick test_dirlink_shares_edge;
+          Alcotest.test_case "of_step" `Quick test_dirlink_of_step;
         ] );
       ( "link-state",
         [
@@ -700,5 +829,6 @@ let () =
             qcheck_edf_no_miss_when_feasible;
             qcheck_interval_dbp_consistent;
             qcheck_link_state_model;
+            qcheck_pool_query_definition;
           ] );
     ]

@@ -113,17 +113,31 @@ let test_backup_route_maximally_disjoint_fallback () =
   let g = Graph.create 4 in
   let e01 = Graph.add_edge g 0 1 in
   let e12 = Graph.add_edge g 1 2 in
-  ignore (Graph.add_edge g 0 3);
-  ignore (Graph.add_edge g 3 1);
+  let e03 = Graph.add_edge g 0 3 in
+  let e31 = Graph.add_edge g 3 1 in
   let net = Net_state.create ~capacity:1000 g in
   let req = Flooding.request ~src:0 ~dst:2 ~floor:100 () in
   let primary = Option.get (Flooding.primary_route net req) in
   Alcotest.(check (list int)) "primary direct" [ e01; e12 ] (edges_of primary);
-  match Flooding.backup_route net req ~primary_edges:(edges_of primary) with
-  | None -> Alcotest.fail "expected maximally disjoint backup"
-  | Some b ->
-    let shared = List.filter (fun e -> List.mem e (edges_of primary)) (edges_of b) in
-    Alcotest.(check (list int)) "shares only the bridge" [ e12 ] shared
+  let check_backup () =
+    match Flooding.backup_route net req ~primary_edges:(edges_of primary) with
+    | None -> Alcotest.fail "expected maximally disjoint backup"
+    | Some b ->
+      let shared = List.filter (fun e -> List.mem e (edges_of primary)) (edges_of b) in
+      Alcotest.(check (list int)) "shares only the bridge" [ e12 ] shared
+  in
+  check_backup ();
+  (* Both directions of the detour now multiplex a 950 pool keyed to a
+     phantom edge: pool + floor no longer fits, but this primary's edges
+     carry no demand there, so the exact test still admits the detour. *)
+  List.iter
+    (fun dl ->
+      let l = Net_state.link net dl in
+      Link_state.register_backup l ~channel:50 ~b_min:950 ~primary_edges:[| 100 |];
+      Alcotest.(check bool) "pool + floor exceeds the room" true
+        (Link_state.reclaimable_headroom l < req.Flooding.floor))
+    [ 2 * e03; (2 * e03) + 1; 2 * e31; (2 * e31) + 1 ];
+  check_backup ()
 
 let test_backup_route_multiplexing_aware () =
   (* With multiplexing, a second backup over the same link is free when
@@ -144,7 +158,7 @@ let test_backup_route_multiplexing_aware () =
     (fun e ->
       Link_state.register_backup
         (Net_state.link net (2 * e))
-        ~channel:50 ~b_min:100 ~primary_edges:[ 100 ])
+        ~channel:50 ~b_min:100 ~primary_edges:[| 100 |])
     [ e02; e23 ];
   let req = Flooding.request ~src:0 ~dst:3 ~floor:100 () in
   (* New primary on 0-1-3 (disjoint from the phantom), so its backup can
@@ -362,9 +376,11 @@ let qcheck_flooding_route_admissible =
    admissions (searches of their own on the same scratch), failures and
    repairs between them.  The network is a Waxman graph or a small
    transit-stub, whose bridges send many backup searches to the
-   maximally-disjoint fallback.  Every call must return the path the
-   reference returns. *)
-let scratch_search_agrees seed ~transit_stub =
+   maximally-disjoint fallback, with or without backup multiplexing.
+   Every call must return the path the reference returns; the reference
+   computes the backup pool from its definition, not through
+   [Link_state.backup_pool_with] or [Link_state.backup_fits]. *)
+let scratch_search_agrees seed ~transit_stub ~multiplexing =
   let rng = Prng.create seed in
   let g =
     if transit_stub then
@@ -375,7 +391,7 @@ let scratch_search_agrees seed ~transit_stub =
     else random_graph seed (15 + Prng.int rng 30)
   in
   let n = Graph.node_count g and m = Graph.edge_count g in
-  let net = Net_state.create ~capacity:1000 g in
+  let net = Net_state.create ~multiplexing ~capacity:1000 g in
   let config = Drcomm.Config.make ~hop_bound:(3 + Prng.int rng 5) ~require_backup:false () in
   let t = Drcomm.create ~config net in
   let qos = Qos.make ~b_min:50 ~b_max:200 ~increment:50 () in
@@ -421,18 +437,23 @@ let scratch_search_agrees seed ~transit_stub =
 
 let qcheck_scratch_search_agrees =
   QCheck.Test.make ~name:"scratch searches return the reference's paths" ~count:30
-    QCheck.(pair small_int bool)
-    (fun (seed, transit_stub) -> scratch_search_agrees seed ~transit_stub)
+    QCheck.(triple small_int bool bool)
+    (fun (seed, transit_stub, multiplexing) ->
+      scratch_search_agrees seed ~transit_stub ~multiplexing)
 
 let test_scratch_search_covers_fallback () =
-  let before = !Route_ref.fallbacks in
   List.iter
-    (fun transit_stub ->
-      for seed = 1 to 3 do
-        Alcotest.(check bool) "agrees" true (scratch_search_agrees seed ~transit_stub)
-      done)
-    [ false; true ];
-  Alcotest.(check bool) "the fallback ran" true (!Route_ref.fallbacks - before > 50)
+    (fun multiplexing ->
+      let before = !Route_ref.fallbacks in
+      List.iter
+        (fun transit_stub ->
+          for seed = 1 to 3 do
+            Alcotest.(check bool) "agrees" true
+              (scratch_search_agrees seed ~transit_stub ~multiplexing)
+          done)
+        [ false; true ];
+      Alcotest.(check bool) "the fallback ran" true (!Route_ref.fallbacks - before > 50))
+    [ true; false ]
 
 let () =
   Alcotest.run "routing"
