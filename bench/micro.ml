@@ -118,23 +118,30 @@ let bench_backup_fallback () =
       i := (!i + 1) mod Array.length cases;
       ignore (Flooding.backup_route net req ~primary_edges))
 
-(* The backup admission test on its own: multiplexed pool queries on
-   the paper network after 5 000 offered admissions with backups, over a
-   fixed set of 256 (link, primary-edge array) pairs.  The arrays are
-   the edges of primary routes and the links lie off them, as the
-   disjoint flood asks.  One run is one pass over the set: a single
-   query takes tens of nanoseconds, below what one timed call resolves. *)
-let bench_backup_pool_query () =
+(* The paper network after 5 000 offered admissions with backups, the
+   pairs drawn from [rng], with auto-redistribution off. *)
+let loaded_paper_network rng =
   let g = Lazy.force paper_graph in
   let net = Net_state.create g in
   let service = Drcomm.create net in
   Drcomm.set_auto_redistribute service false;
-  let rng = Prng.create 8 in
   let qos = Qos.paper_spec ~increment:50 in
   for _ = 1 to 5_000 do
     let src, dst = Prng.sample_distinct_pair rng (Graph.node_count g) in
     ignore (Drcomm.admit ~want_indirect:false ~want_report:false service ~src ~dst ~qos)
   done;
+  net
+
+(* The backup admission test on its own: multiplexed pool queries on
+   the loaded paper network, over a fixed set of 256 (link,
+   primary-edge array) pairs.  The arrays are the edges of primary
+   routes and the links lie off them, as the disjoint flood asks.  One
+   run is one pass over the set: a single query takes tens of
+   nanoseconds, below what one timed call resolves. *)
+let bench_backup_pool_query () =
+  let g = Lazy.force paper_graph in
+  let rng = Prng.create 8 in
+  let net = loaded_paper_network rng in
   let cases = ref [] in
   while List.length !cases < 256 do
     let src, dst = Prng.sample_distinct_pair rng (Graph.node_count g) in
@@ -152,6 +159,62 @@ let bench_backup_pool_query () =
           ignore (Link_state.backup_pool_with l ~b_min:100 ~primary_edges))
         cases)
 
+(* The backup search where the pools hold demand: cycles over 64 fixed
+   (request, primary edges) pairs on the loaded paper network, so the
+   disjoint flood reads per-edge demands wherever the pool's bound does
+   not decide a link (the empty network of "backup route search" never
+   reads one). *)
+let bench_backup_route_loaded () =
+  let g = Lazy.force paper_graph in
+  let rng = Prng.create 10 in
+  let net = loaded_paper_network rng in
+  let cases =
+    Array.init 64 (fun _ ->
+        let rec draw () =
+          let src, dst = Prng.sample_distinct_pair rng (Graph.node_count g) in
+          let req = Flooding.request ~src ~dst ~floor:100 () in
+          match Flooding.primary_route net req with
+          | Some p -> (req, p.Paths.edges)
+          | None -> draw ()
+        in
+        draw ())
+  in
+  let i = ref 0 in
+  Staged.stage (fun () ->
+      let req, primary_edges = cases.(!i) in
+      i := (!i + 1) mod Array.length cases;
+      ignore (Flooding.backup_route net req ~primary_edges))
+
+(* One water-filling flush of equal-share over 4 000 synthetic
+   candidates.  Each grant takes one unit from 4 of 400 shared counters
+   (the links of a path, one from each quarter), which start with room
+   for 1 to 10 grants per candidate using them; the ceiling is 8 extra
+   levels.  A run first resets every level and counter (a fill of
+   4 000 ints and a blit of 400), and the reset is part of the time. *)
+let bench_water_fill () =
+  let rng = Prng.create 9 in
+  let n = 4_000 and links = 400 and ceiling = 8 in
+  let uses = Array.init n (fun _ -> Array.init 4 (fun q -> (q * 100) + Prng.int rng 100)) in
+  let room = Array.init links (fun _ -> 40 * (1 + Prng.int rng 10)) in
+  let level = Array.make n 0 and counters = Array.make links 0 in
+  let env =
+    {
+      Policy.claim = (fun i -> { Policy.utility = 1.; extras_granted = level.(i) });
+      can_upgrade =
+        (fun i -> level.(i) < ceiling && Array.for_all (fun c -> counters.(c) > 0) uses.(i));
+      grant =
+        (fun i ->
+          level.(i) <- level.(i) + 1;
+          Array.iter (fun c -> counters.(c) <- counters.(c) - 1) uses.(i));
+      tie = Int.compare;
+    }
+  in
+  let candidates = List.init n Fun.id in
+  Staged.stage (fun () ->
+      Array.fill level 0 n 0;
+      Array.blit room 0 counters 0 links;
+      Policy.equal_share.Policy.run env candidates)
+
 (* Built when the micro bench runs, not at start-up: the fallback case
    loads 20 000 connections. *)
 let tests () =
@@ -162,6 +225,10 @@ let tests () =
       (bench_backup_fallback ());
     Test.make ~name:"backup pool query x256 (loaded paper network)"
       (bench_backup_pool_query ());
+    Test.make ~name:"backup route search (loaded paper network)"
+      (bench_backup_route_loaded ());
+    Test.make ~name:"water-fill rounds (equal-share, 4000 candidates)"
+      (bench_water_fill ());
     Test.make ~name:"DR admission + termination" (bench_admission ());
     Test.make ~name:"9-state Markov solve (table1/fig2)" (bench_markov_solve ());
     Test.make ~name:"100-node Waxman generation" (bench_waxman ());

@@ -197,6 +197,16 @@ let backup_fits t ~b_min ~primary_edges =
   backup_pool t + b_min <= room
   || (t.multiplexing && backup_pool_with t ~b_min ~primary_edges <= room)
 
+(* The same bound, for the headroom: it is at least [room - backup_pool
+   - b_min], so once that reaches [at_most] the per-edge demands cannot
+   change the answer. *)
+let backup_headroom t ~b_min ~primary_edges ~at_most =
+  let room = t.capacity - t.primary_min_total in
+  if room - backup_pool t - b_min >= at_most then at_most
+  else
+    let headroom = room - backup_pool_with t ~b_min ~primary_edges in
+    if headroom < 0 then -1 else Int.min at_most headroom
+
 let register_backup t ~channel ~b_min ~primary_edges =
   if b_min <= 0 then invalid_arg "Link_state.register_backup: non-positive b_min";
   if Array.length primary_edges = 0 then

@@ -103,7 +103,21 @@ val backup_fits : t -> b_min:Bandwidth.t -> primary_edges:int array -> bool
     recomputed first), so the new pool is at most [backup_pool + b_min].
     Without multiplexing the pool is the plain sum and the first test is
     the whole test.  Searches that need the headroom itself, not just
-    the verdict, call {!backup_pool_with}. *)
+    the verdict, call {!backup_headroom}. *)
+
+val backup_headroom :
+  t -> b_min:Bandwidth.t -> primary_edges:int array -> at_most:Bandwidth.t -> Bandwidth.t
+(** The backup headroom capped at [at_most], for [b_min >= 0] and
+    [at_most >= 0]: with
+    [h = capacity - primary_min_total - backup_pool_with ~b_min ~primary_edges],
+    [-1] when [h < 0] (the backup does not fit) and [min at_most h]
+    otherwise.  It answers [at_most] in O(1), reading no per-edge
+    demand, when [capacity - primary_min_total - backup_pool - b_min >=
+    at_most].  That is exact by the argument of {!backup_fits}: the new
+    pool is at most [backup_pool + b_min], so [h] is at least that bound.
+    Without multiplexing the bound is [h] itself.  A route search passes
+    its path's bottleneck so far as [at_most], so the demands are read
+    only where this link could lower it. *)
 
 val unregister_backup : t -> channel:int -> unit
 val has_backup : t -> channel:int -> bool

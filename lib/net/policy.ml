@@ -15,33 +15,43 @@ type t = {
 
 (* The three grant disciplines.  Each sorts with the policy order first
    and the environment's tie-break second, so results are deterministic
-   whatever order the candidates arrive in. *)
+   whatever order the candidates arrive in.  Within one run the only
+   writes are grants, so a refused candidate stays refused and is
+   dropped. *)
 
 let by order env a b =
   match order (env.claim a) (env.claim b) with 0 -> env.tie a b | c -> c
 
+(* One round: grant one increment to each survivor that fits, in
+   order, and return those granted, still in order. *)
+let[@tail_mod_cons] rec grant_round env = function
+  | [] -> []
+  | ch :: rest ->
+    if env.can_upgrade ch then begin
+      env.grant ch;
+      ch :: grant_round env rest
+    end
+    else grant_round env rest
+
+(* One sort: a round lifts every survivor by one extra, which leaves a
+   [`Rounds] order as it was, so the survivors stay sorted. *)
 let run_rounds order env candidates =
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    let ordered = List.sort (by order env) candidates in
-    List.iter
-      (fun ch ->
-        if env.can_upgrade ch then begin
-          env.grant ch;
-          progress := true
-        end)
-      ordered
-  done
+  let rec rounds = function
+    | [] -> ()
+    | survivors -> rounds (grant_round env survivors)
+  in
+  rounds (List.sort (by order env) candidates)
 
 let run_exact order env candidates =
-  let continue = ref true in
-  while !continue do
-    let eligible = List.filter env.can_upgrade candidates in
+  let rec step eligible =
+    let eligible = List.filter env.can_upgrade eligible in
     match List.sort (by order env) eligible with
-    | [] -> continue := false
-    | best :: _ -> env.grant best
-  done
+    | [] -> ()
+    | best :: _ ->
+      env.grant best;
+      step eligible
+  in
+  step candidates
 
 let run_drain order env candidates =
   let ordered = List.sort (by order env) candidates in

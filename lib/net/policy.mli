@@ -21,7 +21,14 @@ type claim = { utility : float; extras_granted : int }
     candidate's claim, whether one more increment fits on its whole
     path, how to grant it, and the deterministic last-resort tie-break
     (the service compares channel ids).  The element type stays abstract
-    to the policy — it never inspects channels directly. *)
+    to the policy — it never inspects channels directly.
+
+    Within one [run], [grant] must be the only write and [can_upgrade]
+    a pure query.  A grant raises the granted candidate's
+    [extras_granted] by exactly one, leaves its utility and every other
+    claim as they were, and only takes capacity, so once [can_upgrade]
+    answers [false] for a candidate it keeps answering [false] until the
+    run ends. *)
 type 'a env = {
   claim : 'a -> claim;
   can_upgrade : 'a -> bool;
@@ -47,11 +54,18 @@ val make :
   t
 (** Build a policy from an ordering and a grant discipline:
 
-    - [`Rounds]: each round sorts all candidates by [order] and grants
-      one increment to every candidate that fits, repeating while any
-      grant landed;
-    - [`Exact]: each step re-sorts the still-eligible candidates and
-      grants exactly the best one;
+    - [`Rounds]: sort the candidates once by [order]; each round walks
+      the previous round's survivors in that order, grants one
+      increment to every one that fits and keeps only those, until
+      none is left.  A refused candidate is dropped, since a refusal is
+      final within a run.  Contract: [order] must compare two claims
+      the same after both gain one extra, as equal-share's does; then
+      the survivors are still sorted after a round, and the grants are
+      those of re-sorting every candidate before each round.  An order
+      such as extras per unit of utility breaks it: use [`Exact];
+    - [`Exact]: each step filters the previous step's eligible
+      candidates, re-sorts them and grants exactly the best one.  Exact
+      for every [order];
     - [`Drain]: sort once, then drain each candidate to its ceiling
       before the next sees anything.
 

@@ -7,11 +7,12 @@ let request ?(hop_bound = 16) ~src ~dst ~floor () =
   { src; dst; floor; hop_bound }
 
 (* Hop-bounded BFS over directed links, on the network's scratch.
-   [allowance dl] returns the bandwidth this directed link could still
-   give the request, or a negative number when the link cannot admit it
-   at all.  Among routes of equal (minimal) hop count the one with the
-   larger bottleneck allowance wins — that is the copy the destination
-   would have confirmed. *)
+   [allowance ~at_most dl] returns the bandwidth this directed link
+   could still give the request, capped at [at_most] (the bottleneck of
+   the path reaching it), or -1 when the link cannot admit it at all.
+   Among routes of equal (minimal) hop count the one with the larger
+   bottleneck allowance wins — that is the copy the destination would
+   have confirmed. *)
 let search_best net req ~allowance =
   let g = Net_state.graph net in
   let s = Net_state.scratch net in
@@ -29,9 +30,9 @@ let search_best net req ~allowance =
       (* An unreached node reads as max_int hops. *)
       let hv = if s.reached.(v) = gen then s.hops.(v) else max_int in
       if hv >= d && Net_state.usable_edge net e then begin
-        let a = allowance (Dirlink.of_step ~src:u ~dst:v e) in
-        if a >= 0 then begin
-          let bottleneck = Int.min s.allow.(u) a in
+        let dl = Dirlink.of_step ~src:u ~dst:v e in
+        let bottleneck = allowance ~at_most:s.allow.(u) dl in
+        if bottleneck >= 0 then begin
           (* [hv] is [d] here, or unreached. *)
           if hv > d || bottleneck > s.allow.(v) then begin
             if hv > d then begin
@@ -70,21 +71,11 @@ let search_best net req ~allowance =
   else Some (Paths.scratch_path s ~src:req.src ~dst:req.dst)
 
 let primary_route net req =
-  let allowance dl =
-    let l = Net_state.link net dl in
-    if Link_state.admissible_primary l ~b_min:req.floor then
-      Link_state.reclaimable_headroom l
-    else -1
+  let allowance ~at_most dl =
+    let headroom = Link_state.reclaimable_headroom (Net_state.link net dl) in
+    if req.floor <= headroom then Int.min at_most headroom else -1
   in
   search_best net req ~allowance
-
-(* Backup admissibility on a directed link: the pool after adding this
-   backup must fit beside the primary floors. *)
-let backup_allowance net ~floor ~primary_edges dl =
-  let l = Net_state.link net dl in
-  let pool' = Link_state.backup_pool_with l ~b_min:floor ~primary_edges in
-  let headroom = Link_state.capacity l - Link_state.primary_min_total l - pool' in
-  if headroom >= 0 then headroom else -1
 
 let backup_route ?(banned_edges = []) net req ~primary_edges =
   (* The primary's edges carry a generation of their own; the searches
@@ -96,11 +87,14 @@ let backup_route ?(banned_edges = []) net req ~primary_edges =
   (* One array for every pool query of this call. *)
   let primary_edge_array = Array.of_list primary_edges in
   let banned dl = List.mem (Dirlink.edge dl) banned_edges in
-  (* First try: fully link-disjoint.  The flood ranks routes by
-     headroom, so it needs the exact pool. *)
-  let disjoint_allowance dl =
+  (* First try: fully link-disjoint.  The flood ranks routes by their
+     bottleneck headroom, so a link's pool is read only where its O(1)
+     bound could lower the bottleneck so far. *)
+  let disjoint_allowance ~at_most dl =
     if on_primary (Dirlink.edge dl) || banned dl then -1
-    else backup_allowance net ~floor:req.floor ~primary_edges:primary_edge_array dl
+    else
+      Link_state.backup_headroom (Net_state.link net dl) ~b_min:req.floor
+        ~primary_edges:primary_edge_array ~at_most
   in
   match search_best net req ~allowance:disjoint_allowance with
   | Some _ as found -> found

@@ -64,6 +64,23 @@ dune exec bin/drqos_cli.exe -- top "$tmpdir/verify-bench-j1/fig2.heartbeat.jsonl
   exit 1
 }
 
+step "determinism goldens: fig2 --quick against scripts/golden/"
+# The --jobs comparisons above pass a change that moves both runs
+# alike.  These goldens pin route choice and grant order themselves: a
+# change meant to keep behaviour leaves them byte-identical, and one
+# meant to move it re-records them and says why.
+for f in fig2.dat fig2.hb.dat; do
+  cmp "$tmpdir/verify-bench-j1/$f" "scripts/golden/fig2-quick.${f#fig2.}" || {
+    echo "FAIL: fig2 --quick $f differs from scripts/golden/fig2-quick.${f#fig2.}" >&2
+    exit 1
+  }
+done
+hb_sum=$(sha256sum < "$tmpdir/verify-bench-j1/fig2.heartbeat.jsonl" | cut -d ' ' -f 1)
+[ "$hb_sum" = "$(cut -d ' ' -f 1 scripts/golden/fig2-quick.heartbeat.sha256)" ] || {
+  echo "FAIL: fig2 --quick heartbeat stream differs from scripts/golden/fig2-quick.heartbeat.sha256" >&2
+  exit 1
+}
+
 step "lint: zero unbaselined findings, no stale baseline entries (timed)"
 # drqos_lint walks the .cmt files dune built — every rule, R1-R9, over
 # the whole tree (examples included).  `@all` writes no .cmt for an
@@ -106,14 +123,30 @@ if dune exec bin/drqos_lint.exe -- --rules R7,R8,R9 --lib-prefix test/ \
   exit 1
 fi
 
-step "fuzz: 2000 ops per topology family, fixed seed"
+step "fuzz: fixed seeds per topology family, stdout against scripts/golden/"
 # The full invariant suite (link accounting, failed-edge unroutability,
 # single-failure safety, counter prediction) is audited after every op;
-# any violation prints a shrunk reproducer and fails the gate.
-dune exec bin/drqos_cli.exe -- fuzz --seed 1 --ops 2000 || {
-  echo "FAIL: fuzzer found an invariant violation (reproducer above)" >&2
-  exit 1
+# any violation prints a shrunk reproducer and fails the gate.  The
+# second run adds multiple backups, restoration and the incremental-
+# equivalence audit every 3 ops.  Each run's summary lines (admitted,
+# rejected, activations, ...) must match their golden byte for byte.
+fuzz_gate() {
+  golden=$1
+  shift
+  dune exec bin/drqos_cli.exe -- fuzz "$@" > "$tmpdir/fuzz.txt" || {
+    cat "$tmpdir/fuzz.txt"
+    echo "FAIL: fuzzer found an invariant violation (reproducer above)" >&2
+    exit 1
+  }
+  cat "$tmpdir/fuzz.txt"
+  cmp "$tmpdir/fuzz.txt" "scripts/golden/$golden" || {
+    echo "FAIL: fuzz $* stdout differs from scripts/golden/$golden" >&2
+    exit 1
+  }
 }
+fuzz_gate fuzz-seed1-ops2000.txt --seed 1 --ops 2000
+fuzz_gate fuzz-seed7-ops4000-backups3-restore.txt --seed 7 --ops 4000 --backups 3 \
+  --restore --deep-every 3
 
 step "benchmark goldens: full-size route choice, seed 1"
 # Tier-1's benchmark smoke runs seed 3 on shrunk workloads and reads no

@@ -375,9 +375,10 @@ let qcheck_link_state_model =
    drop off one link at a time.  After every step, on every link, for a
    random probe: [backup_pool_with] is the worst single failure
    recomputed from [edge_demands] (the plain sum of floors without
-   multiplexing), [backup_fits] is the exact admission test, the
-   accounting audit passes, and every registration still reads back
-   its floor and edges. *)
+   multiplexing), [backup_fits] is the exact admission test,
+   [backup_headroom] is the headroom left by that pool, capped at 0, a
+   random value and [max_int], the accounting audit passes, and every
+   registration still reads back its floor and edges. *)
 let qcheck_pool_query_definition =
   QCheck.Test.make ~name:"backup pool query matches its definition" ~count:60
     QCheck.(pair small_int bool)
@@ -454,8 +455,17 @@ let qcheck_pool_query_definition =
           (fun i l ->
             let b_min = 50 * (1 + Prng.int rng 8) in
             let primary_edges = random_edges () in
+            let expected_pool = pool_by_definition i ~b_min ~primary_edges in
+            let headroom = capacity - Link_state.primary_min_total l - expected_pool in
+            (* Probed first, so the first probe may meet a stale maximum. *)
+            List.iter
+              (fun at_most ->
+                check
+                  (Link_state.backup_headroom l ~b_min ~primary_edges ~at_most
+                  = if headroom < 0 then -1 else min at_most headroom))
+              [ 0; Prng.int rng capacity; max_int ];
             let pool' = Link_state.backup_pool_with l ~b_min ~primary_edges in
-            check (pool' = pool_by_definition i ~b_min ~primary_edges);
+            check (pool' = expected_pool);
             check
               (Link_state.backup_fits l ~b_min ~primary_edges
               = (Link_state.primary_min_total l + pool' <= capacity));
@@ -561,17 +571,20 @@ let test_policy_strings () =
       ("max", Policy.max_utility);
     ]
 
+(* Reverse priority: most extras granted first (a deliberately unfair
+   discipline).  One extra on both sides leaves it unchanged, so it
+   meets the [`Rounds] contract. *)
+let greedy_rich =
+  Policy.make ~name:"greedy-rich"
+    ~order:(fun a b -> compare b.Policy.extras_granted a.Policy.extras_granted)
+    ~style:`Rounds
+
 (* Policies are first-class values: a custom one plugs in through
    {!Policy.make} and drives the same water-filling core. *)
 let test_policy_first_class () =
-  (* Reverse priority: most extras granted first (a deliberately unfair
-     discipline) — still terminates and still reaches a fixed point. *)
-  let greedy =
-    Policy.make ~name:"greedy-rich"
-      ~order:(fun a b ->
-        compare b.Policy.extras_granted a.Policy.extras_granted)
-      ~style:`Rounds
-  in
+  (* The unfair discipline still terminates and still reaches a fixed
+     point. *)
+  let greedy = greedy_rich in
   Alcotest.(check string) "name" "greedy-rich" (Policy.name greedy);
   Alcotest.(check bool) "distinct from builtins" true
     (not (List.exists (Policy.equal greedy) Policy.all));
@@ -596,6 +609,92 @@ let test_policy_first_class () =
   Alcotest.(check bool) "floors respected" true
     (Drcomm.reserved_bandwidth t a >= 100 && Drcomm.reserved_bandwidth t b >= 100);
   Drcomm.check_invariants t
+
+(* The grant disciplines written the direct way, as the reference for
+   the grant sequences: [`Rounds] re-sorts every candidate before each
+   round, [`Exact] re-filters every candidate before each grant, and
+   neither drops a refused candidate. *)
+let reference_by order (env : _ Policy.env) a b =
+  match order (env.claim a) (env.claim b) with 0 -> env.tie a b | c -> c
+
+let reference_rounds order (env : _ Policy.env) candidates =
+  let progress = ref true in
+  while !progress do
+    progress := false;
+    let ordered = List.sort (reference_by order env) candidates in
+    List.iter
+      (fun ch ->
+        if env.can_upgrade ch then begin
+          env.grant ch;
+          progress := true
+        end)
+      ordered
+  done
+
+let reference_exact order (env : _ Policy.env) candidates =
+  let continue = ref true in
+  while !continue do
+    let eligible = List.filter env.can_upgrade candidates in
+    match List.sort (reference_by order env) eligible with
+    | [] -> continue := false
+    | best :: _ -> env.grant best
+  done
+
+(* One synthetic flush from [seed]: up to 12 candidates with random
+   levels, ceilings and utilities, each grant taking one unit from every
+   counter in the candidate's random subset of 3 shared counters (the
+   links of its path).  [run] water-fills them; the result is the ids in
+   grant order. *)
+let grant_log run seed =
+  let rng = Prng.create seed in
+  let n = 1 + Prng.int rng 12 in
+  let counters = Array.init 3 (fun _ -> Prng.int rng 24) in
+  let level = Array.init n (fun _ -> Prng.int rng 4) in
+  let ceiling = Array.map (fun l -> l + Prng.int rng 6) level in
+  let utility = Array.init n (fun _ -> float_of_int (1 + Prng.int rng 4)) in
+  let uses = Array.init n (fun _ -> List.filter (fun _ -> Prng.bool rng) [ 0; 1; 2 ]) in
+  let candidates = Array.init n Fun.id in
+  Prng.shuffle rng candidates;
+  let log = ref [] in
+  let env =
+    {
+      Policy.claim = (fun i -> { Policy.utility = utility.(i); extras_granted = level.(i) });
+      can_upgrade =
+        (fun i -> level.(i) < ceiling.(i) && List.for_all (fun c -> counters.(c) > 0) uses.(i));
+      grant =
+        (fun i ->
+          level.(i) <- level.(i) + 1;
+          List.iter (fun c -> counters.(c) <- counters.(c) - 1) uses.(i);
+          log := i :: !log);
+      tie = Int.compare;
+    }
+  in
+  run env (Array.to_list candidates);
+  List.rev !log
+
+let qcheck_grant_sequences =
+  QCheck.Test.make ~name:"grant sequences match the re-sorting reference" ~count:300
+    QCheck.small_nat (fun seed ->
+      List.for_all
+        (fun (policy, reference) ->
+          grant_log policy.Policy.run seed
+          = grant_log (reference (Policy.compare_claims policy)) seed)
+        [
+          (Policy.equal_share, reference_rounds);
+          (greedy_rich, reference_rounds);
+          (Policy.proportional, reference_exact);
+        ])
+
+(* The [`Rounds] contract is the real one: by extras per unit of
+   utility, an order one extra can change, sorting once departs from
+   the re-sorting reference on some flush. *)
+let test_rounds_contract_needed () =
+  let order = Policy.compare_claims Policy.proportional in
+  let per_utility = Policy.make ~name:"per-utility-rounds" ~order ~style:`Rounds in
+  let departs seed =
+    grant_log per_utility.Policy.run seed <> grant_log (reference_rounds order) seed
+  in
+  Alcotest.(check bool) "a flush departs" true (List.exists departs (List.init 200 Fun.id))
 
 (* --- Interval QoS --- *)
 
@@ -804,6 +903,7 @@ let () =
           Alcotest.test_case "max utility" `Quick test_policy_max_utility;
           Alcotest.test_case "string roundtrip" `Quick test_policy_strings;
           Alcotest.test_case "first-class policy" `Quick test_policy_first_class;
+          Alcotest.test_case "rounds contract needed" `Quick test_rounds_contract_needed;
         ] );
       ( "interval-qos",
         [
@@ -830,5 +930,6 @@ let () =
             qcheck_interval_dbp_consistent;
             qcheck_link_state_model;
             qcheck_pool_query_definition;
+            qcheck_grant_sequences;
           ] );
     ]
