@@ -49,18 +49,6 @@ let () =
      parameters — the same verdicts as simulation at a fraction of the cost\n\
      once P_f/P_s/A/B/T are known for the network (the paper's §3.3 workflow).\n";
 
-  (* The network-centric companion analysis (§3.2's other view): how many
-     floor reservations fit one 10 Mbps link before blocking exceeds 1%?
-     Classic Erlang-B, useful for per-link dimensioning. *)
-  printf "\nper-link dimensioning (Erlang B, 100 Kbps floors on one 10 Mbps link):\n";
-  printf "%14s %10s %10s\n" "offered load" "blocking" "servers for 1%";
-  List.iter
-    (fun a ->
-      printf "%11.0f E %9.4f %15d\n" a
-        (Erlang.erlang_b ~servers:100 ~offered_load:a)
-        (Erlang.required_servers ~offered_load:a ~target_blocking:0.01))
-    [ 60.; 80.; 100.; 120. ];
-
   (* And the confidence view: replicate the knee point across seeds. *)
   let knee_cfg =
     {

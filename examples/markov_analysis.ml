@@ -1,8 +1,7 @@
 (* The analysis side of the paper as a standalone toolkit: build the
-   N-state chain from measured parameters and interrogate it — stationary
-   QoS mix, "how long until my stream is squeezed to the floor?"
-   (first-passage), "will I reach HD before dropping to the floor?"
-   (hitting probability), and what-if sensitivities for planning.
+   N-state chain from measured parameters and interrogate it — the
+   stationary QoS mix, its average bandwidth, and what-if sensitivities
+   for planning.
 
      dune exec examples/markov_analysis.exe *)
 
@@ -44,32 +43,6 @@ let () =
   printf "  average: %.0f Kbps (simulation said %.0f)\n"
     (Model.average_bandwidth_regularized params ~qos)
     r.Scenario.sim_avg_bandwidth;
-
-  (* First passage: from the best level, how long until the stream is
-     squeezed into the bottom band (<= 150 Kbps, barely-recognisable
-     video)?  The exact floor state is almost never the post-retreat
-     landing spot (redistribution lifts channels off it within the same
-     event), so the bottom *band* is the meaningful target. *)
-  let top = Qos.levels qos - 1 in
-  let h = Ctmc.mean_first_passage chain ~targets:[ 0; 1 ] in
-  printf "\nexpected time until squeezed to <= 150 Kbps:\n";
-  List.iter
-    (fun lvl ->
-      printf "  from %3d Kbps: %8.0f time units (~%.1f connection lifetimes)\n"
-        (Qos.bandwidth_of_level qos lvl) h.(lvl)
-        (h.(lvl) *. cfg.Scenario.mu))
-    [ top; top / 2; 2 ];
-
-  (* Hitting probability: starting mid-range, reach the ceiling before
-     the bottom band? *)
-  let p_up = Ctmc.hitting_probability chain ~targets:[ top ] ~avoid:[ 0; 1 ] in
-  printf "\nP(reach %d Kbps before dropping to <= 150 Kbps):\n"
-    (Qos.bandwidth_of_level qos top);
-  List.iter
-    (fun lvl ->
-      printf "  from %3d Kbps: %5.1f%%\n" (Qos.bandwidth_of_level qos lvl)
-        (100. *. p_up.(lvl)))
-    [ 2; top / 2; top - 1 ];
 
   (* Sensitivities: where should the provider spend effort?  Scale each
      derivative by a plausible actionable change in its knob. *)

@@ -15,19 +15,6 @@ type counters = {
   restores : int;
 }
 
-let zero_counters =
-  {
-    admits = 0;
-    rejects = 0;
-    terminations = 0;
-    link_failures = 0;
-    link_repairs = 0;
-    backup_activations = 0;
-    backup_losses = 0;
-    drops = 0;
-    restores = 0;
-  }
-
 let counter_names =
   [
     ("drcomm.admits", fun c -> c.admits);

@@ -29,7 +29,6 @@ type counters = {
   restores : int;
 }
 
-val zero_counters : counters
 val read_counters : Metrics.t -> counters
 val pp_counters : Format.formatter -> counters -> unit
 

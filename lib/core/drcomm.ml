@@ -17,8 +17,6 @@ module Config = struct
     restore_on_failure : bool;
   }
 
-  let version = 1
-
   let make ?(policy = Policy.equal_share) ?(hop_bound = 16)
       ?(route_search = `Flooding) ?(require_backup = true) ?(with_backups = true)
       ?(backups_per_connection = 1) ?(restore_on_failure = false) () =

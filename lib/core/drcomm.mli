@@ -57,9 +57,6 @@ end
 module Config : sig
   type t
 
-  val version : int
-  (** Configuration schema version (bumped on incompatible change). *)
-
   val make :
     ?policy:Policy.t ->
     ?hop_bound:int ->

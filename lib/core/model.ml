@@ -106,33 +106,19 @@ let build_regularized ?(eps_up = 1e-9) ?(eps_down = 1e-12) p =
   done;
   c
 
+let bandwidth_reward qos i = float_of_int (Qos.bandwidth_of_level qos i)
+
 let average_bandwidth_regularized p ~qos =
   if Qos.levels qos <> levels p then
     invalid_arg "Model.average_bandwidth_regularized: QoS levels mismatch";
-  let pi = Ctmc.stationary (build_regularized p) in
-  let acc = ref 0. in
-  Array.iteri
-    (fun i x -> acc := !acc +. (x *. float_of_int (Qos.bandwidth_of_level qos i)))
-    pi;
-  !acc
+  Ctmc.mean_reward (build_regularized p) (bandwidth_reward qos)
 
 let stationary p = Ctmc.stationary (build p)
-
-let average_level p =
-  let pi = stationary p in
-  let acc = ref 0. in
-  Array.iteri (fun i x -> acc := !acc +. (float_of_int i *. x)) pi;
-  !acc
 
 let average_bandwidth p ~qos =
   if Qos.levels qos <> levels p then
     invalid_arg "Model.average_bandwidth: QoS levels do not match the chain";
-  let pi = stationary p in
-  let acc = ref 0. in
-  Array.iteri
-    (fun i x -> acc := !acc +. (x *. float_of_int (Qos.bandwidth_of_level qos i)))
-    pi;
-  !acc
+  Ctmc.mean_reward (build p) (bandwidth_reward qos)
 
 type knob = [ `Lambda | `Mu | `Gamma | `P_f | `P_s ]
 

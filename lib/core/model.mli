@@ -77,8 +77,6 @@ val average_bandwidth : params -> qos:Qos.t -> float
 (** The paper's headline metric: [sum_i pi_i * (b_min + i * Δ)].
     [Qos.levels qos] must equal [levels params]. *)
 
-val average_level : params -> float
-
 type knob = [ `Lambda | `Mu | `Gamma | `P_f | `P_s ]
 
 val sensitivity : params -> qos:Qos.t -> knob -> float

@@ -54,46 +54,12 @@ let transpose m =
   done;
   r
 
-let map f m = { m with data = Array.map f m.data }
-
-let elementwise op a b =
-  if a.rows <> b.rows || a.cols <> b.cols then
-    invalid_arg "Matrix: dimension mismatch";
-  { a with data = Array.init (Array.length a.data) (fun k -> op a.data.(k) b.data.(k)) }
-
-let add = elementwise ( +. )
-let sub = elementwise ( -. )
-let scale s m = map (fun x -> s *. x) m
-
-let mul a b =
-  if a.cols <> b.rows then invalid_arg "Matrix.mul: dimension mismatch";
-  let r = create a.rows b.cols in
-  for i = 0 to a.rows - 1 do
-    for k = 0 to a.cols - 1 do
-      let aik = get a i k in
-      if not (Float.equal aik 0.) then
-        for j = 0 to b.cols - 1 do
-          add_to r i j (aik *. get b k j)
-        done
-    done
-  done;
-  r
-
 let mul_vec m v =
   if Array.length v <> m.cols then invalid_arg "Matrix.mul_vec: dimension mismatch";
   Array.init m.rows (fun i ->
       let acc = ref 0. in
       for j = 0 to m.cols - 1 do
         acc := !acc +. (get m i j *. v.(j))
-      done;
-      !acc)
-
-let vec_mul v m =
-  if Array.length v <> m.rows then invalid_arg "Matrix.vec_mul: dimension mismatch";
-  Array.init m.cols (fun j ->
-      let acc = ref 0. in
-      for i = 0 to m.rows - 1 do
-        acc := !acc +. (v.(i) *. get m i j)
       done;
       !acc)
 
@@ -110,16 +76,3 @@ let max_abs m = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0. m.
 let equal ?(eps = 1e-12) a b =
   a.rows = b.rows && a.cols = b.cols
   && Array.for_all2 (fun x y -> Float.abs (x -. y) <= eps) a.data b.data
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to m.rows - 1 do
-    Format.fprintf ppf "@[<h>[";
-    for j = 0 to m.cols - 1 do
-      if j > 0 then Format.fprintf ppf ";@ ";
-      Format.fprintf ppf "%g" (get m i j)
-    done;
-    Format.fprintf ppf "]@]";
-    if i < m.rows - 1 then Format.fprintf ppf "@,"
-  done;
-  Format.fprintf ppf "@]"

@@ -29,19 +29,8 @@ val add_to : t -> int -> int -> float -> unit
 val copy : t -> t
 val transpose : t -> t
 
-val map : (float -> float) -> t -> t
-
-val add : t -> t -> t
-val sub : t -> t -> t
-val scale : float -> t -> t
-val mul : t -> t -> t
-(** Matrix product; raises [Invalid_argument] on dimension mismatch. *)
-
 val mul_vec : t -> float array -> float array
 (** [mul_vec m v] is [m v]. *)
-
-val vec_mul : float array -> t -> float array
-(** [vec_mul v m] is [v m] (row vector times matrix). *)
 
 val row_sums : t -> float array
 
@@ -50,5 +39,3 @@ val max_abs : t -> float
 
 val equal : ?eps:float -> t -> t -> bool
 (** Element-wise comparison with tolerance [eps] (default 1e-12). *)
-
-val pp : Format.formatter -> t -> unit

@@ -4,8 +4,6 @@ let create n =
   if n <= 0 then invalid_arg "Ctmc.create: need at least one state";
   { n; rates = Array.make (n * n) 0. }
 
-let state_count c = c.n
-
 let check c s name =
   if s < 0 || s >= c.n then
     invalid_arg (Printf.sprintf "Ctmc.%s: state %d out of range [0, %d)" name s c.n)
@@ -57,164 +55,3 @@ let mean_reward c reward =
   let acc = ref 0. in
   Array.iteri (fun i p -> acc := !acc +. (p *. reward i)) pi;
   !acc
-
-let holding_time c s =
-  check c s "holding_time";
-  let e = exit_rate c s in
-  if Float.equal e 0. then infinity else 1. /. e
-
-let embedded_dtmc c =
-  let p = Matrix.create c.n c.n in
-  for i = 0 to c.n - 1 do
-    let e = exit_rate c i in
-    if Float.equal e 0. then Matrix.set p i i 1.
-    else
-      for j = 0 to c.n - 1 do
-        if j <> i then Matrix.set p i j (c.rates.((i * c.n) + j) /. e)
-      done
-  done;
-  p
-
-let check_states c name states =
-  if states = [] then invalid_arg (Printf.sprintf "Ctmc.%s: empty state list" name);
-  List.iter (fun s -> check c s name) states
-
-(* Mean hitting time of the target set: for non-target states the vector
-   h satisfies (Q' h) = -1 where Q' is the generator restricted to
-   non-target rows/columns (transitions into targets just disappear from
-   the coupling, contributing their rate only to the diagonal). *)
-let mean_first_passage c ~targets =
-  check_states c "mean_first_passage" targets;
-  let is_target = Array.make c.n false in
-  List.iter (fun s -> is_target.(s) <- true) targets;
-  let others = List.filter (fun s -> not is_target.(s)) (List.init c.n Fun.id) in
-  let m = List.length others in
-  let index = Hashtbl.create 16 in
-  List.iteri (fun k s -> Hashtbl.replace index s k) others;
-  (* Every non-target state was indexed just above. *)
-  let row s = match Hashtbl.find_opt index s with Some k -> k | None -> assert false in
-  let a = Matrix.create m m in
-  let b = Array.make m (-1.) in
-  List.iteri
-    (fun k s ->
-      Matrix.set a k k (-.exit_rate c s);
-      List.iter
-        (fun s' ->
-          if s' <> s && not is_target.(s') then
-            Matrix.set a k (row s') c.rates.((s * c.n) + s'))
-        (List.init c.n Fun.id))
-    others;
-  let h = if m = 0 then [||] else Linsolve.gaussian a b in
-  let out = Array.make c.n 0. in
-  List.iteri (fun k s -> out.(s) <- h.(k)) others;
-  (* A non-positive or non-finite solution signals unreachable targets
-     (the restricted generator was not strictly substochastic). *)
-  Array.iteri
-    (fun s x ->
-      if (not is_target.(s)) && (x < 0. || not (Float.is_finite x)) then
-        raise Linsolve.Singular)
-    out;
-  out
-
-let hitting_probability c ~targets ~avoid =
-  check_states c "hitting_probability" targets;
-  check_states c "hitting_probability" avoid;
-  List.iter
-    (fun s ->
-      if List.mem s targets then
-        invalid_arg "Ctmc.hitting_probability: targets and avoid overlap")
-    avoid;
-  let kind = Array.make c.n `Free in
-  List.iter (fun s -> kind.(s) <- `Target) targets;
-  List.iter (fun s -> kind.(s) <- `Avoid) avoid;
-  let others = List.filter (fun s -> kind.(s) = `Free) (List.init c.n Fun.id) in
-  let m = List.length others in
-  let index = Hashtbl.create 16 in
-  List.iteri (fun k s -> Hashtbl.replace index s k) others;
-  (* Every free state was indexed just above. *)
-  let row s = match Hashtbl.find_opt index s with Some k -> k | None -> assert false in
-  (* p_s = sum_{s'} rate(s,s')/q_s * value(s'); rearranged into a linear
-     system over free states. *)
-  let a = Matrix.create m m in
-  let b = Array.make m 0. in
-  List.iteri
-    (fun k s ->
-      let q = exit_rate c s in
-      if Float.equal q 0. then Matrix.set a k k 1. (* absorbing free state: never hits *)
-      else begin
-        Matrix.set a k k 1.;
-        List.iter
-          (fun s' ->
-            if s' <> s then begin
-              let w = c.rates.((s * c.n) + s') /. q in
-              match kind.(s') with
-              | `Free -> Matrix.add_to a k (row s') (-.w)
-              | `Target -> b.(k) <- b.(k) +. w
-              | `Avoid -> ()
-            end)
-          (List.init c.n Fun.id)
-      end)
-    others;
-  let p = if m = 0 then [||] else Linsolve.gaussian a b in
-  let out = Array.make c.n 0. in
-  List.iter (fun s -> out.(s) <- 1.) targets;
-  List.iteri (fun k s -> out.(s) <- p.(k)) others;
-  out
-
-(* Uniformisation: pick Lambda >= max exit rate, form the DTMC
-   P = I + Q / Lambda, and sum the Poisson-weighted powers
-   p(t) = sum_k Poisson(Lambda t, k) * p0 P^k, truncating once the
-   remaining Poisson mass drops below eps. *)
-let transient c ~p0 ~horizon ?(eps = 1e-10) () =
-  if Array.length p0 <> c.n then invalid_arg "Ctmc.transient: p0 size mismatch";
-  if horizon < 0. then invalid_arg "Ctmc.transient: negative horizon";
-  if Float.equal horizon 0. then Array.copy p0
-  else begin
-    let max_exit = ref 0. in
-    for s = 0 to c.n - 1 do
-      max_exit := Float.max !max_exit (exit_rate c s)
-    done;
-    if Float.equal !max_exit 0. then Array.copy p0
-    else begin
-      let lambda = !max_exit *. 1.02 in
-      let p =
-        let q = generator c in
-        Matrix.add (Matrix.identity c.n) (Matrix.scale (1. /. lambda) q)
-      in
-      let lt = lambda *. horizon in
-      (* Poisson weights computed iteratively; start from k = 0. *)
-      let result = Array.make c.n 0. in
-      let current = ref (Array.copy p0) in
-      let weight = ref (exp (-.lt)) in
-      let cumulative = ref !weight in
-      let k = ref 0 in
-      let accumulate w v = Array.iteri (fun i x -> result.(i) <- result.(i) +. (w *. x)) v in
-      accumulate !weight !current;
-      (* Guard: lt can be large; exp(-lt) may underflow to 0.  In that case
-         start accumulating once weights become representable — the simple
-         scheme below stays correct because weights are monotone up to
-         k ~ lt. *)
-      while 1. -. !cumulative > eps && !k < 100_000 do
-        incr k;
-        current := Matrix.vec_mul !current p;
-        weight := !weight *. lt /. float_of_int !k;
-        (match classify_float !weight with
-        | FP_nan | FP_infinite -> invalid_arg "Ctmc.transient: horizon too large"
-        | FP_zero | FP_subnormal | FP_normal -> ());
-        cumulative := !cumulative +. !weight;
-        accumulate !weight !current
-      done;
-      let obs = Obs.default () in
-      if Obs.enabled obs then begin
-        (* Uniformisation is the one iterative solver here: expose how
-           many matrix-vector products the truncation needed. *)
-        Metrics.incr (Obs.counter obs "markov.transient_solves");
-        Metrics.add (Obs.counter obs "markov.transient_steps") !k;
-        Obs.event obs
-          (Trace.Solve { what = "ctmc.transient"; states = c.n; seconds = 0. })
-      end;
-      (* Renormalise the truncation remainder. *)
-      let total = Array.fold_left ( +. ) 0. result in
-      if total > 0. then Array.map (fun x -> x /. total) result else result
-    end
-  end

@@ -3,15 +3,13 @@
     This module replaces the SHARPE tool the paper used: it builds the
     infinitesimal generator from a list of transition rates and solves for
     the stationary distribution directly (exact for the paper's N <= 9
-    chains).  A uniformisation-based transient solver is included for
-    validation and for studying convergence to steady state. *)
+    chains).  The steady state is the one Markov computation the paper's
+    evaluation needs, so that is all this module solves. *)
 
 type t
 
 val create : int -> t
 (** [create n] is a chain on states [0 .. n-1] with no transitions yet. *)
-
-val state_count : t -> int
 
 val add_rate : t -> src:int -> dst:int -> float -> unit
 (** Accumulates rate onto the [src -> dst] transition.  [src <> dst],
@@ -30,32 +28,3 @@ val stationary : t -> float array
 val mean_reward : t -> (int -> float) -> float
 (** [mean_reward c reward] is [sum_i pi_i * reward i] — e.g. the paper's
     average reserved bandwidth when [reward i = b_min + i * delta]. *)
-
-val transient : t -> p0:float array -> horizon:float -> ?eps:float -> unit -> float array
-(** State distribution at time [horizon] starting from [p0], computed by
-    uniformisation (Jensen's method) with truncation error below [eps]
-    (default 1e-10). *)
-
-val holding_time : t -> int -> float
-(** Mean sojourn time of a state: [1 / total exit rate]; [infinity] for an
-    absorbing state. *)
-
-val embedded_dtmc : t -> Matrix.t
-(** Jump-chain transition matrix.  Absorbing states get a self-loop of 1. *)
-
-val mean_first_passage : t -> targets:int list -> float array
-(** [mean_first_passage c ~targets] gives, for every state, the expected
-    time until the chain first enters any state of [targets] (0 for the
-    targets themselves).  Solves the standard linear system
-    [h_i = 1/q_i + sum_j p_ij h_j] over non-target states.  Raises
-    {!Linsolve.Singular} when some state cannot reach the targets, and
-    [Invalid_argument] on an empty or out-of-range target list.
-
-    For the paper's chain this answers e.g. "starting from the best QoS
-    level, how long until a channel is squeezed down to its floor?". *)
-
-val hitting_probability : t -> targets:int list -> avoid:int list -> float array
-(** [hitting_probability c ~targets ~avoid] gives, per state, the
-    probability of reaching a target before entering any [avoid] state.
-    Targets score 1, avoid-states 0.  The two sets must be disjoint and
-    non-empty. *)

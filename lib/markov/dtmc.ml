@@ -12,28 +12,3 @@ let validate p =
     if Float.abs (!row_sum -. 1.) > 1e-9 then
       invalid_arg (Printf.sprintf "Dtmc.validate: row %d sums to %g" i !row_sum)
   done
-
-let stationary p =
-  validate p;
-  let n = Matrix.rows p in
-  (* pi (P - I) = 0. *)
-  let q = Matrix.sub p (Matrix.identity n) in
-  Linsolve.solve_left_nullvector q
-
-let power_iteration ?(iters = 1000) p p0 =
-  validate p;
-  if Array.length p0 <> Matrix.rows p then
-    invalid_arg "Dtmc.power_iteration: vector size mismatch";
-  let v = ref (Array.copy p0) in
-  for _ = 1 to iters do
-    v := Matrix.vec_mul !v p
-  done;
-  !v
-
-let expected_jump p value i =
-  let n = Matrix.cols p in
-  let acc = ref 0. in
-  for j = 0 to n - 1 do
-    acc := !acc +. (Matrix.get p i j *. value j)
-  done;
-  !acc

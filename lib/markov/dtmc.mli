@@ -1,21 +1,7 @@
-(** Discrete-time Markov chains, used as test oracles for {!Ctmc} and to
-    analyse the level-transition matrices (A, B, T) measured from
+(** Discrete-time Markov chains: the row-stochastic check that {!Model}
+    applies to the level-transition matrices (A, B, T) measured from
     simulation. *)
 
 val validate : Matrix.t -> unit
 (** Checks the matrix is square, entries are in [0, 1] and rows sum to 1
     (tolerance 1e-9).  Raises [Invalid_argument] otherwise. *)
-
-val stationary : Matrix.t -> float array
-(** Stationary vector of an irreducible row-stochastic matrix, by direct
-    solve of [pi (P - I) = 0, sum pi = 1].
-    Raises {!Linsolve.Singular} when reducible. *)
-
-val power_iteration : ?iters:int -> Matrix.t -> float array -> float array
-(** [power_iteration p p0] multiplies [p0] through [p] [iters] times
-    (default 1000) — an independent cross-check for {!stationary}. *)
-
-val expected_jump : Matrix.t -> (int -> float) -> int -> float
-(** [expected_jump p value i] is [sum_j p_ij * value j]: the expected
-    post-transition value from state [i].  Used to sanity-check measured
-    A/B/T matrices (e.g. arrivals must not increase the expected level). *)

@@ -11,14 +11,6 @@ let stage_name = function
   | Redistribute -> "redistribute"
   | Write -> "write"
 
-let stage_of_name = function
-  | "queue" -> Some Queue
-  | "parse" -> Some Parse
-  | "service" -> Some Service
-  | "redistribute" -> Some Redistribute
-  | "write" -> Some Write
-  | _ -> None
-
 let stage_index = function
   | Queue -> 0
   | Parse -> 1
@@ -79,7 +71,6 @@ let create ?slo ?(on_exemplar = fun _ -> ()) obs =
   }
 
 let slo_counts t = (t.good, t.bad)
-let slo_threshold t = t.slo
 
 (* One completed request: feed the mergeable per-stage log-bucket
    timers, the SLO counters, and — when tracing — the [Req_begin]/

@@ -33,7 +33,6 @@ val all_stages : stage list
 (** In pipeline order: queue, parse, service, redistribute, write. *)
 
 val stage_name : stage -> string
-val stage_of_name : string -> stage option
 
 val timer_name : stage -> string
 (** The metrics timer fed per stage: [req.<stage_name>].  The total
@@ -76,5 +75,3 @@ val observe :
 
 val slo_counts : t -> int * int
 (** Cumulative [(good, bad)] — a {!Snapshot.source}'s [slo] accessor. *)
-
-val slo_threshold : t -> float option

@@ -78,7 +78,6 @@ let depth t = List.length t.stack
 
 let now t = Clock.now () -. t.epoch
 
-let frame_name f = f.f_name
 let frame_start f = f.f_start
 
 let enter t name =
@@ -192,15 +191,6 @@ let merge_into ~into src =
         d.a_major <- d.a_major +. c.a_major)
       src.aggs;
     src.dropped <- src.dropped + src.n_recs (* records do not transfer *)
-  end
-
-let reset t =
-  if t.on then begin
-    t.stack <- [];
-    t.recs <- [];
-    t.n_recs <- 0;
-    t.dropped <- 0;
-    Hashtbl.reset t.aggs
   end
 
 let to_json t =

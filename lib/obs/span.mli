@@ -71,7 +71,6 @@ val add : t -> record -> unit
     profiler rebuilds the live profiler's {!aggregate}.  No-op on a
     disabled profiler. *)
 
-val frame_name : frame -> string
 val frame_start : frame -> float
 
 val wrap : t -> string -> (unit -> 'a) -> 'a
@@ -92,8 +91,6 @@ val merge_into : into:t -> t -> unit
     do not transfer — they count into [src]'s drop tally.  A no-op when
     either side is disabled; raises [Invalid_argument] when both are the
     same live profiler. *)
-
-val reset : t -> unit
 
 val to_json : t -> Jsonx.t
 (** The aggregate table as

@@ -46,94 +46,3 @@ module Welford = struct
       { n; mean; m2; lo = Float.min a.lo b.lo; hi = Float.max a.hi b.hi }
     end
 end
-
-module Timed_average = struct
-  type t = {
-    start : float;
-    mutable last_time : float;
-    mutable current : float;
-    mutable weighted_sum : float;
-  }
-
-  let create ~start ~value =
-    { start; last_time = start; current = value; weighted_sum = 0. }
-
-  let update t ~time ~value =
-    if time < t.last_time then invalid_arg "Timed_average.update: time went backwards";
-    t.weighted_sum <- t.weighted_sum +. (t.current *. (time -. t.last_time));
-    t.last_time <- time;
-    t.current <- value
-
-  let value t = t.current
-
-  let average t ~upto =
-    if upto < t.last_time then invalid_arg "Timed_average.average: upto in the past";
-    let span = upto -. t.start in
-    if span <= 0. then t.current
-    else (t.weighted_sum +. (t.current *. (upto -. t.last_time))) /. span
-
-  let elapsed t ~upto = upto -. t.start
-end
-
-module Histogram = struct
-  type t = {
-    lo : float;
-    hi : float;
-    counts : int array;
-    mutable total : int;
-  }
-
-  let create ~lo ~hi ~buckets =
-    if buckets < 1 then invalid_arg "Histogram.create: need at least one bucket";
-    if not (lo < hi) then invalid_arg "Histogram.create: requires lo < hi";
-    { lo; hi; counts = Array.make buckets 0; total = 0 }
-
-  let bucket_index t x =
-    let b = Array.length t.counts in
-    if x < t.lo then 0
-    else if x >= t.hi then b - 1
-    else
-      let i = int_of_float (float_of_int b *. (x -. t.lo) /. (t.hi -. t.lo)) in
-      min (b - 1) i
-
-  let add t x =
-    t.counts.(bucket_index t x) <- t.counts.(bucket_index t x) + 1;
-    t.total <- t.total + 1
-
-  let count t = t.total
-  let bucket_counts t = Array.copy t.counts
-
-  let bucket_bounds t i =
-    let b = Array.length t.counts in
-    if i < 0 || i >= b then invalid_arg "Histogram.bucket_bounds: out of range";
-    let width = (t.hi -. t.lo) /. float_of_int b in
-    (t.lo +. (float_of_int i *. width), t.lo +. (float_of_int (i + 1) *. width))
-
-  let quantile t q =
-    if q < 0. || q > 1. then invalid_arg "Histogram.quantile: q in [0, 1]";
-    if t.total = 0 then nan
-    else begin
-      let target = q *. float_of_int t.total in
-      (* [acc' > 0] keeps [q = 0] (target 0) from stopping on empty
-         leading buckets: the 0-quantile is the first {e populated}
-         bucket, i.e. the minimum's bucket. *)
-      let rec scan i acc =
-        if i >= Array.length t.counts - 1 then i
-        else
-          let acc' = acc + t.counts.(i) in
-          if acc' > 0 && float_of_int acc' >= target then i else scan (i + 1) acc'
-      in
-      let i = scan 0 0 in
-      let lo, hi = bucket_bounds t i in
-      (lo +. hi) /. 2.
-    end
-
-  let pp ppf t =
-    Format.fprintf ppf "@[<v>";
-    Array.iteri
-      (fun i c ->
-        let lo, hi = bucket_bounds t i in
-        Format.fprintf ppf "[%8.1f, %8.1f) %d@," lo hi c)
-      t.counts;
-    Format.fprintf ppf "@]"
-end

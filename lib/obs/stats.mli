@@ -1,4 +1,7 @@
-(** Statistics accumulators for simulation output analysis. *)
+(** Streaming sample statistics for simulation output analysis: the
+    accumulator behind {!Metrics} timers, replication summaries and
+    packet delays.  Time-weighted averages are {!Scenario}'s own
+    integrals, and duration histograms live in the {!Metrics} timers. *)
 
 (** Streaming mean/variance (Welford's algorithm): numerically stable,
     O(1) memory. *)
@@ -24,45 +27,4 @@ module Welford : sig
 
   val merge : t -> t -> t
   (** Combine two accumulators (Chan's parallel update). *)
-end
-
-(** Time-weighted average of a piecewise-constant signal — the estimator
-    for "average bandwidth reserved", which must weight each level by how
-    long it was held, not by how many events touched it. *)
-module Timed_average : sig
-  type t
-
-  val create : start:float -> value:float -> t
-
-  val update : t -> time:float -> value:float -> unit
-  (** The signal takes [value] from [time] on.  [time] must not decrease;
-      equal times are fine (instantaneous double transition). *)
-
-  val value : t -> float
-  (** Current signal value. *)
-
-  val average : t -> upto:float -> float
-  (** Time-weighted mean over [[start, upto]].  Does not disturb the
-      accumulator.  Returns the current value if the window is empty. *)
-
-  val elapsed : t -> upto:float -> float
-end
-
-(** Fixed-width bucket histogram over [[lo, hi)]; outliers go to the first
-    and last buckets. *)
-module Histogram : sig
-  type t
-
-  val create : lo:float -> hi:float -> buckets:int -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val bucket_counts : t -> int array
-  val bucket_bounds : t -> int -> float * float
-  val quantile : t -> float -> float
-  (** Approximate quantile (bucket midpoint); [q] in [0, 1].  [nan] on an
-      empty histogram.  [q = 0] is the first populated bucket, [q = 1]
-      the last; out-of-range samples live in the clamping edge
-      buckets. *)
-
-  val pp : Format.formatter -> t -> unit
 end

@@ -28,12 +28,9 @@ type flow_state = {
   deadline : float;
   stop : float;
   bucket : Traffic_spec.Bucket.bucket;
-  monitor : Interval_qos.monitor option;
-  skip_threshold : int;
   mutable sent : int;
   mutable delivered : int;
   mutable missed : int;
-  mutable skipped : int;
   delay_acc : Stats.Welford.t;
   mutable worst : float;
 }
@@ -48,7 +45,6 @@ type t = {
   m_sent : Metrics.counter;
   m_delivered : Metrics.counter;
   m_missed : Metrics.counter;
-  m_skipped : Metrics.counter;
 }
 
 let create ?(propagation_delay = 0.) ?obs engine graph ~rate_of =
@@ -68,7 +64,6 @@ let create ?(propagation_delay = 0.) ?obs engine graph ~rate_of =
     m_sent = Obs.counter obs "netsim.packets_sent";
     m_delivered = Obs.counter obs "netsim.packets_delivered";
     m_missed = Obs.counter obs "netsim.deadline_misses";
-    m_skipped = Obs.counter obs "netsim.packets_skipped";
   }
 
 let insert_by_deadline p queue =
@@ -86,14 +81,10 @@ let deliver t flow_state p ~now =
   Metrics.incr t.m_delivered;
   Stats.Welford.add flow_state.delay_acc delay;
   if delay > flow_state.worst then flow_state.worst <- delay;
-  let on_time = now <= p.e2e_deadline in
-  if not on_time then begin
+  if now > p.e2e_deadline then begin
     flow_state.missed <- flow_state.missed + 1;
     Metrics.incr t.m_missed
-  end;
-  Option.iter
-    (fun mon -> Interval_qos.record mon ~delivered:on_time)
-    flow_state.monitor
+  end
 
 (* Mutual recursion: finishing a transmission hands the packet to the
    next hop (an arrival) and pulls the next packet into service. *)
@@ -131,53 +122,34 @@ and arrive t p =
   s.queue <- insert_by_deadline p s.queue;
   if not s.busy then start_service t dl
 
-(* Skip-over decision: congested first hop + a window that tolerates the
-   loss. *)
-let should_skip t flow_state =
-  match flow_state.monitor with
-  | None -> false
-  | Some mon ->
-    let first = t.servers.(flow_state.fpath.(0)) in
-    List.length first.queue >= flow_state.skip_threshold && Interval_qos.can_skip mon
-
 let rec source_tick t flow_state () =
   let now = Engine.now t.engine in
   if now < flow_state.stop then begin
     if Traffic_spec.Bucket.try_consume flow_state.bucket ~now then begin
-      if should_skip t flow_state then begin
-        flow_state.skipped <- flow_state.skipped + 1;
-        Metrics.incr t.m_skipped;
-        Option.iter
-          (fun mon -> Interval_qos.record mon ~delivered:false)
-          flow_state.monitor
-      end
-      else begin
-        flow_state.sent <- flow_state.sent + 1;
-        Metrics.incr t.m_sent;
-        let p =
-          {
-            flow = flow_state.fid;
-            created = now;
-            e2e_deadline = now +. flow_state.deadline;
-            size_bits = flow_state.spec.Traffic_spec.packet_bits;
-            per_hop_budget =
-              flow_state.deadline /. float_of_int (Array.length flow_state.fpath);
-            path = flow_state.fpath;
-            hop = 0;
-          }
-        in
-        arrive t p
-      end
+      flow_state.sent <- flow_state.sent + 1;
+      Metrics.incr t.m_sent;
+      let p =
+        {
+          flow = flow_state.fid;
+          created = now;
+          e2e_deadline = now +. flow_state.deadline;
+          size_bits = flow_state.spec.Traffic_spec.packet_bits;
+          per_hop_budget =
+            flow_state.deadline /. float_of_int (Array.length flow_state.fpath);
+          path = flow_state.fpath;
+          hop = 0;
+        }
+      in
+      arrive t p
     end;
     let next = Traffic_spec.Bucket.next_conforming_time flow_state.bucket ~now in
     let delay = Float.max (next -. now) 1e-9 in
     ignore (Engine.schedule t.engine ~delay (fun _ -> source_tick t flow_state ()))
   end
 
-let add_flow t ~path ~spec ~deadline ?start ?interval ?(skip_threshold = 4) ~stop () =
+let add_flow t ~path ~spec ~deadline ?start ~stop () =
   if path = [] then invalid_arg "Netsim.add_flow: empty path";
   if deadline <= 0. then invalid_arg "Netsim.add_flow: non-positive deadline";
-  if skip_threshold < 1 then invalid_arg "Netsim.add_flow: skip_threshold >= 1";
   List.iter
     (fun dl ->
       if dl < 0 || dl >= Array.length t.servers then
@@ -194,12 +166,9 @@ let add_flow t ~path ~spec ~deadline ?start ?interval ?(skip_threshold = 4) ~sto
       deadline;
       stop;
       bucket = Traffic_spec.Bucket.create spec;
-      monitor = Option.map Interval_qos.create interval;
-      skip_threshold;
       sent = 0;
       delivered = 0;
       missed = 0;
-      skipped = 0;
       delay_acc = Stats.Welford.create ();
       worst = 0.;
     }
@@ -214,11 +183,9 @@ type stats = {
   sent : int;
   delivered : int;
   missed : int;
-  skipped : int;
   in_flight : int;
   delay : Stats.Welford.t;
   worst_delay : float;
-  contract_violations : int option;
 }
 
 let stats t fid =
@@ -229,11 +196,9 @@ let stats t fid =
       sent = f.sent;
       delivered = f.delivered;
       missed = f.missed;
-      skipped = f.skipped;
       in_flight = f.sent - f.delivered;
       delay = f.delay_acc;
       worst_delay = f.worst;
-      contract_violations = Option.map Interval_qos.violations f.monitor;
     }
 
 let link_busy_time t dl =

@@ -7,7 +7,9 @@
     a packet's end-to-end deadline budget is split evenly across its
     hops.  Sources are token-bucket-shaped.  Everything runs on the
     shared {!Engine}, so channel-level events (failures, re-routing)
-    can be interleaved by the caller. *)
+    can be interleaved by the caller.  This is the project's one EDF
+    scheduler: ablation F measures its delays, and
+    [examples/packet_delay.ml] shows it protecting admitted channels. *)
 
 type t
 
@@ -18,8 +20,8 @@ val create : ?propagation_delay:float -> ?obs:Obs.t -> Engine.t -> Graph.t ->
 (** One server per directed link of the graph.  [propagation_delay]
     (seconds per hop, default 0) is added after each transmission.
     [obs] (default {!Obs.default}) receives the counters
-    [netsim.packets_sent], [netsim.packets_delivered],
-    [netsim.deadline_misses] and [netsim.packets_skipped]. *)
+    [netsim.packets_sent], [netsim.packets_delivered] and
+    [netsim.deadline_misses]. *)
 
 val add_flow :
   t ->
@@ -27,8 +29,6 @@ val add_flow :
   spec:Traffic_spec.t ->
   deadline:float ->
   ?start:float ->
-  ?interval:Interval_qos.spec ->
-  ?skip_threshold:int ->
   stop:float ->
   unit ->
   flow_id
@@ -36,14 +36,6 @@ val add_flow :
     now) until [stop]; each packet must arrive within [deadline] seconds
     of its creation.  The source sends as fast as its token bucket
     allows, i.e. at sustained rate [spec.rate] after an initial burst.
-
-    With [interval] the flow carries a k-out-of-M contract (§2.2's
-    run-time elastic model): when the flow's first-hop queue holds at
-    least [skip_threshold] packets (default 4) and the sliding window
-    tolerates a loss, the source {e skips} the packet instead of sending
-    it — skip-over scheduling, trading packets the contract permits to
-    lose for queue relief.  On-time delivery records a success in the
-    window; a late delivery records a loss.
 
     Raises [Invalid_argument] on an empty path or non-positive
     deadline. *)
@@ -53,13 +45,9 @@ type stats = {
   sent : int;
   delivered : int;
   missed : int;  (** delivered after their deadline. *)
-  skipped : int;  (** deliberately dropped at the source (interval QoS). *)
   in_flight : int;  (** still queued when the stats were read. *)
   delay : Stats.Welford.t;  (** end-to-end delay of delivered packets. *)
   worst_delay : float;
-  contract_violations : int option;
-      (** sliding-window violations; [None] without an interval
-          contract. *)
 }
 
 val stats : t -> flow_id -> stats

@@ -81,6 +81,19 @@ hb_sum=$(sha256sum < "$tmpdir/verify-bench-j1/fig2.heartbeat.jsonl" | cut -d ' '
   exit 1
 }
 
+step "determinism goldens: ablations --quick against scripts/golden/ablations-quick/"
+# No other gate runs the ablations, and ablation F is the one reached
+# caller of Netsim.  Each of the nine .dat exports must match its golden
+# byte for byte; the goldens are identical across runs and --jobs.
+dune exec bench/main.exe -- ablations --quick --out "$tmpdir/ablations" >/dev/null
+for golden in scripts/golden/ablations-quick/*.dat; do
+  f=$(basename "$golden")
+  cmp "$tmpdir/ablations/$f" "$golden" || {
+    echo "FAIL: ablations --quick $f differs from $golden" >&2
+    exit 1
+  }
+done
+
 step "lint: zero unbaselined findings, no stale baseline entries (timed)"
 # drqos_lint walks the .cmt files dune built — every rule, R1-R9, over
 # the whole tree (examples included).  `@all` writes no .cmt for an
@@ -178,6 +191,21 @@ grep -q '"span_end"' "$tmpdir/t.jsonl" || {
   echo "FAIL: profiled trace carries no span events" >&2
   exit 1
 }
+
+step "examples: each runs to exit 0 with output"
+# The examples build with the tree but nothing else runs them; each
+# must exit 0 and print something (about 7 s for all of them).
+for src in examples/*.ml; do
+  ex=$(basename "$src" .ml)
+  "_build/default/examples/$ex.exe" > "$tmpdir/example-$ex.txt" || {
+    echo "FAIL: examples/$ex exited non-zero" >&2
+    exit 1
+  }
+  test -s "$tmpdir/example-$ex.txt" || {
+    echo "FAIL: examples/$ex printed nothing" >&2
+    exit 1
+  }
+done
 
 step "analyze determinism: same trace, byte-identical output"
 # analyze is a pure function of the trace bytes: two invocations on the

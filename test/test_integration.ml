@@ -225,43 +225,6 @@ let test_regular_topology_pf_analytic () =
     true
     (measured > predicted /. 2. && measured < predicted *. 2.)
 
-let test_betweenness_pf_estimate () =
-  (* Going beyond §3.3: on the irregular paper topology, the
-     betweenness-based estimate must land within a factor of ~1.5 of the
-     simulated P_f (paths in the service are min-hop with allowance
-     tie-breaks, close to the all-shortest-paths average Brandes sees). *)
-  let g = Waxman.generate (Prng.create 1) (Waxman.paper_spec ~nodes:100) in
-  let predicted = Centrality.estimate_p_f g in
-  let net = Net_state.create g in
-  let service = Drcomm.create net in
-  let rng = Prng.create 2 in
-  let qos = Qos.paper_spec ~increment:100 in
-  for _ = 1 to 500 do
-    let src, dst = Prng.sample_distinct_pair rng (Graph.node_count g) in
-    ignore (Drcomm.admit ~want_indirect:false service ~src ~dst ~qos)
-  done;
-  let est = Estimator.create ~levels:(Qos.levels qos) in
-  for i = 1 to 600 do
-    if i mod 2 = 0 then begin
-      match Drcomm.active_channels service with
-      | [] -> ()
-      | ids ->
-        Estimator.observe_termination est
-          (Drcomm.terminate service (Prng.pick_list rng ids))
-    end
-    else begin
-      let src, dst = Prng.sample_distinct_pair rng (Graph.node_count g) in
-      match Drcomm.admit service ~src ~dst ~qos with
-      | Drcomm.Admitted (_, report) -> Estimator.observe_arrival est report
-      | Drcomm.Rejected _ -> ()
-    end
-  done;
-  let measured = Estimator.p_f est in
-  Alcotest.(check bool)
-    (Printf.sprintf "topology estimate %.4f vs simulated %.4f" predicted measured)
-    true
-    (measured > predicted /. 1.6 && measured < predicted *. 1.6)
-
 let () =
   Alcotest.run "integration"
     [
@@ -275,8 +238,6 @@ let () =
           Alcotest.test_case "F is downward" `Quick test_failure_matrix_downward;
           Alcotest.test_case "regular-topology P_f analytic" `Quick
             test_regular_topology_pf_analytic;
-          Alcotest.test_case "betweenness P_f estimate" `Quick
-            test_betweenness_pf_estimate;
         ] );
       ( "effects",
         [

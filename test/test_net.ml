@@ -1,6 +1,5 @@
 (* Tests for the network domain layer: bandwidth, QoS specs, directed
-   links, per-link reservation state, policies, and the run-time
-   substrates (interval QoS, EDF). *)
+   links, per-link reservation state and policies. *)
 
 let approx = Alcotest.float 1e-9
 
@@ -696,154 +695,6 @@ let test_rounds_contract_needed () =
   in
   Alcotest.(check bool) "a flush departs" true (List.exists departs (List.init 200 Fun.id))
 
-(* --- Interval QoS --- *)
-
-let test_interval_spec_validation () =
-  Alcotest.check_raises "k > m" (Invalid_argument "Interval_qos.spec: need 1 <= k <= m")
-    (fun () -> ignore (Interval_qos.spec ~k:5 ~m:3))
-
-let test_interval_fresh_window () =
-  let mon = Interval_qos.create (Interval_qos.spec ~k:3 ~m:5) in
-  Alcotest.(check bool) "clean start" true (Interval_qos.satisfied mon);
-  Alcotest.(check int) "all delivered" 5 (Interval_qos.delivered_in_window mon);
-  Alcotest.(check int) "can lose m - k" 2 (Interval_qos.distance_to_failure mon)
-
-let test_interval_sliding () =
-  let mon = Interval_qos.create (Interval_qos.spec ~k:2 ~m:3) in
-  Interval_qos.record mon ~delivered:false;
-  Alcotest.(check bool) "2/3 ok" true (Interval_qos.satisfied mon);
-  Alcotest.(check int) "critical" 0 (Interval_qos.distance_to_failure mon);
-  Alcotest.(check bool) "cannot skip" false (Interval_qos.can_skip mon);
-  Interval_qos.record mon ~delivered:true;
-  Interval_qos.record mon ~delivered:true;
-  (* Window now T T with one stale loss about to slide out. *)
-  Interval_qos.record mon ~delivered:true;
-  Alcotest.(check int) "recovered" 1 (Interval_qos.distance_to_failure mon);
-  Alcotest.(check bool) "may skip again" true (Interval_qos.can_skip mon)
-
-let test_interval_violation_count () =
-  let mon = Interval_qos.create (Interval_qos.spec ~k:2 ~m:2) in
-  Interval_qos.record mon ~delivered:false;
-  Alcotest.(check bool) "violated" false (Interval_qos.satisfied mon);
-  Alcotest.(check int) "counted" 1 (Interval_qos.violations mon);
-  Alcotest.(check int) "distance 0 when violated" 0 (Interval_qos.distance_to_failure mon)
-
-let test_interval_skip_guided_stream () =
-  (* Skipping exactly when allowed must never violate the contract. *)
-  let mon = Interval_qos.create (Interval_qos.spec ~k:3 ~m:5) in
-  for _ = 1 to 200 do
-    let skip = Interval_qos.can_skip mon in
-    Interval_qos.record mon ~delivered:(not skip);
-    Alcotest.(check bool) "never violated" true (Interval_qos.satisfied mon)
-  done;
-  Alcotest.(check int) "zero violations" 0 (Interval_qos.violations mon)
-
-(* --- EDF --- *)
-
-let test_edf_orders_by_deadline () =
-  let link = Edf.create ~rate:1000 in
-  (* 1000 Kbps: 1000 bits = 1 ms. *)
-  Edf.submit link { Edf.channel = 1; release = 0.; deadline = 0.010; size_bits = 1000 };
-  Edf.submit link { Edf.channel = 2; release = 0.; deadline = 0.002; size_bits = 1000 };
-  let done_ = Edf.drain link in
-  Alcotest.(check (list int)) "deadline order" [ 2; 1 ]
-    (List.map (fun c -> c.Edf.packet.Edf.channel) done_);
-  List.iter (fun c -> Alcotest.(check bool) "met" false c.Edf.missed) done_
-
-let test_edf_detects_miss () =
-  let link = Edf.create ~rate:1000 in
-  Edf.submit link { Edf.channel = 1; release = 0.; deadline = 0.0005; size_bits = 1000 };
-  match Edf.drain link with
-  | [ c ] -> Alcotest.(check bool) "missed" true c.Edf.missed
-  | _ -> Alcotest.fail "expected one completion"
-
-let test_edf_respects_release () =
-  let link = Edf.create ~rate:1000 in
-  Edf.submit link { Edf.channel = 1; release = 0.005; deadline = 0.02; size_bits = 1000 };
-  match Edf.drain link with
-  | [ c ] ->
-    Alcotest.check approx "starts at release" 0.005 c.Edf.start;
-    Alcotest.check approx "finishes after tx" 0.006 c.Edf.finish
-  | _ -> Alcotest.fail "expected one completion"
-
-let test_edf_run_until () =
-  let link = Edf.create ~rate:1000 in
-  for i = 0 to 4 do
-    Edf.submit link
-      { Edf.channel = i; release = 0.; deadline = 1.; size_bits = 1000 }
-  done;
-  let first = Edf.run link ~until:0.0035 in
-  Alcotest.(check int) "three fit" 3 (List.length first);
-  Alcotest.(check int) "two pending" 2 (Edf.pending link);
-  let rest = Edf.drain link in
-  Alcotest.(check int) "drained" 2 (List.length rest)
-
-let test_edf_utilisation () =
-  let flows =
-    [
-      { Edf.period = 0.01; packet_bits = 1000; relative_deadline = 0.01 };
-      { Edf.period = 0.02; packet_bits = 4000; relative_deadline = 0.02 };
-    ]
-  in
-  (* 1000 Kbps -> tx times 1ms and 4ms; U = 0.1 + 0.2. *)
-  Alcotest.check approx "utilisation" 0.3 (Edf.utilisation ~rate:1000 flows);
-  Alcotest.(check bool) "schedulable" true (Edf.schedulable ~rate:1000 flows)
-
-let test_edf_overload_not_schedulable () =
-  let flows =
-    [
-      { Edf.period = 0.001; packet_bits = 1000; relative_deadline = 0.001 };
-      { Edf.period = 0.001; packet_bits = 1000; relative_deadline = 0.001 };
-    ]
-  in
-  Alcotest.(check bool) "overloaded" false (Edf.schedulable ~rate:1000 flows)
-
-let test_edf_blocking_check () =
-  (* Utilisation is tiny but a huge foreign packet can block a tight
-     deadline: the non-preemptive test must reject. *)
-  let flows =
-    [
-      { Edf.period = 1.; packet_bits = 100_000; relative_deadline = 1. };
-      { Edf.period = 1.; packet_bits = 100; relative_deadline = 0.001 };
-    ]
-  in
-  Alcotest.(check bool) "blocked" false (Edf.schedulable ~rate:1000 flows)
-
-(* Property: an EDF-feasible released workload (utilisation < 1, generous
-   deadlines) never misses. *)
-let qcheck_edf_no_miss_when_feasible =
-  QCheck.Test.make ~name:"EDF meets generous deadlines" ~count:100
-    QCheck.(list_of_size (QCheck.Gen.int_range 1 20) (int_range 1 50))
-    (fun sizes ->
-      let link = Edf.create ~rate:1000 in
-      let total = List.fold_left ( + ) 0 sizes in
-      (* All released at 0; give every packet the full busy period. *)
-      List.iteri
-        (fun i s ->
-          Edf.submit link
-            {
-              Edf.channel = i;
-              release = 0.;
-              deadline = float_of_int (total * 1000) /. 1e6 +. 0.001;
-              size_bits = s * 1000;
-            })
-        sizes;
-      List.for_all (fun c -> not c.Edf.missed) (Edf.drain link))
-
-let qcheck_interval_dbp_consistent =
-  QCheck.Test.make ~name:"DBP skips never violate the window" ~count:100
-    QCheck.(pair (int_range 1 6) (int_range 0 5))
-    (fun (k, extra) ->
-      let m = k + extra in
-      let mon = Interval_qos.create (Interval_qos.spec ~k ~m) in
-      let ok = ref true in
-      for _ = 1 to 100 do
-        let skip = Interval_qos.can_skip mon in
-        Interval_qos.record mon ~delivered:(not skip);
-        if not (Interval_qos.satisfied mon) then ok := false
-      done;
-      !ok)
-
 let () =
   Alcotest.run "net"
     [
@@ -905,29 +756,9 @@ let () =
           Alcotest.test_case "first-class policy" `Quick test_policy_first_class;
           Alcotest.test_case "rounds contract needed" `Quick test_rounds_contract_needed;
         ] );
-      ( "interval-qos",
-        [
-          Alcotest.test_case "spec validation" `Quick test_interval_spec_validation;
-          Alcotest.test_case "fresh window" `Quick test_interval_fresh_window;
-          Alcotest.test_case "sliding" `Quick test_interval_sliding;
-          Alcotest.test_case "violations" `Quick test_interval_violation_count;
-          Alcotest.test_case "skip-guided stream" `Quick test_interval_skip_guided_stream;
-        ] );
-      ( "edf",
-        [
-          Alcotest.test_case "deadline order" `Quick test_edf_orders_by_deadline;
-          Alcotest.test_case "miss detection" `Quick test_edf_detects_miss;
-          Alcotest.test_case "release respected" `Quick test_edf_respects_release;
-          Alcotest.test_case "run until" `Quick test_edf_run_until;
-          Alcotest.test_case "utilisation" `Quick test_edf_utilisation;
-          Alcotest.test_case "overload" `Quick test_edf_overload_not_schedulable;
-          Alcotest.test_case "blocking" `Quick test_edf_blocking_check;
-        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
-            qcheck_edf_no_miss_when_feasible;
-            qcheck_interval_dbp_consistent;
             qcheck_link_state_model;
             qcheck_pool_query_definition;
             qcheck_grant_sequences;

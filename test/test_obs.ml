@@ -1,6 +1,6 @@
 (* Tests for the observability layer: JSON documents, the metrics
-   registry, trace sinks, and the Stats edge cases the registry leans
-   on. *)
+   registry with the edge cases of its timer histogram, and trace
+   sinks. *)
 
 let approx = Alcotest.float 1e-9
 
@@ -1172,49 +1172,61 @@ let test_snapshot_slo_fields () =
     Alcotest.check approx "burn of beat 2 (all bad)" 1.0 burn2
   | l -> Alcotest.failf "expected 2 snapshots, got %d" (List.length l)
 
-(* --- Stats edge cases (satellite coverage) --- *)
+(* --- Timer histogram edge cases --- *)
 
 let test_quantile_empty () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:10. ~buckets:4 in
-  Alcotest.(check bool) "empty histogram is nan" true
-    (Float.is_nan (Stats.Histogram.quantile h 0.5))
+  let tm = Metrics.timer (Metrics.create ()) "never" in
+  List.iter
+    (fun q -> Alcotest.check approx (Printf.sprintf "q=%g of no spans is 0" q) 0.
+        (Metrics.timer_quantile tm q))
+    [ 0.; 0.5; 1. ]
 
 let test_quantile_bounds_q () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:10. ~buckets:4 in
-  Stats.Histogram.add h 1.;
-  Alcotest.(check bool) "q < 0 rejected" true
-    (match Stats.Histogram.quantile h (-0.1) with
+  let tm = Metrics.timer (Metrics.create ()) "t" in
+  Metrics.observe tm 0.001;
+  let rejected q =
+    match Metrics.timer_quantile tm q with
     | exception Invalid_argument _ -> true
-    | _ -> false);
-  Alcotest.(check bool) "q > 1 rejected" true
-    (match Stats.Histogram.quantile h 1.1 with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+    | _ -> false
+  in
+  Alcotest.(check bool) "q < 0 rejected" true (rejected (-0.1));
+  Alcotest.(check bool) "q > 1 rejected" true (rejected 1.1);
+  Alcotest.(check bool) "q = 0 and q = 1 accepted" false (rejected 0. || rejected 1.)
+
+(* A timer holding only [spans]. *)
+let timer_of spans =
+  let tm = Metrics.timer (Metrics.create ()) "t" in
+  List.iter (Metrics.observe tm) spans;
+  tm
 
 let test_quantile_extremes () =
-  (* Data only in the second and fourth of four [0,10) buckets. *)
-  let h = Stats.Histogram.create ~lo:0. ~hi:10. ~buckets:4 in
-  List.iter (Stats.Histogram.add h) [ 3.; 3.; 9.; 9.; 9. ];
-  Alcotest.check approx "q=0 hits the first populated bucket" 3.75
-    (Stats.Histogram.quantile h 0.);
-  Alcotest.check approx "q=1 hits the last populated bucket" 8.75
-    (Stats.Histogram.quantile h 1.)
+  (* Spans in two buckets only: q = 0 and q = 1 answer with the first
+     and the last populated bucket. *)
+  let tm = timer_of [ 0.001; 0.001; 0.1; 0.1; 0.1 ] in
+  Alcotest.check approx "q=0 hits the first populated bucket"
+    (Metrics.timer_quantile (timer_of [ 0.001 ]) 0.5)
+    (Metrics.timer_quantile tm 0.);
+  Alcotest.check approx "q=1 hits the last populated bucket"
+    (Metrics.timer_quantile (timer_of [ 0.1 ]) 0.5)
+    (Metrics.timer_quantile tm 1.);
+  check_rel "first bucket near 1 ms" 0.001 (Metrics.timer_quantile tm 0.);
+  check_rel "last bucket near 100 ms" 0.1 (Metrics.timer_quantile tm 1.)
 
 let test_quantile_outlier_buckets () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:10. ~buckets:4 in
-  (* Outliers clamp into the edge buckets. *)
-  Stats.Histogram.add h (-100.);
-  Stats.Histogram.add h 1e9;
-  Alcotest.(check int) "both counted" 2 (Stats.Histogram.count h);
-  Alcotest.check approx "low outlier in bucket 0" 1.25
-    (Stats.Histogram.quantile h 0.);
-  Alcotest.check approx "high outlier in last bucket" 8.75
-    (Stats.Histogram.quantile h 1.)
-
-let test_timed_average_empty_window () =
-  let t = Stats.Timed_average.create ~start:3. ~value:17. in
-  Alcotest.check approx "zero-span average is the current value" 17.
-    (Stats.Timed_average.average t ~upto:3.)
+  (* Spans outside 1 ns .. 1000 s clamp into the edge buckets; the
+     running maximum stays exact. *)
+  let tm = timer_of [ 1e-12; 1e6 ] in
+  let edges = timer_of [ 1e-9; 999. ] in
+  Alcotest.(check int) "both counted" 2 (Metrics.timer_count tm);
+  Alcotest.check approx "low outlier in bucket 0"
+    (Metrics.timer_quantile edges 0.) (Metrics.timer_quantile tm 0.);
+  Alcotest.check approx "high outlier in the last bucket"
+    (Metrics.timer_quantile edges 1.) (Metrics.timer_quantile tm 1.);
+  Alcotest.(check bool) "bucket 0 sits at 1 ns" true
+    (Metrics.timer_quantile tm 0. < 1.2e-9);
+  Alcotest.(check bool) "last bucket sits below 1000 s" true
+    (let q = Metrics.timer_quantile tm 1. in q > 800. && q < 1000.);
+  Alcotest.check approx "max is exact" 1e6 (Metrics.timer_max tm)
 
 let () =
   Alcotest.run "obs"
@@ -1338,7 +1350,5 @@ let () =
           Alcotest.test_case "quantile q bounds" `Quick test_quantile_bounds_q;
           Alcotest.test_case "quantile extremes" `Quick test_quantile_extremes;
           Alcotest.test_case "quantile outliers" `Quick test_quantile_outlier_buckets;
-          Alcotest.test_case "timed average empty window" `Quick
-            test_timed_average_empty_window;
         ] );
     ]

@@ -265,61 +265,6 @@ let test_welford_merge () =
     (Stats.Welford.variance merged);
   Alcotest.(check int) "count" 1000 (Stats.Welford.count merged)
 
-(* --- Timed average --- *)
-
-let test_timed_average_piecewise () =
-  let t = Stats.Timed_average.create ~start:0. ~value:10. in
-  Stats.Timed_average.update t ~time:2. ~value:20.;
-  (* 10 for 2s, then 20 for 2s -> 15. *)
-  Alcotest.check approx "average" 15. (Stats.Timed_average.average t ~upto:4.);
-  Alcotest.check approx "current" 20. (Stats.Timed_average.value t)
-
-let test_timed_average_instant_double_update () =
-  let t = Stats.Timed_average.create ~start:0. ~value:1. in
-  Stats.Timed_average.update t ~time:1. ~value:100.;
-  Stats.Timed_average.update t ~time:1. ~value:2.;
-  (* The 100 lasted zero time. *)
-  Alcotest.check approx "average" 1.5 (Stats.Timed_average.average t ~upto:2.)
-
-let test_timed_average_empty_window () =
-  let t = Stats.Timed_average.create ~start:5. ~value:42. in
-  Alcotest.check approx "empty window" 42. (Stats.Timed_average.average t ~upto:5.)
-
-let test_timed_average_monotonicity_check () =
-  let t = Stats.Timed_average.create ~start:0. ~value:1. in
-  Stats.Timed_average.update t ~time:2. ~value:1.;
-  Alcotest.check_raises "backwards"
-    (Invalid_argument "Timed_average.update: time went backwards") (fun () ->
-      Stats.Timed_average.update t ~time:1. ~value:1.)
-
-(* --- Histogram --- *)
-
-let test_histogram_buckets () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:10. ~buckets:5 in
-  List.iter (Stats.Histogram.add h) [ 0.; 1.9; 2.; 5.; 9.9 ];
-  Alcotest.(check (array int)) "counts" [| 2; 1; 1; 0; 1 |]
-    (Stats.Histogram.bucket_counts h);
-  Alcotest.(check int) "total" 5 (Stats.Histogram.count h)
-
-let test_histogram_outliers () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:10. ~buckets:2 in
-  Stats.Histogram.add h (-5.);
-  Stats.Histogram.add h 50.;
-  Alcotest.(check (array int)) "clamped" [| 1; 1 |] (Stats.Histogram.bucket_counts h)
-
-let test_histogram_quantile () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:100. ~buckets:10 in
-  for i = 0 to 99 do
-    Stats.Histogram.add h (float_of_int i)
-  done;
-  let median = Stats.Histogram.quantile h 0.5 in
-  Alcotest.(check bool) "median near 50" true (Float.abs (median -. 50.) <= 10.)
-
-let test_histogram_bounds () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:10. ~buckets:4 in
-  Alcotest.(check (pair approx approx)) "bucket 1" (2.5, 5.)
-    (Stats.Histogram.bucket_bounds h 1)
-
 (* Properties *)
 
 let qcheck_welford_matches_naive =
@@ -335,20 +280,6 @@ let qcheck_welford_matches_naive =
       in
       Float.abs (Stats.Welford.mean w -. mean) < 1e-6
       && Float.abs (Stats.Welford.variance w -. var) < 1e-5)
-
-let qcheck_timed_average_bounded =
-  QCheck.Test.make ~name:"timed average lies within observed values" ~count:200
-    QCheck.(list_of_size (QCheck.Gen.int_range 1 30) (float_range 0. 100.))
-    (fun values ->
-      let t = Stats.Timed_average.create ~start:0. ~value:(List.hd values) in
-      List.iteri
-        (fun i v -> Stats.Timed_average.update t ~time:(float_of_int (i + 1)) ~value:v)
-        values;
-      let upto = float_of_int (List.length values + 1) in
-      let avg = Stats.Timed_average.average t ~upto in
-      let lo = List.fold_left Float.min infinity values in
-      let hi = List.fold_left Float.max neg_infinity values in
-      avg >= lo -. 1e-9 && avg <= hi +. 1e-9)
 
 let qcheck_event_queue_sorts =
   QCheck.Test.make ~name:"event queue pops in sorted order" ~count:100
@@ -407,26 +338,10 @@ let () =
           Alcotest.test_case "confidence interval" `Quick test_welford_ci;
           Alcotest.test_case "merge" `Quick test_welford_merge;
         ] );
-      ( "timed-average",
-        [
-          Alcotest.test_case "piecewise" `Quick test_timed_average_piecewise;
-          Alcotest.test_case "instant double update" `Quick
-            test_timed_average_instant_double_update;
-          Alcotest.test_case "empty window" `Quick test_timed_average_empty_window;
-          Alcotest.test_case "monotonicity" `Quick test_timed_average_monotonicity_check;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "buckets" `Quick test_histogram_buckets;
-          Alcotest.test_case "outliers" `Quick test_histogram_outliers;
-          Alcotest.test_case "quantile" `Quick test_histogram_quantile;
-          Alcotest.test_case "bounds" `Quick test_histogram_bounds;
-        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             qcheck_welford_matches_naive;
-            qcheck_timed_average_bounded;
             qcheck_event_queue_sorts;
           ] );
     ]

@@ -319,103 +319,6 @@ let test_torus_average_hops () =
 let random_connected_graph seed nodes =
   Waxman.generate (Prng.create seed) (Waxman.spec ~nodes ~alpha:0.5 ~beta:0.3 ())
 
-(* --- Centrality --- *)
-
-(* Brute-force edge betweenness on small graphs: enumerate all shortest
-   paths per pair by BFS DAG counting. *)
-let brute_edge_betweenness g =
-  let n = Graph.node_count g in
-  let acc = Array.make (Graph.edge_count g) 0. in
-  for s = 0 to n - 1 do
-    (* sigma counts and BFS DAG. *)
-    let dist = Paths.hops_from g s in
-    let sigma = Array.make n 0. in
-    sigma.(s) <- 1.;
-    let by_dist = List.sort (fun a b -> compare dist.(a) dist.(b)) (List.init n Fun.id) in
-    List.iter
-      (fun v ->
-        if v <> s && dist.(v) > 0 then
-          List.iter
-            (fun (u, _) -> if dist.(u) = dist.(v) - 1 then sigma.(v) <- sigma.(v) +. sigma.(u))
-            (Graph.neighbors g v))
-      by_dist;
-    (* Dependencies backward. *)
-    let delta = Array.make n 0. in
-    List.iter
-      (fun w ->
-        if w <> s && dist.(w) > 0 then
-          List.iter
-            (fun (u, e) ->
-              if dist.(u) = dist.(w) - 1 then begin
-                let share = sigma.(u) /. sigma.(w) *. (1. +. delta.(w)) in
-                acc.(e) <- acc.(e) +. share;
-                delta.(u) <- delta.(u) +. share
-              end)
-            (Graph.neighbors g w))
-      (List.rev by_dist)
-  done;
-  acc
-
-let test_edge_betweenness_line () =
-  (* Line 0-1-2-3: middle edge carries pairs {0,1}x{2,3} in both
-     directions = 8 ordered-pair units; end edges carry 6. *)
-  let g = Graph.create 4 in
-  let e01 = Graph.add_edge g 0 1 in
-  let e12 = Graph.add_edge g 1 2 in
-  let e23 = Graph.add_edge g 2 3 in
-  let b = Centrality.edge_betweenness g in
-  Alcotest.check (Alcotest.float 1e-9) "end edge" 6. b.(e01);
-  Alcotest.check (Alcotest.float 1e-9) "middle edge" 8. b.(e12);
-  Alcotest.check (Alcotest.float 1e-9) "other end" 6. b.(e23)
-
-let test_edge_betweenness_splits_ties () =
-  (* 4-cycle: every pair has either a unique 1-hop path or two 2-hop
-     paths split evenly; by symmetry all edges equal. *)
-  let g = Graph.create 4 in
-  let es =
-    [ Graph.add_edge g 0 1; Graph.add_edge g 1 2; Graph.add_edge g 2 3; Graph.add_edge g 3 0 ]
-  in
-  let b = Centrality.edge_betweenness g in
-  List.iter
-    (fun e -> Alcotest.check (Alcotest.float 1e-9) "symmetric" b.(List.hd es) b.(e))
-    es;
-  (* Total over edges = sum over ordered pairs of path length = 12 pairs
-     avg... each ordered pair contributes its hop count: 8 pairs at 1 hop
-     + 4 pairs at 2 hops = 16. *)
-  Alcotest.check (Alcotest.float 1e-9) "mass conservation" 16.
-    (Array.fold_left ( +. ) 0. b)
-
-let test_node_betweenness_star () =
-  (* Star with centre 0 and 4 leaves: centre lies on all 12 leaf-pair
-     ordered paths. *)
-  let g = Graph.create 5 in
-  for leaf = 1 to 4 do
-    ignore (Graph.add_edge g 0 leaf)
-  done;
-  let b = Centrality.node_betweenness g in
-  Alcotest.check (Alcotest.float 1e-9) "centre" 12. b.(0);
-  for leaf = 1 to 4 do
-    Alcotest.check (Alcotest.float 1e-9) "leaf" 0. b.(leaf)
-  done
-
-let test_betweenness_matches_bruteforce () =
-  List.iter
-    (fun seed ->
-      let g = random_connected_graph seed 18 in
-      let fast = Centrality.edge_betweenness g in
-      let slow = brute_edge_betweenness g in
-      Array.iteri
-        (fun e x -> Alcotest.check (Alcotest.float 1e-6) "edge value" slow.(e) x)
-        fast)
-    [ 1; 2; 3 ]
-
-let test_edge_usage_sums_to_hops () =
-  (* Sum of per-edge usage probabilities = expected path length. *)
-  let g = random_connected_graph 4 25 in
-  let p = Centrality.edge_usage_probability g in
-  let total = Array.fold_left ( +. ) 0. p in
-  Alcotest.check (Alcotest.float 1e-6) "sum = avg hops" (Paths.average_hops g) total
-
 (* --- properties --- *)
 
 let qcheck_shortest_paths_valid =
@@ -505,14 +408,6 @@ let () =
           Alcotest.test_case "connected" `Quick test_transit_stub_connected;
           Alcotest.test_case "hierarchy" `Quick test_transit_stub_hierarchy;
           Alcotest.test_case "multiple domains" `Quick test_transit_stub_multi_domain;
-        ] );
-      ( "centrality",
-        [
-          Alcotest.test_case "line edges" `Quick test_edge_betweenness_line;
-          Alcotest.test_case "cycle tie splitting" `Quick test_edge_betweenness_splits_ties;
-          Alcotest.test_case "star nodes" `Quick test_node_betweenness_star;
-          Alcotest.test_case "matches brute force" `Quick test_betweenness_matches_bruteforce;
-          Alcotest.test_case "usage sums to hops" `Quick test_edge_usage_sums_to_hops;
         ] );
       ( "torus",
         [

@@ -178,55 +178,6 @@ let test_link_utilisation_accounting () =
     (Netsim.link_busy_time sim dl);
   Alcotest.(check int) "total delivered" st.Netsim.delivered (Netsim.total_delivered sim)
 
-let test_interval_skips_relieve_overload () =
-  (* Overloaded link; the flow holds a 2-of-3 contract and may skip.
-     Compared with the plain run (test_overload_misses), skipping must cut
-     deadline misses while keeping the window contract. *)
-  let g = Graph.create 2 in
-  let e = Graph.add_edge g 0 1 in
-  let path = [ Dirlink.of_edge g ~edge:e ~src:0 ] in
-  (* 1.2x overload: the 2-of-3 contract may shed up to a third of the
-     packets, comfortably covering the ~17% excess. *)
-  let run ~interval =
-    let engine = Engine.create () in
-    let sim = Netsim.create engine g ~rate_of:(fun _ -> 100) in
-    let spec = Traffic_spec.cbr ~rate:60 ~packet_bits:1000 in
-    let f1 = Netsim.add_flow sim ~path ~spec ~deadline:0.05 ?interval ~skip_threshold:2 ~stop:2.0 () in
-    let f2 = Netsim.add_flow sim ~path ~spec ~deadline:0.05 ?interval ~skip_threshold:2 ~stop:2.0 () in
-    ignore (Engine.run ~until:4. engine);
-    (Netsim.stats sim f1, Netsim.stats sim f2)
-  in
-  let p1, p2 = run ~interval:None in
-  let s1, s2 = run ~interval:(Some (Interval_qos.spec ~k:2 ~m:3)) in
-  let plain_misses = p1.Netsim.missed + p2.Netsim.missed in
-  let skip_misses = s1.Netsim.missed + s2.Netsim.missed in
-  Alcotest.(check bool)
-    (Printf.sprintf "skips used (%d, %d)" s1.Netsim.skipped s2.Netsim.skipped)
-    true
-    (s1.Netsim.skipped + s2.Netsim.skipped > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "misses cut: %d -> %d" plain_misses skip_misses)
-    true (skip_misses < plain_misses);
-  Alcotest.(check (option int)) "no violations flow 1" (Some 0) s1.Netsim.contract_violations;
-  Alcotest.(check (option int)) "plain flow reports no contract" None
-    p1.Netsim.contract_violations
-
-let test_interval_no_skip_when_uncongested () =
-  let g = Graph.create 2 in
-  let e = Graph.add_edge g 0 1 in
-  let path = [ Dirlink.of_edge g ~edge:e ~src:0 ] in
-  let engine = Engine.create () in
-  let sim = Netsim.create engine g ~rate_of:(fun _ -> 1000) in
-  let spec = Traffic_spec.cbr ~rate:100 ~packet_bits:1000 in
-  let fid =
-    Netsim.add_flow sim ~path ~spec ~deadline:0.05
-      ~interval:(Interval_qos.spec ~k:2 ~m:3) ~stop:1.0 ()
-  in
-  ignore (Engine.run ~until:2. engine);
-  let st = Netsim.stats sim fid in
-  Alcotest.(check int) "no skips on a fast link" 0 st.Netsim.skipped;
-  Alcotest.(check int) "no misses" 0 st.Netsim.missed
-
 let test_flow_validation () =
   let g, _ = line_links () in
   let engine, sim = mk_sim g in
@@ -236,6 +187,121 @@ let test_flow_validation () =
       ignore
         (Netsim.add_flow sim ~path:[] ~spec:(Traffic_spec.cbr ~rate:1 ~packet_bits:8)
            ~deadline:1. ~stop:1. ()))
+
+(* --- EDF link scheduling --- *)
+
+(* One directed link 0 -> 1 at [rate] Kbps. *)
+let one_link ?(rate = 1000) () =
+  let g = Graph.create 2 in
+  let e = Graph.add_edge g 0 1 in
+  let engine, sim = mk_sim ~rate g in
+  (engine, sim, [ Dirlink.of_edge g ~edge:e ~src:0 ])
+
+(* A source that sends exactly one [bits]-bit packet at [start]: its
+   1 Kbps bucket has not refilled when the source stops. *)
+let one_packet sim ~path ~bits ~deadline ?(start = 0.) () =
+  Netsim.add_flow sim ~path
+    ~spec:(Traffic_spec.cbr ~rate:1 ~packet_bits:bits)
+    ~deadline ~start ~stop:(start +. 1e-6) ()
+
+let test_edf_orders_by_deadline () =
+  (* 1000 Kbps: 1000 bits = 1 ms.  Two packets queue behind a blocker
+     on the wire; the tighter deadline is served first although it was
+     queued second. *)
+  let engine, sim, path = one_link () in
+  let _blocker = one_packet sim ~path ~bits:1000 ~deadline:1. () in
+  let loose = one_packet sim ~path ~bits:1000 ~deadline:0.010 () in
+  let tight = one_packet sim ~path ~bits:1000 ~deadline:0.003 () in
+  ignore (Engine.run engine);
+  let st = Netsim.stats sim in
+  Alcotest.check ms "tight served second" 0.002 (st tight).Netsim.worst_delay;
+  Alcotest.check ms "loose served last" 0.003 (st loose).Netsim.worst_delay;
+  List.iter (fun f -> Alcotest.(check int) "met" 0 (st f).Netsim.missed) [ loose; tight ]
+
+let test_edf_detects_miss () =
+  (* 1 ms on the wire against a 0.5 ms deadline. *)
+  let engine, sim, path = one_link () in
+  let f = one_packet sim ~path ~bits:1000 ~deadline:0.0005 () in
+  ignore (Engine.run engine);
+  let st = Netsim.stats sim f in
+  Alcotest.(check int) "delivered" 1 st.Netsim.delivered;
+  Alcotest.(check int) "missed" 1 st.Netsim.missed
+
+let test_edf_respects_release () =
+  let engine, sim, path = one_link () in
+  let f = one_packet sim ~path ~bits:1000 ~deadline:0.02 ~start:0.005 () in
+  ignore (Engine.run ~until:0.004 engine);
+  Alcotest.(check int) "nothing before release" 0 (Netsim.stats sim f).Netsim.sent;
+  ignore (Engine.run ~until:0.0059 engine);
+  Alcotest.(check int) "in service from release" 1 (Netsim.stats sim f).Netsim.in_flight;
+  ignore (Engine.run ~until:0.0061 engine);
+  let st = Netsim.stats sim f in
+  Alcotest.(check int) "finished after tx" 1 st.Netsim.delivered;
+  Alcotest.check ms "delay is the transmission" 0.001 st.Netsim.worst_delay
+
+let test_edf_run_until () =
+  let engine, sim, path = one_link () in
+  let flows = List.init 5 (fun _ -> one_packet sim ~path ~bits:1000 ~deadline:1. ()) in
+  let in_flight () =
+    List.fold_left (fun acc f -> acc + (Netsim.stats sim f).Netsim.in_flight) 0 flows
+  in
+  ignore (Engine.run ~until:0.0035 engine);
+  Alcotest.(check int) "three fit" 3 (Netsim.total_delivered sim);
+  Alcotest.(check int) "two pending" 2 (in_flight ());
+  ignore (Engine.run engine);
+  Alcotest.(check int) "drained" 5 (Netsim.total_delivered sim);
+  Alcotest.(check int) "none pending" 0 (in_flight ())
+
+let test_edf_blocking () =
+  (* Non-preemptive service: a 100 ms packet already on the wire blocks a
+     100-bit packet with a 1 ms deadline, though utilisation is tiny. *)
+  let engine, sim, path = one_link () in
+  let big = one_packet sim ~path ~bits:100_000 ~deadline:1. () in
+  let tight = one_packet sim ~path ~bits:100 ~deadline:0.001 () in
+  ignore (Engine.run engine);
+  Alcotest.(check int) "big packet on time" 0 (Netsim.stats sim big).Netsim.missed;
+  let st = Netsim.stats sim tight in
+  Alcotest.(check int) "tight packet blocked" 1 st.Netsim.missed;
+  Alcotest.check ms "waited out the big packet" 0.1001 st.Netsim.worst_delay
+
+let test_edf_per_hop_split () =
+  (* A packet's local deadline at hop k of n is its creation time plus
+     k/n of its budget.  [x] crosses two links on a 10 ms budget, so on
+     its second link it ranks by 10 ms: between one-hop packets of 9 ms
+     and 11 ms queued there behind a 4 ms blocker. *)
+  let g, path = line_links () in
+  let engine, sim = mk_sim g in
+  let second = [ List.nth path 1 ] in
+  let _blocker = one_packet sim ~path:second ~bits:4000 ~deadline:1. () in
+  let x = one_packet sim ~path ~bits:1000 ~deadline:0.010 () in
+  let y = one_packet sim ~path:second ~bits:1000 ~deadline:0.009 () in
+  let z = one_packet sim ~path:second ~bits:1000 ~deadline:0.011 () in
+  ignore (Engine.run engine);
+  let delay f = (Netsim.stats sim f).Netsim.worst_delay in
+  Alcotest.check ms "9 ms packet first" 0.005 (delay y);
+  Alcotest.check ms "two-hop packet ranks by its whole budget" 0.006 (delay x);
+  Alcotest.check ms "11 ms packet last" 0.007 (delay z)
+
+(* Property: packets released together, each with a deadline beyond the
+   whole busy period, never miss: the EDF server is work-conserving. *)
+let qcheck_edf_no_miss_when_feasible =
+  QCheck.Test.make ~name:"EDF meets generous deadlines" ~count:100
+    QCheck.(list_of_size (QCheck.Gen.int_range 1 20) (int_range 1 50))
+    (fun sizes ->
+      let engine, sim, path = one_link () in
+      (* Sizes in Kbit: 1 ms each on the 1000 Kbps link. *)
+      let busy = float_of_int (List.fold_left ( + ) 0 sizes) *. 1e-3 in
+      let flows =
+        List.map
+          (fun s -> one_packet sim ~path ~bits:(s * 1000) ~deadline:(busy +. 0.001) ())
+          sizes
+      in
+      ignore (Engine.run engine);
+      List.for_all
+        (fun f ->
+          let st = Netsim.stats sim f in
+          st.Netsim.delivered = 1 && st.Netsim.missed = 0)
+        flows)
 
 (* Property: on a sufficiently fast link, a single conformant flow never
    misses and delivers everything sent before the horizon. *)
@@ -278,12 +344,21 @@ let () =
           Alcotest.test_case "utilisation accounting" `Quick
             test_link_utilisation_accounting;
           Alcotest.test_case "validation" `Quick test_flow_validation;
-          Alcotest.test_case "interval skips relieve overload" `Quick
-            test_interval_skips_relieve_overload;
-          Alcotest.test_case "no skips uncongested" `Quick
-            test_interval_no_skip_when_uncongested;
+        ] );
+      ( "edf",
+        [
+          Alcotest.test_case "deadline order" `Quick test_edf_orders_by_deadline;
+          Alcotest.test_case "miss detection" `Quick test_edf_detects_miss;
+          Alcotest.test_case "release respected" `Quick test_edf_respects_release;
+          Alcotest.test_case "run until" `Quick test_edf_run_until;
+          Alcotest.test_case "blocking" `Quick test_edf_blocking;
+          Alcotest.test_case "per-hop deadline split" `Quick test_edf_per_hop_split;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ qcheck_bucket_conformance; qcheck_feasible_flow_never_misses ] );
+          [
+            qcheck_bucket_conformance;
+            qcheck_edf_no_miss_when_feasible;
+            qcheck_feasible_flow_never_misses;
+          ] );
     ]
