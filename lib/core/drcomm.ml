@@ -80,7 +80,7 @@ end
 type t = {
   net : Net_state.t;
   cfg : Config.t;
-  by_id : (int, channel) Hashtbl.t; (* resolves link-recorded ids *)
+  by_id : channel Id_tbl.t; (* resolves link-recorded ids *)
   mutable live : channel array; (* dense: slots 0 .. n_live-1 *)
   mutable n_live : int;
   mutable next_id : int;
@@ -123,7 +123,7 @@ let create ?(config = Config.default) ?obs net =
   {
     net;
     cfg = config;
-    by_id = Hashtbl.create 256;
+    by_id = Id_tbl.create 256;
     live = [||];
     n_live = 0;
     next_id = 0;
@@ -197,7 +197,7 @@ type failure_report = { recoveries : recovery list; event : report }
 let find ch = if ch.slot < 0 then raise Not_found else ch
 
 let resolve t id =
-  match Hashtbl.find_opt t.by_id id with
+  match Id_tbl.find_opt t.by_id id with
   | Some ch -> ch
   | None -> assert false (* every id recorded on a link is live *)
 
@@ -237,7 +237,7 @@ let add_live t ch =
   ch.slot <- t.n_live;
   t.live.(t.n_live) <- ch;
   t.n_live <- t.n_live + 1;
-  Hashtbl.replace t.by_id ch.id ch;
+  Id_tbl.replace t.by_id ch.id ch;
   ensure_hist t ch.level;
   t.hist.(ch.level) <- t.hist.(ch.level) + 1;
   t.total_res <- t.total_res + bandwidth_at ch ch.level
@@ -252,7 +252,7 @@ let remove_live t ch =
   t.live.(last) <- t.live.(last); (* slot [last] keeps a stale ref; n_live guards it *)
   t.n_live <- last;
   ch.slot <- -1;
-  Hashtbl.remove t.by_id ch.id;
+  Id_tbl.remove t.by_id ch.id;
   t.hist.(ch.level) <- t.hist.(ch.level) - 1;
   t.total_res <- t.total_res - bandwidth_at ch ch.level
 
@@ -988,7 +988,7 @@ let check_invariants t =
     let id = ch.id in
     if ch.slot <> i then
       failwith (Printf.sprintf "Drcomm: channel %d slot index out of sync" id);
-    (match Hashtbl.find_opt t.by_id id with
+    (match Id_tbl.find_opt t.by_id id with
     | Some ch' when ch' == ch -> ()
     | _ -> failwith (Printf.sprintf "Drcomm: channel %d missing from id table" id));
     if ch.level < 0 || ch.level >= Qos.levels ch.qos then
@@ -1023,7 +1023,7 @@ let check_invariants t =
     if List.length all <> List.length (List.sort_uniq compare all) then
       failwith (Printf.sprintf "Drcomm: backups of %d share an edge" id)
   done;
-  if Hashtbl.length t.by_id <> t.n_live then
+  if Id_tbl.length t.by_id <> t.n_live then
     failwith "Drcomm: id table size out of sync with live set";
   if !total <> t.total_res then
     failwith

@@ -216,20 +216,25 @@ let new_collect () =
 (* Walk one definition body, filling [c] and appending any spawn sites
    found under it to [spawns]. *)
 let scan_body ~modname ~spawns c body =
+  let note path loc =
+    match Lint_rules.global_name ~modname path with
+    | None -> ()
+    | Some g ->
+      let u = { u_name = g; u_pos = pos_of loc } in
+      if not (SS.mem g c.c_seen) then begin
+        c.c_seen <- SS.add g c.c_seen;
+        c.c_refs <- u :: c.c_refs
+      end;
+      if SS.mem g blocking_prims then c.c_blocking <- u :: c.c_blocking;
+      if SS.mem g wall_prims then c.c_wall <- u :: c.c_wall;
+      if SS.mem g traversal_prims then c.c_traversals <- u :: c.c_traversals
+  in
   let expr sub e =
     (match e.exp_desc with
-    | Texp_ident (path, _, _) -> (
-      match Lint_rules.global_name ~modname path with
-      | None -> ()
-      | Some g ->
-        let u = { u_name = g; u_pos = pos_of e.exp_loc } in
-        if not (SS.mem g c.c_seen) then begin
-          c.c_seen <- SS.add g c.c_seen;
-          c.c_refs <- u :: c.c_refs
-        end;
-        if SS.mem g blocking_prims then c.c_blocking <- u :: c.c_blocking;
-        if SS.mem g wall_prims then c.c_wall <- u :: c.c_wall;
-        if SS.mem g traversal_prims then c.c_traversals <- u :: c.c_traversals)
+    | Texp_ident (path, _, _) -> note path e.exp_loc
+    (* [let*] and each [and*] call their operator. *)
+    | Texp_letop { let_; ands; _ } ->
+      List.iter (fun bop -> note bop.bop_op_path bop.bop_op_name.loc) (let_ :: ands)
     | Texp_apply (f, args) -> (
       match f.exp_desc with
       | Texp_ident (path, _, _) -> (

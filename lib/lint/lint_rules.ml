@@ -20,10 +20,22 @@ let strip_stdlib name =
 
 let ident_name path = strip_stdlib (Path.name path)
 
+(* A [Pdot] rooted at another unit (persistent) or the stdlib is already
+   global; one rooted at a module of this unit, [Config.default] inside
+   drcomm.ml, gets the unit's name in front, as its definition does. *)
 let global_name ~modname path =
   match path with
   | Path.Pident id -> Some (modname ^ "." ^ Ident.name id)
-  | Path.Pdot _ -> Some (ident_name path)
+  | Path.Pdot _ ->
+    let root = Path.head path in
+    if Ident.persistent root || Ident.is_predef root then Some (ident_name path)
+    else
+      let unit_name =
+        match String.index_opt modname '.' with
+        | Some i -> String.sub modname 0 i
+        | None -> modname
+      in
+      Some (unit_name ^ "." ^ ident_name path)
   | _ -> None
 
 let is_float ty =

@@ -22,7 +22,9 @@ val of_step : src:int -> dst:int -> int -> id
     graph: the endpoints of [e] are [src] and [dst], and the link from
     the lower to the higher is [2e].  Nothing checks that [e] joins the
     two nodes, so it is for walks over {!Graph.neighbors}; anything else
-    calls {!of_edge}. *)
+    calls {!of_edge}.  [Flooding]'s search computes the same formula
+    inline over its scratch's copy of the adjacency; the tests pin it
+    here against {!of_edge}. *)
 
 val edge : id -> int
 (** The underlying undirected edge. *)

@@ -26,7 +26,9 @@
 type t
 
 val create : ?multiplexing:bool -> capacity:Bandwidth.t -> unit -> t
-(** [multiplexing] defaults to [true]. *)
+(** [multiplexing] defaults to [true].  Raises [Invalid_argument] unless
+    [0 < capacity < 2^32]: the per-edge demand index packs a demand,
+    which never exceeds the capacity, into the low 32 bits of an int. *)
 
 val capacity : t -> Bandwidth.t
 
@@ -78,7 +80,9 @@ val register_backup :
   t -> channel:int -> b_min:Bandwidth.t -> primary_edges:int array -> unit
 (** Register a backup whose primary traverses the given undirected edges.
     Raises [Invalid_argument] if the resulting pool would violate the
-    guarantee constraint, or on double registration.
+    guarantee constraint, on double registration, or on a negative edge
+    id or one of 2^30 or more (the demand index packs the id above the
+    demand).
 
     The link keeps [primary_edges] itself, not a copy: every link of one
     backup path may register the same array (as [Drcomm] does, one array
@@ -88,8 +92,8 @@ val backup_pool_with : t -> b_min:Bandwidth.t -> primary_edges:int array -> Band
 (** Pool size if such a backup were added — the backup admission test is
     [primary_min_total + backup_pool_with <= capacity].  With multiplexing
     this is [max backup_pool (b_min + backup_demand_for_edge e)] over the
-    primary's edges [e]: one int-keyed lookup per edge, no allocation
-    beyond the lookup's option.  It is often just the current pool (free
+    primary's edges [e]: one {!backup_demand_for_edge} per edge, and no
+    allocation.  It is often just the current pool (free
     dependability — the paper's key resource saving).  Without
     multiplexing it is [backup_dedicated_demand + b_min]. *)
 
@@ -133,8 +137,9 @@ val backup_count : t -> int
 val backup_pool : t -> Bandwidth.t
 (** With multiplexing this is served from an incrementally maintained
     cache: registrations update it in place, and only an unregistration
-    that removed demand at the cached maximum forces a lazy recompute.
-    Amortised O(1) on the admission hot path. *)
+    that removed demand at the cached maximum forces a lazy recompute,
+    one walk over the demand index's array.  Amortised O(1) on the
+    admission hot path. *)
 
 val multiplexing : t -> bool
 
@@ -149,12 +154,14 @@ val backup_demand_for_edge : t -> int -> Bandwidth.t
     failed: sum of floors of backups registered here whose primary
     traverses it.  0 for edges no registered primary uses.  With
     multiplexing, {!backup_pool} is the max of these over all edges.
-    Read from a hash table keyed by edge id with an int hash and
-    equality (no polymorphic hashing or comparison). *)
+    Read from an open-addressing table over one int array, each entry
+    packing an edge id and its demand: the edge's home slot is read
+    inline, the probe runs on only when another edge holds it, and the
+    read allocates nothing. *)
 
 val edge_demands : t -> (int * Bandwidth.t) list
 (** Every [(edge, demand)] pair with non-zero recorded demand,
-    unordered. *)
+    unordered: an edge whose demand falls to 0 leaves the index. *)
 
 val backup_dedicated_demand : t -> Bandwidth.t
 (** What the pool would be {e without} multiplexing: the plain sum of
@@ -179,4 +186,8 @@ val guarantee_holds : t -> bool
 
 val check_invariant : t -> unit
 (** Raises [Failure] if internal accounting is inconsistent or the hard
-    capacity constraint is violated. *)
+    capacity constraint is violated.  The demand index is recomputed
+    from the registrations and compared, and the table itself is
+    audited: no entry with a zero demand, every entry reachable from its
+    home slot without crossing an empty slot, and a live count equal to
+    the occupied slots. *)

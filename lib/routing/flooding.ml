@@ -10,56 +10,84 @@ let request ?(hop_bound = 16) ~src ~dst ~floor () =
    [allowance ~at_most dl] returns the bandwidth this directed link
    could still give the request, capped at [at_most] (the bottleneck of
    the path reaching it), or -1 when the link cannot admit it at all.
-   Among routes of equal (minimal) hop count the one with the larger
-   bottleneck allowance wins — that is the copy the destination would
-   have confirmed. *)
+   An allowance is pure, and for [at_most >= 0] whether it admits
+   (returns >= 0) or refuses does not depend on [at_most]: both
+   allowances below refuse exactly when the link's own headroom is too
+   small.  Among routes of equal (minimal) hop count the one with the
+   larger bottleneck allowance wins — that is the copy the destination
+   would have confirmed.
+
+   The search walks the scratch's copy of the adjacency, and each level
+   first relaxes only its links into the destination, in the full
+   pass's order and with the same test; when that reaches the
+   destination the level ends there.  That is exact: the destination's
+   allowance and via end as the full pass would leave them, since no
+   other link writes the destination, and the links a level skips
+   write only nodes at its own depth, none of them on the destination's
+   via chain, from which the route is rebuilt.  When the destination
+   pass reaches nothing, the full pass runs and its links into the
+   destination refuse again, the allowance being pure. *)
 let search_best net req ~allowance =
-  let g = Net_state.graph net in
   let s = Net_state.scratch net in
   let gen = Paths.next_gen s in
+  let dst = req.dst in
   s.reached.(req.src) <- gen;
   s.hops.(req.src) <- 0;
   s.allow.(req.src) <- max_int;
   s.frontier.(0) <- req.src;
+  (* The destination's neighbours, each with its edge into it. *)
+  for k = s.adj_off.(dst) to s.adj_off.(dst + 1) - 1 do
+    let v = s.adj_node.(k) in
+    s.into_dst.(v) <- gen;
+    s.into_dst_edge.(v) <- s.adj_edge.(k)
+  done;
   let level = ref s.frontier and next = ref s.next in
   let level_n = ref 1 and next_n = ref 0 in
-  (* Relax the links of [u] into hop distance [d]. *)
-  let rec relax u d = function
-    | [] -> ()
-    | (v, e) :: rest ->
-      (* An unreached node reads as max_int hops. *)
-      let hv = if s.reached.(v) = gen then s.hops.(v) else max_int in
-      if hv >= d && Net_state.usable_edge net e then begin
-        let dl = Dirlink.of_step ~src:u ~dst:v e in
-        let bottleneck = allowance ~at_most:s.allow.(u) dl in
-        if bottleneck >= 0 then begin
-          (* [hv] is [d] here, or unreached. *)
-          if hv > d || bottleneck > s.allow.(v) then begin
-            if hv > d then begin
-              !next.(!next_n) <- v;
-              incr next_n
-            end;
-            s.reached.(v) <- gen;
-            s.hops.(v) <- d;
-            s.allow.(v) <- bottleneck;
-            s.via_node.(v) <- u;
-            s.via_edge.(v) <- e
-          end
+  (* Relax the link from [u] to [v] over edge [e] into hop distance [d].
+     [Graph.endpoints] lists the lower node first, so the directed link
+     is [2e] when [u < v] ([Dirlink.of_step]). *)
+  let relax u v e d =
+    (* An unreached node reads as max_int hops. *)
+    let hv = if s.reached.(v) = gen then s.hops.(v) else max_int in
+    if hv >= d && Net_state.usable_edge net e then begin
+      let dl = if u < v then 2 * e else (2 * e) + 1 in
+      let bottleneck = allowance ~at_most:s.allow.(u) dl in
+      if bottleneck >= 0 then begin
+        (* [hv] is [d] here, or unreached. *)
+        if hv > d || bottleneck > s.allow.(v) then begin
+          if hv > d then begin
+            !next.(!next_n) <- v;
+            incr next_n
+          end;
+          s.reached.(v) <- gen;
+          s.hops.(v) <- d;
+          s.allow.(v) <- bottleneck;
+          s.via_node.(v) <- u;
+          s.via_edge.(v) <- e
         end
-      end;
-      relax u d rest
+      end
+    end
   in
   let depth = ref 0 in
-  while !level_n > 0 && !depth < req.hop_bound && s.reached.(req.dst) <> gen do
+  while !level_n > 0 && !depth < req.hop_bound && s.reached.(dst) <> gen do
     (* Relax the whole level before moving on, so every same-depth copy
        competes on allowance.  A strict [>] keeps the first of equal
        allowances, so the walk order decides those ties: discovery
-       order, last to first.  Route choice depends on it, and the
-       tests compare it against test/route_ref.ml. *)
+       order, last to first, and each node's neighbours in adjacency
+       order.  Route choice depends on it, and the tests compare it
+       against test/route_ref.ml. *)
+    let d = !depth + 1 in
     for i = !level_n - 1 downto 0 do
       let u = !level.(i) in
-      relax u (!depth + 1) (Graph.neighbors g u)
+      if s.into_dst.(u) = gen then relax u dst s.into_dst_edge.(u) d
     done;
+    if s.reached.(dst) <> gen then
+      for i = !level_n - 1 downto 0 do
+        let u = !level.(i) in
+        for k = s.adj_off.(u) to s.adj_off.(u + 1) - 1 do
+          relax u s.adj_node.(k) s.adj_edge.(k) d
+        done
+      done;
     let walked = !level in
     level := !next;
     next := walked;
@@ -67,8 +95,7 @@ let search_best net req ~allowance =
     next_n := 0;
     incr depth
   done;
-  if s.reached.(req.dst) <> gen then None
-  else Some (Paths.scratch_path s ~src:req.src ~dst:req.dst)
+  if s.reached.(dst) <> gen then None else Some (Paths.scratch_path s ~src:req.src ~dst)
 
 let primary_route net req =
   let allowance ~at_most dl =

@@ -64,6 +64,9 @@ let shortest_path ?usable g src dst =
   if dist.(dst) < 0 then None else Some (rebuild_path ~via_node ~via_edge src dst)
 
 type scratch = {
+  adj_off : int array;
+  adj_node : int array;
+  adj_edge : int array;
   mutable gen : int;
   reached : int array;
   settled : int array;
@@ -74,6 +77,8 @@ type scratch = {
   via_edge : int array;
   frontier : int array;
   next : int array;
+  into_dst : int array;
+  into_dst_edge : int array;
   edge_mark : int array;
   usable_memo : int array;
   mutable heap_key : float array;
@@ -81,9 +86,28 @@ type scratch = {
   mutable heap_size : int;
 }
 
+(* The adjacency in compressed sparse rows: [u]'s neighbours are
+   [adj_node.(k)] over edge [adj_edge.(k)] for [k] from [adj_off.(u)] to
+   [adj_off.(u + 1) - 1], in [Graph.neighbors] order. *)
 let scratch g =
-  let n = max 1 (Graph.node_count g) and m = max 1 (Graph.edge_count g) in
+  let nodes = Graph.node_count g in
+  let adj_off = Array.make (nodes + 1) 0 in
+  for u = 0 to nodes - 1 do
+    adj_off.(u + 1) <- adj_off.(u) + Graph.degree g u
+  done;
+  let adj_node = Array.make adj_off.(nodes) 0 and adj_edge = Array.make adj_off.(nodes) 0 in
+  for u = 0 to nodes - 1 do
+    List.iteri
+      (fun i (v, e) ->
+        adj_node.(adj_off.(u) + i) <- v;
+        adj_edge.(adj_off.(u) + i) <- e)
+      (Graph.neighbors g u)
+  done;
+  let n = max 1 nodes and m = max 1 (Graph.edge_count g) in
   {
+    adj_off;
+    adj_node;
+    adj_edge;
     gen = 0;
     reached = Array.make n 0;
     settled = Array.make n 0;
@@ -94,6 +118,8 @@ let scratch g =
     via_edge = Array.make n (-1);
     frontier = Array.make n 0;
     next = Array.make n 0;
+    into_dst = Array.make n 0;
+    into_dst_edge = Array.make n (-1);
     edge_mark = Array.make m 0;
     usable_memo = Array.make m 0;
     heap_key = Array.make n 0.;
@@ -158,9 +184,9 @@ let heap_drop_min s =
   done
 
 let dijkstra ~weight ?(usable = all_usable) s g src dst =
-  if Array.length s.reached < Graph.node_count g
-     || Array.length s.edge_mark < Graph.edge_count g
-  then invalid_arg "Paths.dijkstra: scratch smaller than the graph";
+  if Array.length s.adj_off <> Graph.node_count g + 1
+     || Array.length s.adj_edge <> 2 * Graph.edge_count g
+  then invalid_arg "Paths.dijkstra: scratch built for another graph";
   let gen = next_gen s in
   let usable e =
     let memo = s.usable_memo.(e) in
@@ -174,9 +200,9 @@ let dijkstra ~weight ?(usable = all_usable) s g src dst =
   in
   (* Relax the links of [u], settled at distance [d]; an unreached node
      reads as infinitely far. *)
-  let rec relax u d = function
-    | [] -> ()
-    | (v, e) :: rest ->
+  let relax u d =
+    for k = s.adj_off.(u) to s.adj_off.(u + 1) - 1 do
+      let v = s.adj_node.(k) and e = s.adj_edge.(k) in
       if s.settled.(v) <> gen && usable e then begin
         let w = weight e in
         if w < 0. then invalid_arg "Paths.dijkstra: negative weight";
@@ -188,8 +214,8 @@ let dijkstra ~weight ?(usable = all_usable) s g src dst =
           s.via_edge.(v) <- e;
           heap_push s alt v
         end
-      end;
-      relax u d rest
+      end
+    done
   in
   s.heap_size <- 0;
   s.reached.(src) <- gen;
@@ -202,7 +228,7 @@ let dijkstra ~weight ?(usable = all_usable) s g src dst =
     heap_drop_min s;
     if s.settled.(u) <> gen && d <= s.dist.(u) then begin
       s.settled.(u) <- gen;
-      relax u d (Graph.neighbors g u)
+      relax u d
     end
   done;
   if s.settled.(dst) = gen then Some (scratch_path s ~src ~dst, s.dist.(dst)) else None

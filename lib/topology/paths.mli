@@ -32,11 +32,20 @@ val shortest_path : ?usable:(int -> bool) -> Graph.t -> int -> int -> path optio
     stamp equals the generation of the search that wrote it, so a new
     search starts in O(1) by taking {!next_gen} — no array is cleared.
 
+    A scratch also holds a flat copy of its graph's adjacency, which the
+    searches walk instead of {!Graph.neighbors}.  So a graph must never
+    be mutated ({!Graph.add_edge}) after a scratch is built for it.
+
     One scratch serves one search at a time: never share one across
     domains, and never start a search on it from inside a callback
     ([weight], [usable], an allowance) of a search running on it. *)
 
 type scratch = {
+  adj_off : int array;
+      (** node → its first entry in [adj_node] and [adj_edge]; node
+          [u]'s entries end before [adj_off.(u + 1)].  Length: nodes + 1. *)
+  adj_node : int array;  (** the neighbours, in {!Graph.neighbors} order. *)
+  adj_edge : int array;  (** the edge to each neighbour. *)
   mutable gen : int;  (** the latest generation handed out. *)
   reached : int array;
       (** node → generation that reached it; [hops], [allow], [dist] and
@@ -49,6 +58,11 @@ type scratch = {
   via_edge : int array;  (** node → the edge it was reached over. *)
   frontier : int array;
   next : int array;  (** flooding's two level buffers, node-sized. *)
+  into_dst : int array;
+      (** node → generation of the flooding search whose destination
+          it neighbours. *)
+  into_dst_edge : int array;
+      (** node → its edge into that destination, at that generation. *)
   edge_mark : int array;
       (** edge → a generation the caller stamps, e.g. a backup search's
           primary edges; never written here. *)
@@ -60,7 +74,8 @@ type scratch = {
 }
 
 val scratch : Graph.t -> scratch
-(** A fresh scratch sized to the graph's nodes and edges. *)
+(** A fresh scratch sized to the graph's nodes and edges, with the
+    graph's adjacency copied in. *)
 
 val next_gen : scratch -> int
 (** Start a generation: every stamp written before reads as stale.
@@ -76,11 +91,12 @@ val dijkstra :
 (** [dijkstra ~weight ?usable s g src dst] is a least-total-weight path
     from [src] to [dst] over the edges satisfying [usable], and its
     weight; [None] when [dst] is unreachable.  [weight e] must be >= 0
-    for every edge.  The search runs on [s] (which must be at least
-    [g]'s size) and stops as soon as [dst] is settled, returning exactly
-    the path a run over the whole graph would.  [usable] is called at
-    most once per edge per call, and only for edges to an unsettled
-    node. *)
+    for every edge.  The search runs on [s], which must be the scratch
+    of [g]: it walks [s]'s copy of the adjacency, and raises
+    [Invalid_argument] on a scratch built for another node or edge
+    count.  It stops as soon as [dst] is settled, returning exactly the
+    path a run over the whole graph would.  [usable] is called at most
+    once per edge per call, and only for edges to an unsettled node. *)
 
 val widest_path :
   width:(int -> float) -> Graph.t -> int -> int -> (path * float) option

@@ -94,6 +94,19 @@ for golden in scripts/golden/ablations-quick/*.dat; do
   }
 done
 
+step "determinism goldens: fig3, fig4, table1 --quick against scripts/golden/"
+# Fig. 3 runs Waxman graphs of changing size and table1 the transit-stub,
+# so these pin route choice on topologies fig2 never builds.  Each .dat
+# export must match its golden byte for byte; the goldens are identical
+# across runs and --jobs (about 2 s for the three).
+for e in fig3 fig4 table1; do
+  dune exec bench/main.exe -- "$e" --quick --out "$tmpdir/$e" >/dev/null
+  cmp "$tmpdir/$e/$e.dat" "scripts/golden/$e-quick.dat" || {
+    echo "FAIL: $e --quick $e.dat differs from scripts/golden/$e-quick.dat" >&2
+    exit 1
+  }
+done
+
 step "lint: zero unbaselined findings, no stale baseline entries (timed)"
 # drqos_lint walks the .cmt files dune built — every rule, R1-R9, over
 # the whole tree (examples included).  `@all` writes no .cmt for an

@@ -26,10 +26,14 @@ let key (f : Lint.finding) = (Lint.rule_name f.rule, f.file, f.line)
 
 let golden =
   [
-    ("R9", "test/lintfix/lintfix_clock.ml", 5);
-    ("R9", "test/lintfix/lintfix_clock.ml", 7);
-    ("R9", "test/lintfix/lintfix_clock.ml", 9);
-    ("R9", "test/lintfix/lintfix_clock.ml", 11);
+    ("R9", "test/lintfix/lintfix_clock.ml", 6);
+    ("R9", "test/lintfix/lintfix_clock.ml", 8);
+    ("R9", "test/lintfix/lintfix_clock.ml", 10);
+    ("R9", "test/lintfix/lintfix_clock.ml", 12);
+    ("R9", "test/lintfix/lintfix_clock.ml", 17);
+    ("R9", "test/lintfix/lintfix_clock.ml", 20);
+    ("R9", "test/lintfix/lintfix_clock.ml", 22);
+    ("R9", "test/lintfix/lintfix_clock.ml", 25);
     ("R6", "test/lintfix/lintfix_domain.ml", 10);
     ("R6", "test/lintfix/lintfix_domain.ml", 15);
     ("R8", "test/lintfix/lintfix_evloop.ml", 6);

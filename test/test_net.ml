@@ -484,6 +484,98 @@ let qcheck_pool_query_definition =
       done;
       !ok)
 
+(* The packed per-edge demand table under colliding keys.  Edge ids
+   [r + 8k] share their home slot at the initial size of 8 and keep
+   colliding as the table doubles, and ids just below and above a power
+   of two (and the largest id allowed) wrap probe runs around the end of
+   the array.  Registrations on one link pick a few of them, then
+   unregister in random order (so deletions open holes inside probe
+   runs).  After every step each candidate id's
+   [backup_demand_for_edge] and [edge_demands] must equal a reference
+   map, the pool its maximum, and [check_invariant] must pass. *)
+let qcheck_demand_table_collisions =
+  QCheck.Test.make ~name:"demand table matches a reference map under colliding ids"
+    ~count:100 QCheck.(pair small_int bool)
+    (fun (seed, multiplexing) ->
+      let rng = Prng.create seed in
+      let l = Link_state.create ~multiplexing ~capacity:1_000_000 () in
+      let r = Prng.int rng 8 and p = 1 lsl (3 + Prng.int rng 8) in
+      let ids =
+        Array.concat
+          [
+            Array.init 10 (fun k -> r + (8 * k));
+            Array.init 5 (fun k -> p - 2 + k);
+            [| (1 lsl 30) - 1 |];
+          ]
+      in
+      let reference = Hashtbl.create 16 in
+      let ref_demand e = Option.value ~default:0 (Hashtbl.find_opt reference e) in
+      let held = ref [] in
+      let ok = ref true in
+      let audit () =
+        Array.iter
+          (fun e -> if Link_state.backup_demand_for_edge l e <> ref_demand e then ok := false)
+          ids;
+        let expected =
+          Hashtbl.fold (fun e d acc -> if d > 0 then (e, d) :: acc else acc) reference []
+        in
+        if List.sort compare (Link_state.edge_demands l) <> List.sort compare expected then
+          ok := false;
+        if
+          multiplexing
+          && Link_state.backup_pool l <> List.fold_left (fun acc (_, d) -> max acc d) 0 expected
+        then ok := false;
+        match Link_state.check_invariant l with
+        | () -> ()
+        | exception Failure _ -> ok := false
+      in
+      let apply edges delta =
+        Array.iter (fun e -> Hashtbl.replace reference e (ref_demand e + delta)) edges
+      in
+      let unregister_random () =
+        match !held with
+        | [] -> ()
+        | _ ->
+          let ch, b_min, edges = List.nth !held (Prng.int rng (List.length !held)) in
+          Link_state.unregister_backup l ~channel:ch;
+          held := List.filter (fun (c, _, _) -> c <> ch) !held;
+          apply edges (-b_min)
+      in
+      for ch = 0 to 29 do
+        let edges =
+          List.init (1 + Prng.int rng 5) (fun _ -> ids.(Prng.int rng (Array.length ids)))
+          |> List.sort_uniq compare |> Array.of_list
+        in
+        let b_min = 1 + Prng.int rng 50 in
+        Link_state.register_backup l ~channel:ch ~b_min ~primary_edges:edges;
+        held := (ch, b_min, edges) :: !held;
+        apply edges b_min;
+        audit ();
+        if Prng.int rng 3 = 0 then begin
+          unregister_random ();
+          audit ()
+        end
+      done;
+      while !held <> [] do
+        unregister_random ();
+        audit ()
+      done;
+      !ok)
+
+let test_demand_table_limits () =
+  Alcotest.check_raises "capacity of 2^32"
+    (Invalid_argument "Link_state.create: capacity of 2^32 or more") (fun () ->
+      ignore (Link_state.create ~capacity:(1 lsl 32) ()));
+  let l = Link_state.create ~capacity:((1 lsl 32) - 1) () in
+  Alcotest.check_raises "edge id of 2^30"
+    (Invalid_argument "Link_state.register_backup: edge id outside [0, 2^30)") (fun () ->
+      Link_state.register_backup l ~channel:1 ~b_min:5 ~primary_edges:[| 3; 1 lsl 30 |]);
+  Link_state.register_backup l ~channel:1 ~b_min:((1 lsl 32) - 1)
+    ~primary_edges:[| (1 lsl 30) - 1 |];
+  Alcotest.(check int) "largest demand on the largest id" ((1 lsl 32) - 1)
+    (Link_state.backup_demand_for_edge l ((1 lsl 30) - 1));
+  Link_state.check_invariant l
+
 (* --- Net_state --- *)
 
 let test_net_state_basics () =
@@ -738,6 +830,7 @@ let () =
           Alcotest.test_case "forced activation reserve" `Quick
             test_force_reserve_for_activation;
           Alcotest.test_case "iteration & counts" `Quick test_iter_and_counts;
+          Alcotest.test_case "demand table limits" `Quick test_demand_table_limits;
         ] );
       ( "net-state",
         [
@@ -762,5 +855,6 @@ let () =
             qcheck_link_state_model;
             qcheck_pool_query_definition;
             qcheck_grant_sequences;
+            qcheck_demand_table_collisions;
           ] );
     ]

@@ -55,6 +55,49 @@ let test_primary_route_allowance_tiebreak () =
     Alcotest.(check bool) "prefers lighter route" true
       (not (List.mem e01 (edges_of p)) && not (List.mem e13 (edges_of p)))
 
+(* The level that reaches the destination has several parents whose
+   links into it give the same allowance, so the walk order alone picks
+   the route: last discovered to first, as test/route_ref.ml walks its
+   prepend-built frontier.  A fan (0 to 1, 2, 3, each to 4) ties three
+   parents on an idle network; a layered graph (0 | 1 2 3 | 4 5 6 | 7,
+   consecutive layers fully joined) ties them one level deeper, idle
+   and with one of the three links into 7 loaded so two still tie.
+   Primary and backup searches must return the reference's paths. *)
+let test_destination_level_ties () =
+  let fan = Graph.create 5 in
+  List.iter (fun (u, v) -> ignore (Graph.add_edge fan u v))
+    [ (0, 1); (0, 2); (0, 3); (1, 4); (2, 4); (3, 4) ];
+  let layered = Graph.create 8 in
+  let join us vs =
+    List.iter (fun u -> List.iter (fun v -> ignore (Graph.add_edge layered u v)) vs) us
+  in
+  join [ 0 ] [ 1; 2; 3 ];
+  join [ 1; 2; 3 ] [ 4; 5; 6 ];
+  join [ 4; 5; 6 ] [ 7 ];
+  let agrees g ~dst ~load =
+    let net = Net_state.create ~capacity:1000 g in
+    Option.iter
+      (fun (u, v) ->
+        let e = Option.get (Graph.find_edge g u v) in
+        Link_state.reserve_primary
+          (Net_state.link net (Dirlink.of_edge g ~edge:e ~src:u))
+          ~channel:99 ~b_min:300)
+      load;
+    let req = Flooding.request ~src:0 ~dst ~floor:100 () in
+    let primary = Flooding.primary_route net req in
+    Alcotest.(check bool) "primary as the reference" true
+      (primary = Route_ref.primary_route net req && primary <> None);
+    (* The backup avoids the primary's first edge and ties again. *)
+    let primary_edges = [ List.hd (Option.get primary).Paths.edges ] in
+    let backup = Flooding.backup_route net req ~primary_edges in
+    Alcotest.(check bool) "backup as the reference" true
+      (backup = Route_ref.backup_route net req ~primary_edges && backup <> None)
+  in
+  agrees fan ~dst:4 ~load:None;
+  agrees layered ~dst:7 ~load:None;
+  agrees layered ~dst:7 ~load:(Some (4, 7));
+  agrees layered ~dst:7 ~load:(Some (6, 7))
+
 let test_primary_route_hop_bound () =
   let g, (e01, e13, e02, e23, _, _, _) = diamond () in
   let net = Net_state.create ~capacity:1000 g in
@@ -474,6 +517,7 @@ let () =
           Alcotest.test_case "multiplexing aware" `Quick test_backup_route_multiplexing_aware;
           Alcotest.test_case "message count" `Quick test_message_count;
           Alcotest.test_case "request validation" `Quick test_request_validation;
+          Alcotest.test_case "destination level ties" `Quick test_destination_level_ties;
           Alcotest.test_case "scratch search covers the fallback" `Quick
             test_scratch_search_covers_fallback;
         ] );

@@ -160,6 +160,29 @@ let test_dijkstra_matches_bfs_hops () =
     done
   done
 
+(* A scratch holds a copy of its graph's adjacency: Dijkstra refuses it
+   once the graph has gained an edge, and on a graph with the same edge
+   count but another node count. *)
+let test_dijkstra_rejects_foreign_scratch () =
+  let line n =
+    let g = Graph.create n in
+    ignore (Graph.add_edge g 0 1);
+    ignore (Graph.add_edge g 1 2);
+    g
+  in
+  let g = line 3 in
+  let s = Paths.scratch g in
+  let weight _ = 1. in
+  Alcotest.(check bool) "own graph" true (Paths.dijkstra ~weight s g 0 2 <> None);
+  let refused g' =
+    Alcotest.check_raises "refused"
+      (Invalid_argument "Paths.dijkstra: scratch built for another graph") (fun () ->
+        ignore (Paths.dijkstra ~weight s g' 0 2))
+  in
+  refused (line 4);
+  ignore (Graph.add_edge g 0 2);
+  refused g
+
 let test_widest_path () =
   let g = Graph.create 4 in
   let e01 = Graph.add_edge g 0 1 in
@@ -389,6 +412,8 @@ let () =
           Alcotest.test_case "dijkstra weighted" `Quick test_dijkstra_weighted;
           Alcotest.test_case "dijkstra = bfs on unit weights" `Quick
             test_dijkstra_matches_bfs_hops;
+          Alcotest.test_case "dijkstra refuses another graph's scratch" `Quick
+            test_dijkstra_rejects_foreign_scratch;
           Alcotest.test_case "widest path" `Quick test_widest_path;
           Alcotest.test_case "widest ties to hops" `Quick test_widest_prefers_fewer_hops;
           Alcotest.test_case "diameter & average" `Quick test_diameter_and_avg;
