@@ -507,10 +507,10 @@ let restoration scale =
 
 (* Ablations A, B and I are plain scenario sweeps and go through the
    declarative driver (parallel across their points); C-H drive the
-   service layer directly and stay imperative.  All share one metrics
-   manifest. *)
+   service layer directly and stay imperative.  All share one perf
+   record. *)
 let run scale =
-  Exp.with_manifest "ablations" scale @@ fun () ->
+  Exp.with_record "ablations" scale @@ fun () ->
   Exp.run_sweep (multiplexing scale);
   Exp.run_sweep (elasticity scale);
   policies scale;

@@ -110,7 +110,7 @@ let parse_args args =
 (* An experiment declares its scenario points and how to render the
    results; the shared driver below owns execution — it fans the points
    out over the worker pool, times them, and (via [run_experiment])
-   writes the metrics manifest.  [render] receives one (result, seconds)
+   writes the perf record.  [render] receives one (result, seconds)
    pair per point, in point order. *)
 type experiment = {
   name : string;
@@ -167,8 +167,8 @@ let run_points ~name points =
     bufs;
   results
 
-(* Run one experiment's sweep and render it (no manifest — used for
-   sub-experiments sharing a manifest, e.g. the ablations). *)
+(* Run one experiment's sweep and render it (no perf record — used for
+   sub-experiments sharing one, e.g. the ablations). *)
 let run_sweep e =
   let t0 = Clock.now () in
   let results = run_points ~name:e.name e.points in
@@ -189,25 +189,23 @@ let paper_config ~scale ~offered ~increment ~seed =
   }
 
 (* Every experiment runs under a fresh metrics registry and span
-   profiler and leaves two machine-readable files in the --out directory
-   (or the working directory):
+   profiler and leaves one machine-readable record in the --out
+   directory (or the working directory): BENCH_<name>.json, the perf
+   record `perfdiff` compares (see Perf_record).  It carries scale,
+   jobs, wall time, main-domain GC deltas, the metrics registry
+   (per-phase timings with p50/p95/p99, event counts) and the span
+   aggregates.
 
-   - <name>.metrics.json — scale, jobs, per-phase timings (with
-     p50/p95/p99), event counts, and span aggregates;
-   - BENCH_<name>.json — the compact perf record `perfdiff` compares
-     (see Perf_record): wall time, main-domain GC deltas, and the span
-     aggregates.
-
-   These files anchor cross-PR performance trajectories: later
+   These records anchor cross-PR performance trajectories: later
    optimisation work diffs them against earlier runs
-   (scripts/perf_diff.sh).  Worker-domain spans reach the profiler
-   through Sweep's fork/absorb; the GC deltas are main-domain only, so
-   allocation inside workers shows up in the span aggregates, not under
-   "gc".
+   (scripts/perf_diff.sh).  Worker-domain metrics and spans reach the
+   registry and profiler through Sweep's fork/absorb; the GC deltas are
+   main-domain only, so allocation inside workers shows up in the span
+   aggregates, not under "gc".
 
    [plateaus] (evaluated after [f]) adds the scale bench's
    ops/sec-vs-live curve to the record. *)
-let with_manifest ?plateaus name scale f =
+let with_record ?plateaus name scale f =
   let obs =
     Obs.create ~metrics:(Metrics.create ()) ~spans:(Span.create ()) ()
   in
@@ -218,31 +216,14 @@ let with_manifest ?plateaus name scale f =
         let result = Fun.protect ~finally:(fun () -> Obs.set_default Obs.null) f in
         (result, Clock.elapsed_since t0))
   in
-  let path = in_out_dir (name ^ ".metrics.json") in
-  let oc = open_out path in
-  Jsonx.output oc
-    (Jsonx.Obj
-       [
-         ("experiment", Jsonx.String name);
-         ("scale", Jsonx.String (match scale with Full -> "full" | Quick -> "quick"));
-         ("churn_events", Jsonx.Int (churn scale));
-         ("warmup_events", Jsonx.Int (warmup scale));
-         ("jobs", Jsonx.Int !jobs);
-         ("wall_s", Jsonx.Float wall_s);
-         ("metrics", Obs.metrics_json obs);
-         ("spans", Span.to_json (Obs.spans obs));
-       ]);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "(metrics manifest written to %s)\n" path;
   let bench_path = in_out_dir ("BENCH_" ^ name ^ ".json") in
   Out_channel.with_open_text bench_path (fun oc ->
       Perf_record.write oc
         (Perf_record.bench ~experiment:name ~scale ~jobs:!jobs ~wall_s ~gc
-           ~spans:(Obs.spans obs)
+           ~metrics:(Obs.metrics obs) ~spans:(Obs.spans obs)
            ?plateaus:(Option.map (fun f -> f ()) plateaus)
            ()));
   Printf.printf "(perf record written to %s)\n" bench_path;
   result
 
-let run_experiment scale e = with_manifest e.name scale (fun () -> run_sweep e)
+let run_experiment scale e = with_record e.name scale (fun () -> run_sweep e)

@@ -235,7 +235,7 @@ let tests () =
   ]
 
 let run scale =
-  Exp.with_manifest "micro" scale @@ fun () ->
+  Exp.with_record "micro" scale @@ fun () ->
   Exp.section "Micro-benchmarks (bechamel)";
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
   let instances = [ Instance.monotonic_clock ] in

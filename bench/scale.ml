@@ -110,23 +110,22 @@ let sweep scale =
     let engine = Engine.create ~capacity:(ops + 8) ~obs () in
     let churn_rejected = ref 0 in
     for i = 1 to ops do
-      ignore
-        (Engine.schedule_at engine ~time:(float_of_int i) (fun _ ->
-             if i land 1 = 0 then begin
-               let n = Drcomm.count service in
-               if n > 0 then
-                 ignore
-                   (Drcomm.terminate ~report:false service
-                      (Drcomm.nth_channel service (Prng.int rng n)))
-             end
-             else
-               let src, dst = stub_pair rng stubs in
-               match
-                 Drcomm.admit ~want_indirect:false ~want_report:false service
-                   ~src ~dst ~qos:(pick_qos rng)
-               with
-               | Drcomm.Admitted _ -> ()
-               | Drcomm.Rejected _ -> incr churn_rejected))
+      Engine.schedule_at engine ~time:(float_of_int i) (fun _ ->
+          if i land 1 = 0 then begin
+            let n = Drcomm.count service in
+            if n > 0 then
+              ignore
+                (Drcomm.terminate ~report:false service
+                   (Drcomm.nth_channel service (Prng.int rng n)))
+          end
+          else
+            let src, dst = stub_pair rng stubs in
+            match
+              Drcomm.admit ~want_indirect:false ~want_report:false service ~src ~dst
+                ~qos:(pick_qos rng)
+            with
+            | Drcomm.Admitted _ -> ()
+            | Drcomm.Rejected _ -> incr churn_rejected)
     done;
     let t0 = Clock.now () in
     ignore (Engine.run engine);
@@ -201,7 +200,7 @@ let sweep scale =
 
 let run scale =
   let stats = ref [] in
-  Exp.with_manifest
+  Exp.with_record
     ~plateaus:(fun () ->
       List.map
         (fun p ->

@@ -102,7 +102,7 @@ let make_obs ?(profile = false) ?flight ~trace ~metrics () =
     close_out (open_out_or_exit path));
   let tracer =
     match (trace, trace_oc) with
-    | Some "-", _ -> Trace.create (Trace.console_sink ())
+    | Some "-", _ -> Trace.create (Trace.console_sink stdout)
     | _, Some oc -> Trace.create (Trace.jsonl_sink oc)
     | _, None -> Trace.disabled
   in
@@ -947,11 +947,8 @@ let top_cmd =
     (match List.rev snaps with
     | [] -> Format.printf "no snapshots yet@."
     | (time, last) :: _ ->
-      Format.printf
-        "sim t=%g  events=%d  live=%d (peak %d)  queue=%d (peak %d)  \
-         footprint=%d@."
-        time last.Trace.events last.Trace.live last.Trace.peak_live
-        last.Trace.queue last.Trace.peak_queue last.Trace.footprint;
+      Format.printf "sim t=%g  events=%d  live=%d (peak %d)@." time last.Trace.events
+        last.Trace.live last.Trace.peak_live;
       Format.printf "live by level:";
       List.iteri (fun i n -> Format.printf " S%d:%d" i n) last.Trace.live_by_level;
       Format.printf "@.";

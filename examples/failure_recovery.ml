@@ -72,18 +72,17 @@ let () =
             | _ -> ())
         report.Drcomm.recoveries;
       (* Remember which edge to repair later. *)
-      ignore
-        (Engine.schedule engine ~delay:30. (fun engine ->
-             printf "t=%-4.1f *** link %d-%d repaired ***\n" (Engine.now engine) a b;
-             Drcomm.repair_edge service e;
-             status (Engine.now engine)))
+      Engine.schedule engine ~delay:30. (fun engine ->
+          printf "t=%-4.1f *** link %d-%d repaired ***\n" (Engine.now engine) a b;
+          Drcomm.repair_edge service e;
+          status (Engine.now engine))
     end;
     status t
   in
-  ignore (Engine.schedule engine ~delay:10. fail_first_primary_edge);
-  ignore (Engine.schedule engine ~delay:60. fail_first_primary_edge);
-  ignore (Engine.schedule engine ~delay:25. (fun e -> status (Engine.now e)));
-  ignore (Engine.schedule engine ~delay:80. (fun e -> status (Engine.now e)));
+  Engine.schedule engine ~delay:10. fail_first_primary_edge;
+  Engine.schedule engine ~delay:60. fail_first_primary_edge;
+  Engine.schedule engine ~delay:25. (fun e -> status (Engine.now e));
+  Engine.schedule engine ~delay:80. (fun e -> status (Engine.now e));
   ignore (Engine.run engine);
 
   printf "\nfinal state: %d connections, %d dropped during the incident window\n"

@@ -691,21 +691,12 @@ let to_perfetto t =
         push
           (entry ~name ~ph:"E" ~tid:2 ~ts:(clamp 1 (us time))
              [ ("args", Jsonx.Obj [ ("seconds", Jsonx.Float seconds) ]) ])
-      (* Telemetry snapshots render as Perfetto counter tracks, so the
-         viewer plots live channels and queue depth as curves over
-         simulation time. *)
-      | Snapshot { live; queue; footprint; _ } ->
+      (* Telemetry snapshots render as a Perfetto counter track, so the
+         viewer plots live channels as a curve over simulation time. *)
+      | Snapshot { live; _ } ->
         push
           (entry ~name:"telemetry" ~ph:"C" ~tid:2 ~ts:(clamp 1 (us time))
-             [
-               ( "args",
-                 Jsonx.Obj
-                   [
-                     ("live", Jsonx.Int live);
-                     ("queue", Jsonx.Int queue);
-                     ("footprint", Jsonx.Int footprint);
-                   ] );
-             ])
+             [ ("args", Jsonx.Obj [ ("live", Jsonx.Int live) ]) ])
       (* Everything else renders as an instant event.  Spelled out (not
          [_]) so adding a Trace constructor forces a choice here. *)
       | Admit _ | Reject _ | Terminate _ | Upgrade _ | Retreat _ | Link_fail _

@@ -264,7 +264,7 @@ val to_perfetto : t -> Jsonx.t
     ([{"traceEvents": [...]}], [ts] in microseconds): profiler spans as
     ["B"]/["E"] pairs on one track (wall time since the profiler epoch),
     simulation phases as ["B"]/["E"], telemetry snapshots as ["C"]
-    counter samples (live channels, queue size, footprint) and every
+    counter samples (live channels) and every
     other event as an instant ["i"] on a second track (simulation time),
     with ["M"] metadata naming both.  Timestamps are clamped
     non-decreasing per track, so the file always loads. *)

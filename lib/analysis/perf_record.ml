@@ -57,7 +57,7 @@ let gc_json g =
 
 let floats fields = Jsonx.Obj (List.map (fun (k, v) -> (k, Jsonx.Float v)) fields)
 
-let bench ~experiment ~scale ~jobs ~wall_s ~gc ~spans ?plateaus () =
+let bench ~experiment ~scale ~jobs ~wall_s ~gc ~metrics ~spans ?plateaus () =
   let plateau p =
     Jsonx.Obj
       [
@@ -74,6 +74,7 @@ let bench ~experiment ~scale ~jobs ~wall_s ~gc ~spans ?plateaus () =
        ("jobs", Jsonx.Int jobs);
        ("wall_s", Jsonx.Float wall_s);
        ("gc", gc_json gc);
+       ("metrics", Metrics.snapshot metrics);
        ("spans", Span.to_json spans);
      ]
     @ match plateaus with

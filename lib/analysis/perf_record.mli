@@ -1,6 +1,6 @@
 (** [BENCH_*.json] perf records: the one module that knows their format.
 
-    Two writers produce them — the bench harness ([Exp.with_manifest]
+    Two writers produce them — the bench harness ([Exp.with_record]
     writes [BENCH_<experiment>.json]) and the load generator
     ([loadgen --out] writes [BENCH_serve.json]) — and one reader
     compares them ([drqos_cli perfdiff], behind [scripts/perf_diff.sh]).
@@ -55,13 +55,15 @@ val bench :
   jobs:int ->
   wall_s:float ->
   gc:gc ->
+  metrics:Metrics.t ->
   spans:Span.t ->
   ?plateaus:plateau list ->
   unit ->
   t
-(** A bench experiment's record: wall time, GC deltas, the span
-    aggregate table ({!Span.to_json}) and, for the scale bench, its
-    plateau curve. *)
+(** A bench experiment's record: wall time, GC deltas, the metrics
+    registry ({!Metrics.snapshot}, under ["metrics"]), the span aggregate
+    table ({!Span.to_json}) and, for the scale bench, its plateau
+    curve. *)
 
 val serve :
   scale:scale ->

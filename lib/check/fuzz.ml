@@ -285,6 +285,9 @@ let replay ?(extra_invariant = fun (_ : Drcomm.t) -> ()) cfg (ops : Op.t array) 
 (* ------------------------------------------------------------------ *)
 (* Shrinking: classic ddmin over the op script                         *)
 
+(* A locally-minimal subsequence that still fails under [replay]:
+   1-minimal, so removing any single remaining op makes the failure
+   disappear. *)
 let shrink_script ?extra_invariant cfg ops =
   let fails lst =
     (replay ?extra_invariant cfg (Array.of_list lst)).violation <> None

@@ -11,7 +11,6 @@
 type family = Waxman | Torus | Transit_stub
 
 val family_name : family -> string
-val family_of_string : string -> family option
 val all_families : family list
 
 type config = {
@@ -106,12 +105,6 @@ val run :
   (stats, failure) result
 (** Generate and execute the config's script; on violation, shrink
     (unless [~shrink:false]) and return the reproducer. *)
-
-val shrink_script :
-  ?extra_invariant:(Drcomm.t -> unit) -> config -> Op.t array -> Op.t array
-(** ddmin: a locally-minimal subsequence that still fails under
-    {!replay} (1-minimal — removing any single remaining op makes the
-    failure disappear). *)
 
 val to_script : failure -> string
 (** Self-contained reproducer: header comments (config + diagnosis)

@@ -2,17 +2,14 @@
     of the paper's model must agree, or where an operation sequence must
     be an exact no-op.  All checks raise [Failure] with a diagnosis. *)
 
-val gamma0_average : qos:Qos.t -> lambda:float -> float
-(** Average bandwidth of the paper's Markov chain built for a
-    failure-free, direct-chain-free regime ([gamma = 0], [P_f = 0],
-    adjacent-level upgrade matrices): redistribution alone must drive
-    the channel to its ceiling. *)
-
 val check_gamma0_agreement : ?tol:float -> Qos.t -> unit
-(** {!gamma0_average} must equal [b_max] within [tol] (relative,
-    default [1e-6]), and {!Ideal.bandwidth_capped} for an uncontended
-    channel must saturate at [b_max] exactly — the simulator, chain and
-    formula agree in the degenerate regime. *)
+(** The average bandwidth of the paper's Markov chain built for a
+    failure-free, direct-chain-free regime ([gamma = 0], [P_f = 0],
+    adjacent-level upgrade matrices), where redistribution alone must
+    drive the channel to its ceiling, must equal [b_max] within [tol]
+    (relative, default [1e-6]), and {!Ideal.bandwidth_capped} for an
+    uncontended channel must saturate at [b_max] exactly — the
+    simulator, chain and formula agree in the degenerate regime. *)
 
 val check_unshared_at_ceiling : Drcomm.t -> unit
 (** Simulator-side counterpart: with auto-redistribution on, an elastic

@@ -107,7 +107,6 @@ let adaptation_rate t =
   if events = 0 then 0. else float_of_int t.adaptations /. float_of_int events
 
 let arrivals t = t.arrivals
-let terminations t = t.terminations
 let failures t = t.failures
 
 let ratio num den = if den = 0 then 0. else float_of_int num /. float_of_int den

@@ -34,7 +34,6 @@ val observe_failure : t -> Drcomm.report -> unit
     validated — see {!f_matrix}). *)
 
 val arrivals : t -> int
-val terminations : t -> int
 val failures : t -> int
 
 val p_f : t -> float
@@ -67,6 +66,6 @@ val adaptation_rate : t -> float
 
 val to_json : t -> Jsonx.t
 (** Event totals and the measured chaining probabilities, for the
-    metrics manifests written by the CLI and bench harness. *)
+    metrics manifest [drqos_cli run] writes. *)
 
 val pp_summary : Format.formatter -> t -> unit

@@ -97,7 +97,11 @@ let build p =
   done;
   c
 
-let build_regularized ?(eps_up = 1e-9) ?(eps_down = 1e-12) p =
+(* The vanishing rates [build_regularized] adds between adjacent levels. *)
+let eps_up = 1e-9
+let eps_down = 1e-12
+
+let build_regularized p =
   let c = build p in
   let n = levels p in
   for i = 0 to n - 2 do

@@ -30,8 +30,6 @@ val params_of_estimator :
 (** Package measured values; the matrices must share the estimator's
     dimension. *)
 
-val levels : params -> int
-
 val synthetic :
   lambda:float ->
   mu:float ->
@@ -55,9 +53,9 @@ val validate : params -> unit
 val build : params -> Ctmc.t
 (** The chain of Figure 1. *)
 
-val build_regularized : ?eps_up:float -> ?eps_down:float -> params -> Ctmc.t
+val build_regularized : params -> Ctmc.t
 (** {!build} plus vanishing rates between adjacent levels
-    ([eps_up = 1e-9] upward, [eps_down = 1e-12] downward) so the chain is
+    ([1e-9] upward, [1e-12] downward) so the chain is
     always irreducible.  When real transitions exist the perturbation is
     negligible (six-plus orders below the paper's rates); when none were
     observed — an uncontended network — the solution concentrates at the

@@ -216,16 +216,15 @@ let rec schedule_churn c engine =
     let total = c.cfg.lambda +. rate_term +. c.cfg.gamma +. rate_repair in
     if total > 0. then begin
       let dt = Prng.exponential c.rng total in
-      ignore
-        (Engine.schedule engine ~delay:dt (fun engine ->
-             probe_tick c.probe c.service ~now:(Engine.now engine) ~qos:c.cfg.qos;
-             let u = Prng.float c.rng total in
-             if u < c.cfg.lambda then churn_arrival c
-             else if u < c.cfg.lambda +. rate_term then churn_termination c
-             else if u < c.cfg.lambda +. rate_term +. c.cfg.gamma then churn_failure c
-             else churn_repair c;
-             c.events_done <- c.events_done + 1;
-             schedule_churn c engine))
+      Engine.schedule engine ~delay:dt (fun engine ->
+          probe_tick c.probe c.service ~now:(Engine.now engine) ~qos:c.cfg.qos;
+          let u = Prng.float c.rng total in
+          if u < c.cfg.lambda then churn_arrival c
+          else if u < c.cfg.lambda +. rate_term then churn_termination c
+          else if u < c.cfg.lambda +. rate_term +. c.cfg.gamma then churn_failure c
+          else churn_repair c;
+          c.events_done <- c.events_done + 1;
+          schedule_churn c engine)
     end
   end
 
@@ -311,8 +310,6 @@ let run ?obs ?snapshot (cfg : config) =
           events = (fun () -> Engine.dispatched engine);
           live_by_level =
             (fun () -> Drcomm.level_histogram service ~max_levels:levels);
-          queue_size = (fun () -> Engine.pending engine);
-          queue_footprint = (fun () -> Engine.footprint engine);
           hot = (fun () -> Drcomm.hot_links service ~k:5);
           counters = (fun () -> Metrics.counter_values (Obs.metrics obs));
           slo;

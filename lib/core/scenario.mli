@@ -88,7 +88,7 @@ val run : ?obs:Obs.t -> ?snapshot:Snapshot.t -> config -> result
     [snapshot] attaches a telemetry emitter to the churn-phase engine:
     its event-time cadence fires on deterministic simulation-time
     boundaries (see {!Engine.on_heartbeat}) reading live/level counts,
-    queue footprint, hottest links and counter deltas; its optional
+    hottest links and counter deltas; its optional
     wall-clock cadence adds throughput/GC heartbeats.  The hottest links
     are the run's exact per-link churn counts ({!Drcomm.hot_links}). *)
 

@@ -5,7 +5,7 @@ let pivot_eps = 1e-13
 let approx_eq ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps
 
 (* In-place elimination on a working copy; returns the solution. *)
-let gaussian_kernel a b =
+let gaussian a b =
   let n = Matrix.rows a in
   if Matrix.cols a <> n then invalid_arg "Linsolve.gaussian: matrix not square";
   if Array.length b <> n then invalid_arg "Linsolve.gaussian: size mismatch";
@@ -51,22 +51,6 @@ let gaussian_kernel a b =
   done;
   x
 
-(* Solver instrumentation reads the process-wide context: solves happen
-   deep inside Model/Ctmc where threading a handle through every caller
-   would dominate the diff for no benefit.  Disabled context: one branch
-   per solve. *)
-let gaussian a b =
-  let metrics = Obs.metrics (Obs.default ()) in
-  if not (Metrics.enabled metrics) then gaussian_kernel a b
-  else begin
-    Metrics.incr (Metrics.counter metrics "linalg.gaussian_solves");
-    Metrics.set
-      (Metrics.gauge metrics "linalg.gaussian_n")
-      (float_of_int (Matrix.rows a));
-    Metrics.time (Metrics.timer metrics "linalg.gaussian_s") (fun () ->
-        gaussian_kernel a b)
-  end
-
 let residual a x b =
   let ax = Matrix.mul_vec a x in
   let worst = ref 0. in
@@ -87,13 +71,13 @@ let solve_left_nullvector q =
   let b = Array.make n 0. in
   b.(n - 1) <- 1.;
   let pi = gaussian a b in
+  (* A-posteriori accuracy of the raw solve (one extra mat-vec, only
+     when observed): worst constraint violation of [a pi = b].  It reads
+     the process-wide context, since solves happen deep inside
+     Model/Ctmc; disabled context: one branch per solve. *)
   let metrics = Obs.metrics (Obs.default ()) in
-  if Metrics.enabled metrics then begin
-    (* A-posteriori accuracy of the raw solve (one extra mat-vec, only
-       when observed): worst constraint violation of [a pi = b]. *)
+  if Metrics.enabled metrics then
     Metrics.set (Metrics.gauge metrics "linalg.nullvector_residual") (residual a pi b);
-    Metrics.incr (Metrics.counter metrics "linalg.nullvector_solves")
-  end;
   (* Tiny negative entries from rounding are clamped, then renormalised. *)
   let pi = Array.map (fun x -> if x < 0. && x > -1e-9 then 0. else x) pi in
   Array.iter (fun x -> if x < 0. then raise Singular) pi;

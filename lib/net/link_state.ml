@@ -276,16 +276,9 @@ let backup_pool_with t ~b_min ~primary_edges =
   end
 
 (* Every edge's demand is at most the pool, so adding [b_min] on some of
-   them raises the pool by at most [b_min]: when that much fits, so does
-   the exact answer.  Without multiplexing the first test is exact. *)
-let backup_fits t ~b_min ~primary_edges =
-  let room = t.capacity - t.primary_min_total in
-  backup_pool t + b_min <= room
-  || (t.multiplexing && backup_pool_with t ~b_min ~primary_edges <= room)
-
-(* The same bound, for the headroom: it is at least [room - backup_pool
-   - b_min], so once that reaches [at_most] the per-edge demands cannot
-   change the answer. *)
+   them raises the pool by at most [b_min]: the headroom is at least
+   [room - backup_pool - b_min], and once that reaches [at_most] the
+   per-edge demands cannot change the answer. *)
 let backup_headroom t ~b_min ~primary_edges ~at_most =
   let room = t.capacity - t.primary_min_total in
   if room - backup_pool t - b_min >= at_most then at_most
@@ -361,8 +354,6 @@ let iter_backup_channels f t =
   for slot = 0 to t.b_n - 1 do
     f t.b_chan.(slot)
   done
-
-let backup_count t = t.b_n
 
 let multiplexing t = t.multiplexing
 

@@ -97,31 +97,24 @@ val backup_pool_with : t -> b_min:Bandwidth.t -> primary_edges:int array -> Band
     dependability — the paper's key resource saving).  Without
     multiplexing it is [backup_dedicated_demand + b_min]. *)
 
-val backup_fits : t -> b_min:Bandwidth.t -> primary_edges:int array -> bool
-(** The backup admission test,
-    [primary_min_total + backup_pool_with ~b_min ~primary_edges <= capacity],
-    for [b_min >= 0].  It answers yes in O(1) when
-    [primary_min_total + backup_pool + b_min <= capacity] and reads the
-    per-edge demands only otherwise.  The shortcut is exact: every
-    edge's demand is at most {!backup_pool} (a stale maximum is
-    recomputed first), so the new pool is at most [backup_pool + b_min].
-    Without multiplexing the pool is the plain sum and the first test is
-    the whole test.  Searches that need the headroom itself, not just
-    the verdict, call {!backup_headroom}. *)
-
 val backup_headroom :
   t -> b_min:Bandwidth.t -> primary_edges:int array -> at_most:Bandwidth.t -> Bandwidth.t
 (** The backup headroom capped at [at_most], for [b_min >= 0] and
     [at_most >= 0]: with
     [h = capacity - primary_min_total - backup_pool_with ~b_min ~primary_edges],
     [-1] when [h < 0] (the backup does not fit) and [min at_most h]
-    otherwise.  It answers [at_most] in O(1), reading no per-edge
-    demand, when [capacity - primary_min_total - backup_pool - b_min >=
-    at_most].  That is exact by the argument of {!backup_fits}: the new
-    pool is at most [backup_pool + b_min], so [h] is at least that bound.
-    Without multiplexing the bound is [h] itself.  A route search passes
-    its path's bottleneck so far as [at_most], so the demands are read
-    only where this link could lower it. *)
+    otherwise.  So [backup_headroom ~at_most:0 >= 0] is the backup
+    admission test, [primary_min_total + backup_pool_with <= capacity].
+
+    It answers [at_most] in O(1), reading no per-edge demand, when
+    [capacity - primary_min_total - backup_pool - b_min >= at_most].
+    The shortcut is exact: every edge's demand is at most {!backup_pool}
+    (a stale maximum is recomputed first), so the new pool is at most
+    [backup_pool + b_min] and [h] is at least that bound.  Without
+    multiplexing the pool is the plain sum and the bound is [h] itself.
+    A route search passes its path's bottleneck so far as [at_most], so
+    the demands are read only where this link could lower it; a search
+    that needs only the verdict passes [0]. *)
 
 val unregister_backup : t -> channel:int -> unit
 val has_backup : t -> channel:int -> bool
@@ -131,8 +124,6 @@ val iter_backup_channels : (int -> unit) -> t -> unit
 (** Every channel with a backup registered here — a flat walk over the
     indexed set (the failure path resolves a failed edge's victims from
     its two directed links instead of scanning every connection). *)
-
-val backup_count : t -> int
 
 val backup_pool : t -> Bandwidth.t
 (** With multiplexing this is served from an incrementally maintained

@@ -17,8 +17,6 @@ let create ?(capacity = 1024) () =
 
 let enabled t = t.on
 
-let capacity t = Array.length t.evs
-
 let record t ~time ev =
   if t.on then begin
     let i = t.seen mod Array.length t.evs in
@@ -69,10 +67,9 @@ let dump_with ~seen evs oc =
   dump_line oc ~time:t0 (header ~retained ~seen);
   List.iter (fun (time, ev) -> dump_line oc ~time ev) evs
 
-let dump t oc = dump_with ~seen:t.seen (events t) oc
-
 let dump_events evs oc = dump_with ~seen:(List.length evs) evs oc
 
 let dump_to_file t path =
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> dump t oc)
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
+      dump_with ~seen:t.seen (events t) oc)

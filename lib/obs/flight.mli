@@ -5,7 +5,7 @@
     trace sink is off — {!Obs.tracing} reports true whenever a recorder
     is attached, so instrumented call sites keep constructing events and
     {!Obs.event} routes them here.  Nothing is written anywhere until
-    {!dump}: the black box only surfaces on a crash (the
+    {!dump_to_file}: the black box only surfaces on a crash (the
     {!Obs.install}/[Fun.protect] path) or an invariant violation
     ([lib/check]).
 
@@ -32,8 +32,6 @@ val record : t -> time:float -> Trace.event -> unit
 val size : t -> int
 (** Events currently retained ([<= capacity]). *)
 
-val capacity : t -> int
-
 val seen : t -> int
 (** Total events ever recorded; [seen - size] were dropped. *)
 
@@ -42,14 +40,11 @@ val events : t -> (float * Trace.event) list
 
 val clear : t -> unit
 
-val dump : t -> out_channel -> unit
-(** Write the black box as trace JSONL: a [note] header line
-    ([name = "flight_recorder"], retained/seen/dropped counts) followed
-    by the retained events in order. *)
+val dump_to_file : t -> string -> unit
+(** Write the black box to a fresh file as trace JSONL: a [note] header
+    line ([name = "flight_recorder"], retained/seen/dropped counts)
+    followed by the retained events in order. *)
 
 val dump_events : (float * Trace.event) list -> out_channel -> unit
-(** {!dump} for an event list captured earlier (e.g. a fuzz failure's
-    black box after further replays overwrote the recorder). *)
-
-val dump_to_file : t -> string -> unit
-(** {!dump} to a fresh file. *)
+(** The same dump for an event list captured earlier (e.g. a fuzz
+    failure's black box after further replays overwrote the recorder). *)

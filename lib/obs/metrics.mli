@@ -38,8 +38,6 @@ val count : counter -> int
 val gauge : t -> string -> gauge
 val set : gauge -> float -> unit
 val value : gauge -> float
-val peak : gauge -> float
-(** Largest value ever {!set}; [0.] before the first update. *)
 
 val hwm : t -> string -> hwm
 (** A high-watermark gauge: records only the largest value observed.

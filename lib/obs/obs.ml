@@ -34,7 +34,6 @@ let create ?(metrics = Metrics.disabled) ?(trace = Trace.disabled)
   }
 
 let metrics t = t.metrics
-let trace t = t.trace
 let spans t = t.spans
 let flight t = t.flight
 

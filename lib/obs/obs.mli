@@ -24,7 +24,6 @@ val create :
 (** All components default to their disabled instances. *)
 
 val metrics : t -> Metrics.t
-val trace : t -> Trace.t
 val spans : t -> Span.t
 val flight : t -> Flight.t
 

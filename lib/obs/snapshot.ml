@@ -2,8 +2,6 @@ type source = {
   sim_time : unit -> float;
   events : unit -> int;
   live_by_level : unit -> int array;
-  queue_size : unit -> int;
-  queue_footprint : unit -> int;
   hot : unit -> (int * int) list;
   counters : unit -> (string * int) list;
   slo : unit -> int * int;
@@ -22,7 +20,6 @@ type t = {
   mutable last_slo_good : int;
   mutable last_slo_bad : int;
   mutable peak_live : int;
-  mutable peak_queue : int;
   (* wall-clock side *)
   mutable wall_seq : int;
   mutable wall_t0 : float;
@@ -52,7 +49,6 @@ let create ?sim_every ?wall_every ~sink () =
     last_slo_good = 0;
     last_slo_bad = 0;
     peak_live = 0;
-    peak_queue = 0;
     wall_seq = 0;
     wall_t0 = 0.;
     wall_last = 0.;
@@ -74,7 +70,6 @@ let start t src =
   t.last_slo_good <- good0;
   t.last_slo_bad <- bad0;
   t.peak_live <- 0;
-  t.peak_queue <- 0;
   t.wall_seq <- 0;
   let now = Clock.now () in
   t.wall_t0 <- now;
@@ -115,9 +110,7 @@ let tick t =
     let events = src.events () in
     let levels = src.live_by_level () in
     let live = Array.fold_left ( + ) 0 levels in
-    let queue = src.queue_size () in
     if live > t.peak_live then t.peak_live <- live;
-    if queue > t.peak_queue then t.peak_queue <- queue;
     let counters = src.counters () in
     let slo_good, slo_bad = src.slo () in
     let d_good = slo_good - t.last_slo_good in
@@ -134,10 +127,7 @@ let tick t =
           d_events = events - t.last_events;
           live;
           live_by_level = Array.to_list levels;
-          queue;
-          footprint = src.queue_footprint ();
           peak_live = t.peak_live;
-          peak_queue = t.peak_queue;
           hot = src.hot ();
           counters = counter_deltas ~prev:t.last_counters ~cur:counters;
           slo_good;

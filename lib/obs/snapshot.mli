@@ -6,8 +6,8 @@
 
     - {e event-time snapshots} ([sim_every] simulation-time units,
       ticked by {!Engine}'s heartbeat hook) carry ops, live connections
-      by QoS level, queue size/footprint, sampled high watermarks,
-      hottest links, and counter deltas — all derived from simulation
+      by QoS level, their sampled high watermark, hottest links, and
+      counter deltas — all derived from simulation
       state only, so equal runs produce byte-identical streams whatever
       [--jobs] is;
     - {e wall heartbeats} ([wall_every] seconds) add real throughput and
@@ -23,8 +23,6 @@ type source = {
   sim_time : unit -> float;
   events : unit -> int;  (** monotone dispatched-event count. *)
   live_by_level : unit -> int array;
-  queue_size : unit -> int;
-  queue_footprint : unit -> int;
   hot : unit -> (int * int) list;  (** hottest links, hottest first. *)
   counters : unit -> (string * int) list;
       (** name-sorted cumulative registry counters. *)

@@ -51,9 +51,6 @@ val enabled : t -> bool
 val depth : t -> int
 (** Currently open spans. *)
 
-val now : t -> float
-(** Wall seconds since the profiler's epoch. *)
-
 type frame
 
 val enter : t -> string -> frame option

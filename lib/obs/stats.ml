@@ -24,7 +24,10 @@ module Welford = struct
   let min_value t = t.lo
   let max_value t = t.hi
 
-  let confidence_interval ?(z = 1.96) t =
+  (* The normal quantile of a two-sided 95% interval. *)
+  let z = 1.96
+
+  let confidence_interval t =
     if t.n < 2 then (mean t, mean t)
     else begin
       let half = z *. stddev t /. sqrt (float_of_int t.n) in

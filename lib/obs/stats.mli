@@ -21,8 +21,8 @@ module Welford : sig
   val min_value : t -> float
   val max_value : t -> float
 
-  val confidence_interval : ?z:float -> t -> float * float
-  (** Normal-approximation CI around the mean (default [z = 1.96], 95%).
+  val confidence_interval : t -> float * float
+  (** Normal-approximation 95% CI around the mean ([z = 1.96]).
       Degenerate (mean, mean) with fewer than two samples. *)
 
   val merge : t -> t -> t

@@ -7,10 +7,7 @@ type snapshot = {
   d_events : int;
   live : int;
   live_by_level : int list;
-  queue : int;
-  footprint : int;
   peak_live : int;
-  peak_queue : int;
   hot : (int * int) list;
   counters : (string * int) list;
   slo_good : int;
@@ -164,10 +161,7 @@ let fields = function
       ("d_events", Jsonx.Int s.d_events);
       ("live", Jsonx.Int s.live);
       ("levels", Jsonx.List (List.map (fun n -> Jsonx.Int n) s.live_by_level));
-      ("queue", Jsonx.Int s.queue);
-      ("footprint", Jsonx.Int s.footprint);
       ("peak_live", Jsonx.Int s.peak_live);
-      ("peak_queue", Jsonx.Int s.peak_queue);
       ( "hot",
         Jsonx.List
           (List.map
@@ -301,10 +295,7 @@ let of_json doc =
       let* d_events = int "d_events" in
       let* live = int "live" in
       let* live_by_level = Jsonx.field "levels" (Jsonx.to_list Jsonx.to_int) doc in
-      let* queue = int "queue" in
-      let* footprint = int "footprint" in
       let* peak_live = int "peak_live" in
-      let* peak_queue = int "peak_queue" in
       let* hot = Jsonx.field "hot" (Jsonx.to_list pair) doc in
       let* counters = Jsonx.field "counters" counter_obj doc in
       (* SLO fields arrived with request tracing (DESIGN.md §15); they
@@ -325,10 +316,7 @@ let of_json doc =
              d_events;
              live;
              live_by_level;
-             queue;
-             footprint;
              peak_live;
-             peak_queue;
              hot;
              counters;
              slo_good;
@@ -401,10 +389,7 @@ let all_samples =
         d_events = 300;
         live = 41;
         live_by_level = [ 5; 0; 36 ];
-        queue = 7;
-        footprint = 16;
         peak_live = 44;
-        peak_queue = 12;
         hot = [ (17, 120); (3, 99) ];
         counters = [ ("drcomm.admits", 40); ("engine.events", 300) ];
         slo_good = 38;
@@ -439,7 +424,7 @@ let jsonl_sink oc =
     close = (fun () -> close_out oc);
   }
 
-let console_sink ?(oc = stdout) () =
+let console_sink oc =
   {
     emit =
       (fun time ev ->

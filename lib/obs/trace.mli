@@ -20,10 +20,7 @@ type snapshot = {
   d_events : int;  (** events since the previous snapshot. *)
   live : int;  (** live connections. *)
   live_by_level : int list;  (** live connections per QoS level. *)
-  queue : int;  (** event-queue size at the tick. *)
-  footprint : int;  (** {!Event_queue.footprint} at the tick. *)
   peak_live : int;  (** high watermark of sampled [live]. *)
-  peak_queue : int;  (** high watermark of sampled [queue]. *)
   hot : (int * int) list;
       (** hottest links as [(link, churn count)], the service's exact
           per-link counts, hottest first. *)
@@ -139,9 +136,9 @@ val null_sink : sink
 val jsonl_sink : out_channel -> sink
 (** One compact JSON document per line; [close] closes the channel. *)
 
-val console_sink : ?oc:out_channel -> unit -> sink
-(** Human-readable one-line rendering (default [stdout]); [close]
-    flushes but does not close. *)
+val console_sink : out_channel -> sink
+(** Human-readable one-line rendering; [close] flushes but does not
+    close. *)
 
 type t
 

@@ -133,8 +133,9 @@ let backup_route ?(banned_edges = []) net req ~primary_edges =
     let penalty = float_of_int (Graph.node_count g * Graph.node_count g) in
     let weight e = if on_primary e then penalty +. 1. else 1. in
     let fits dl =
-      Link_state.backup_fits (Net_state.link net dl) ~b_min:req.floor
-        ~primary_edges:primary_edge_array
+      Link_state.backup_headroom (Net_state.link net dl) ~b_min:req.floor
+        ~primary_edges:primary_edge_array ~at_most:0
+      >= 0
     in
     let usable e =
       Net_state.usable_edge net e

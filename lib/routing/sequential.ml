@@ -18,8 +18,9 @@ let backup_admissible net (req : Flooding.request) ~primary_edge_array path =
   let g = Net_state.graph net in
   List.for_all
     (fun dl ->
-      Link_state.backup_fits (Net_state.link net dl) ~b_min:req.Flooding.floor
-        ~primary_edges:primary_edge_array)
+      Link_state.backup_headroom (Net_state.link net dl) ~b_min:req.Flooding.floor
+        ~primary_edges:primary_edge_array ~at_most:0
+      >= 0)
     (Dirlink.of_path g path)
 
 let shared_edges ~primary_edges path =

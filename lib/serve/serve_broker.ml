@@ -24,8 +24,6 @@ let snapshot_source t =
     live_by_level =
       (fun () ->
         Drcomm.level_histogram t.service ~max_levels:Serve_proto.max_levels);
-    queue_size = (fun () -> 0);
-    queue_footprint = (fun () -> 0);
     hot = (fun () -> Drcomm.hot_links t.service ~k:5);
     counters = (fun () -> Metrics.counter_values (Obs.metrics t.obs));
     slo = (fun () -> t.slo_fn ());
@@ -61,7 +59,6 @@ let create ?config ?obs net =
   t
 
 let service t = t.service
-let obs t = t.obs
 let requests t = t.requests
 
 let live_channels t =

@@ -19,7 +19,6 @@ val create : ?config:Drcomm.Config.t -> ?obs:Obs.t -> Net_state.t -> t
     to subscribers. *)
 
 val service : t -> Drcomm.t
-val obs : t -> Obs.t
 
 val requests : t -> int
 (** Requests dispatched so far (all kinds).  Doubles as the broker's

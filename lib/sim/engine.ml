@@ -4,7 +4,6 @@ type t = {
   obs : Obs.t;
   ev_dispatched : Metrics.counter;
   queue_depth : Metrics.gauge;
-  run_timer : Metrics.timer;
   (* Metrics-independent dispatch count: telemetry needs it even when
      the metrics registry is off, and it must not double when several
      engines share a registry. *)
@@ -17,17 +16,14 @@ type t = {
   mutable whb_fn : (t -> unit) option;
 }
 
-type handle = Event_queue.handle
-
-let create ?(start_time = 0.) ?capacity ?obs () =
+let create ?capacity ?obs () =
   let obs = match obs with Some o -> o | None -> Obs.default () in
   {
     queue = Event_queue.create ?capacity ();
-    clock = start_time;
+    clock = 0.;
     obs;
     ev_dispatched = Obs.counter obs "engine.events";
     queue_depth = Obs.gauge obs "engine.queue_depth";
-    run_timer = Obs.timer obs "engine.run_s";
     dispatched = 0;
     hb_every = 0.;
     hb_next = infinity;
@@ -49,11 +45,7 @@ let schedule t ~delay f =
   if delay < 0. then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ~time:(t.clock +. delay) f
 
-let cancel t h = Event_queue.cancel t.queue h
-
 let pending t = Event_queue.size t.queue
-
-let footprint t = Event_queue.footprint t.queue
 
 let on_heartbeat t ~every f =
   if every <= 0. then invalid_arg "Engine.on_heartbeat: every must be positive";
@@ -77,13 +69,12 @@ let step t =
     f t;
     true
 
-let run ?(until = infinity) ?(max_events = max_int) t =
+let run ?(until = infinity) t =
   Obs.span t.obs "engine.run" @@ fun () ->
   let handled = ref 0 in
   let instrumented = Metrics.enabled (Obs.metrics t.obs) in
-  let t0 = if instrumented then Clock.now () else 0. in
   let continue = ref true in
-  while !continue && !handled < max_events do
+  while !continue do
     match Event_queue.peek_time t.queue with
     | None -> continue := false
     | Some time when time > until ->
@@ -134,5 +125,4 @@ let run ?(until = infinity) ?(max_events = max_int) t =
     | None -> ());
     if t.clock < until then t.clock <- until
   end;
-  if instrumented then Metrics.observe t.run_timer (Clock.elapsed_since t0);
   !handled

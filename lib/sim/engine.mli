@@ -2,40 +2,33 @@
 
     A thin deterministic loop over {!Event_queue}: events are closures run
     at their scheduled time, in time order (insertion order within a
-    tie).  Handlers may schedule and cancel further events freely. *)
+    tie).  Handlers may schedule further events freely. *)
 
 type t
 
-type handle = Event_queue.handle
-
-val create : ?start_time:float -> ?capacity:int -> ?obs:Obs.t -> unit -> t
-(** [capacity] pre-sizes the event queue for an expected number of
-    concurrently-scheduled events (see {!Event_queue.create}).
+val create : ?capacity:int -> ?obs:Obs.t -> unit -> t
+(** An engine at time [0.].  [capacity] pre-sizes the event queue for
+    an expected number of concurrently-scheduled events (see
+    {!Event_queue.create}).
 
     [obs] (default {!Obs.default}) receives the engine's instrumentation:
-    counter [engine.events] (dispatched events), gauge
+    counter [engine.events] (dispatched events) and gauge
     [engine.queue_depth] (live events sampled before each dispatch, peak
-    = high watermark), timer [engine.run_s] (wall time per {!run}
-    call).  With a disabled context the per-event overhead is one
-    branch. *)
+    = high watermark); each {!run} is the span [engine.run], whose
+    [phase.engine.run] timer records its wall time.  With a disabled
+    context the per-event overhead is one branch. *)
 
 val now : t -> float
 (** Current simulation time: the timestamp of the event being handled, or
-    the start time before the first event. *)
+    [0.] before the first event. *)
 
-val schedule : t -> delay:float -> (t -> unit) -> handle
+val schedule : t -> delay:float -> (t -> unit) -> unit
 (** [schedule t ~delay f] runs [f] at [now t +. delay]; [delay >= 0]. *)
 
-val schedule_at : t -> time:float -> (t -> unit) -> handle
+val schedule_at : t -> time:float -> (t -> unit) -> unit
 (** Absolute-time variant; [time >= now t]. *)
 
-val cancel : t -> handle -> bool
-
 val pending : t -> int
-
-val footprint : t -> int
-(** {!Event_queue.footprint} of the engine's queue: heap slots plus
-    pending handles, a proxy for the queue's memory footprint. *)
 
 val dispatched : t -> int
 (** Total events dispatched over the engine's lifetime.  Unlike the
@@ -61,11 +54,11 @@ val on_wall_heartbeat : t -> every_s:float -> (t -> unit) -> unit
     only).  At most one callback; a second call replaces the first.
     [every_s > 0]. *)
 
-val run : ?until:float -> ?max_events:int -> t -> int
-(** Process events until the queue drains, the next event would exceed
-    [until], or [max_events] have been handled.  Returns the number of
-    events handled.  When stopped by [until], the clock is advanced to
-    [until] (so time-weighted statistics can be closed there). *)
+val run : ?until:float -> t -> int
+(** Process events until the queue drains or the next event would
+    exceed [until].  Returns the number of events handled.  When stopped
+    by [until], the clock is advanced to [until] (so time-weighted
+    statistics can be closed there). *)
 
 val step : t -> bool
 (** Handle exactly one event; [false] if the queue was empty. *)

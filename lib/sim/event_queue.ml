@@ -1,18 +1,11 @@
-type handle = int
-
 type 'a entry = { time : float; seq : int; payload : 'a }
 
-(* Pending handles are tracked positively: a seq is in [pending] iff the
-   event is scheduled and has neither fired nor been cancelled.  The
-   previous encoding kept the complement (every fired/cancelled seq,
-   forever), which grew without bound over the life of the queue; this
-   table is O(live).  Vacated heap slots are nulled so popped payloads
-   become collectable immediately (hence the option array). *)
+(* Vacated heap slots are nulled so popped payloads become collectable
+   immediately (hence the option array). *)
 type 'a t = {
   mutable heap : 'a entry option array;
   mutable size_heap : int;
   mutable next_seq : int;
-  pending : (int, unit) Hashtbl.t;
 }
 
 let create ?(capacity = 0) () =
@@ -20,7 +13,6 @@ let create ?(capacity = 0) () =
     heap = (if capacity > 0 then Array.make capacity None else [||]);
     size_heap = 0;
     next_seq = 0;
-    pending = Hashtbl.create (max 64 capacity);
   }
 
 let earlier a b = a.time < b.time || (Float.equal a.time b.time && a.seq < b.seq)
@@ -50,18 +42,7 @@ let add t ~time payload =
     arr.(!i) <- arr.(parent);
     arr.(parent) <- tmp;
     i := parent
-  done;
-  Hashtbl.replace t.pending entry.seq ();
-  entry.seq
-
-(* A handle outside [pending] has fired or been cancelled already (or was
-   never issued), so late cancels return false as before. *)
-let cancel t h =
-  if Hashtbl.mem t.pending h then begin
-    Hashtbl.remove t.pending h;
-    true
-  end
-  else false
+  done
 
 let sift_down arr size =
   let i = ref 0 in
@@ -81,39 +62,18 @@ let sift_down arr size =
   done
 
 (* Remove and return the root, nulling the vacated slot. *)
-let remove_top t =
-  let arr = t.heap in
-  let top = get arr 0 in
-  t.size_heap <- t.size_heap - 1;
-  arr.(0) <- arr.(t.size_heap);
-  arr.(t.size_heap) <- None;
-  sift_down arr t.size_heap;
-  top
-
-let rec pop t =
+let pop t =
   if t.size_heap = 0 then None
   else begin
-    let top = remove_top t in
-    if Hashtbl.mem t.pending top.seq then begin
-      Hashtbl.remove t.pending top.seq;
-      Some (top.time, top.payload)
-    end
-    else pop t (* cancelled: slot already nulled, keep draining *)
+    let arr = t.heap in
+    let top = get arr 0 in
+    t.size_heap <- t.size_heap - 1;
+    arr.(0) <- arr.(t.size_heap);
+    arr.(t.size_heap) <- None;
+    sift_down arr t.size_heap;
+    Some (top.time, top.payload)
   end
 
-let rec peek_time t =
-  if t.size_heap = 0 then None
-  else begin
-    let top = get t.heap 0 in
-    if Hashtbl.mem t.pending top.seq then Some top.time
-    else begin
-      ignore (remove_top t);
-      peek_time t
-    end
-  end
+let peek_time t = if t.size_heap = 0 then None else Some (get t.heap 0).time
 
-let size t = Hashtbl.length t.pending
-
-let footprint t = Hashtbl.length t.pending + t.size_heap
-
-let is_empty t = peek_time t = None
+let size t = t.size_heap

@@ -1,40 +1,24 @@
-(** Priority queue of timed events with O(log n) insertion/extraction and
-    O(1) cancellation (lazy deletion).
+(** Priority queue of timed events: a binary heap with O(log n)
+    insertion and extraction.
 
     Ties in time are broken by insertion order, so simulations are fully
     deterministic. *)
 
 type 'a t
 
-type handle
-(** Names a scheduled event for cancellation. *)
-
 val create : ?capacity:int -> unit -> 'a t
-(** [capacity] pre-sizes the heap and pending table for an expected
-    number of concurrently-scheduled events (default: grow on demand) —
-    avoids the doubling-and-rehash cascade when a simulation schedules
-    millions of events up front. *)
+(** [capacity] pre-sizes the heap for an expected number of
+    concurrently-scheduled events (default: grow on demand) — avoids
+    the doubling cascade when a simulation schedules millions of events
+    up front. *)
 
-val add : 'a t -> time:float -> 'a -> handle
+val add : 'a t -> time:float -> 'a -> unit
 (** Schedules a payload.  [time] must be finite; raises otherwise. *)
 
-val cancel : 'a t -> handle -> bool
-(** [true] if the event was still pending (now removed); [false] if it had
-    already fired or been cancelled. *)
-
 val pop : 'a t -> (float * 'a) option
-(** Earliest remaining event, skipping cancelled entries. *)
+(** Earliest event, removed; among equal times, the first added. *)
 
 val peek_time : 'a t -> float option
 
 val size : 'a t -> int
-(** Number of live (non-cancelled) events. *)
-
-val footprint : 'a t -> int
-(** Bookkeeping entries currently retained: pending-table entries plus
-    occupied heap slots.  Bounded by live events plus
-    cancelled-but-not-yet-drained ones — {e not} by the queue's history.
-    Regression guard for the former fired-set leak, where the table
-    gained one entry per fired event forever. *)
-
-val is_empty : 'a t -> bool
+(** Number of scheduled events. *)

@@ -3,19 +3,15 @@ type spec = {
   transit_size : int;
   stubs_per_transit_node : int;
   stub_size : int;
-  intra_edge_prob : float;
 }
 
-let spec ?(intra_edge_prob = 0.4) ~transit_domains ~transit_size
-    ~stubs_per_transit_node ~stub_size () =
+let spec ~transit_domains ~transit_size ~stubs_per_transit_node ~stub_size () =
   if transit_domains < 1 then invalid_arg "Transit_stub.spec: transit_domains >= 1";
   if transit_size < 1 then invalid_arg "Transit_stub.spec: transit_size >= 1";
   if stubs_per_transit_node < 0 then
     invalid_arg "Transit_stub.spec: stubs_per_transit_node >= 0";
   if stub_size < 1 then invalid_arg "Transit_stub.spec: stub_size >= 1";
-  if intra_edge_prob < 0. || intra_edge_prob > 1. then
-    invalid_arg "Transit_stub.spec: intra_edge_prob in [0, 1]";
-  { transit_domains; transit_size; stubs_per_transit_node; stub_size; intra_edge_prob }
+  { transit_domains; transit_size; stubs_per_transit_node; stub_size }
 
 let node_count s =
   let transit = s.transit_domains * s.transit_size in
@@ -27,9 +23,14 @@ type info = {
   stub_of_node : int array;
 }
 
+(* Probability of each extra intra-domain edge beyond the spanning tree
+   that guarantees domain connectivity. *)
+let intra_edge_prob = 0.4
+
 (* Connect [members] inside [g]: random spanning tree (each node links to a
-   random earlier one), then extra edges with probability [p]. *)
-let build_domain rng g members p =
+   random earlier one), then extra edges with probability
+   [intra_edge_prob]. *)
+let build_domain rng g members =
   let members = Array.of_list members in
   let n = Array.length members in
   for i = 1 to n - 1 do
@@ -38,7 +39,9 @@ let build_domain rng g members p =
   done;
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      if (not (Graph.mem_edge g members.(i) members.(j))) && Prng.float rng 1. < p
+      if
+        (not (Graph.mem_edge g members.(i) members.(j)))
+        && Prng.float rng 1. < intra_edge_prob
       then ignore (Graph.add_edge g members.(i) members.(j))
     done
   done
@@ -58,7 +61,7 @@ let generate rng s =
     Array.init s.transit_domains (fun _ ->
         List.init s.transit_size (fun _ -> fresh ()))
   in
-  Array.iter (fun members -> build_domain rng g members s.intra_edge_prob) domains;
+  Array.iter (fun members -> build_domain rng g members) domains;
   (* Join transit domains in a randomised cycle: domain k links to domain
      k+1 through random representative nodes.  A cycle gives the core two
      disjoint inter-domain routes when there are >= 3 domains. *)
@@ -80,7 +83,7 @@ let generate rng s =
         let members = List.init s.stub_size (fun _ -> fresh ()) in
         List.iter (fun u -> stub_of_node.(u) <- !stub_index) members;
         incr stub_index;
-        build_domain rng g members s.intra_edge_prob;
+        build_domain rng g members;
         let gateway = Prng.pick_list rng members in
         ignore (Graph.add_edge g t gateway)
       done)

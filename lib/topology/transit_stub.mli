@@ -12,13 +12,11 @@ type spec = {
   transit_size : int;  (** nodes per transit domain. *)
   stubs_per_transit_node : int;
   stub_size : int;  (** nodes per stub domain. *)
-  intra_edge_prob : float;
-      (** probability of each extra intra-domain edge beyond the spanning
-          tree that guarantees domain connectivity. *)
 }
+(** Each domain is a random spanning tree, which keeps it connected,
+    plus each other intra-domain edge with probability 0.4. *)
 
 val spec :
-  ?intra_edge_prob:float ->
   transit_domains:int ->
   transit_size:int ->
   stubs_per_transit_node:int ->

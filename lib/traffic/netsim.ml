@@ -97,24 +97,20 @@ let rec start_service t dl =
     s.busy <- true;
     let tx = float_of_int p.size_bits /. (float_of_int s.rate *. 1000.) in
     s.busy_time <- s.busy_time +. tx;
-    ignore
-      (Engine.schedule t.engine ~delay:tx (fun _ ->
-           let now = Engine.now t.engine in
-           p.hop <- p.hop + 1;
-           if p.hop >= Array.length p.path then begin
-             match Hashtbl.find_opt t.flows p.flow with
-             | None ->
-               (* Flows are registered before any packet is injected. *)
-               assert false
-             | Some flow_state ->
-               deliver t flow_state p ~now:(now +. t.propagation_delay)
-           end
-           else if Float.equal t.propagation_delay 0. then arrive t p
-           else
-             ignore
-               (Engine.schedule t.engine ~delay:t.propagation_delay (fun _ ->
-                    arrive t p));
-           start_service t dl))
+    Engine.schedule t.engine ~delay:tx (fun _ ->
+        let now = Engine.now t.engine in
+        p.hop <- p.hop + 1;
+        if p.hop >= Array.length p.path then begin
+          match Hashtbl.find_opt t.flows p.flow with
+          | None ->
+            (* Flows are registered before any packet is injected. *)
+            assert false
+          | Some flow_state ->
+            deliver t flow_state p ~now:(now +. t.propagation_delay)
+        end
+        else if Float.equal t.propagation_delay 0. then arrive t p
+        else Engine.schedule t.engine ~delay:t.propagation_delay (fun _ -> arrive t p);
+        start_service t dl)
 
 and arrive t p =
   let dl = p.path.(p.hop) in
@@ -144,7 +140,7 @@ let rec source_tick t flow_state () =
     end;
     let next = Traffic_spec.Bucket.next_conforming_time flow_state.bucket ~now in
     let delay = Float.max (next -. now) 1e-9 in
-    ignore (Engine.schedule t.engine ~delay (fun _ -> source_tick t flow_state ()))
+    Engine.schedule t.engine ~delay (fun _ -> source_tick t flow_state ())
   end
 
 let add_flow t ~path ~spec ~deadline ?start ~stop () =
@@ -174,9 +170,8 @@ let add_flow t ~path ~spec ~deadline ?start ~stop () =
     }
   in
   Hashtbl.replace t.flows fid flow_state;
-  ignore
-    (Engine.schedule_at t.engine ~time:(Float.max start (Engine.now t.engine))
-       (fun _ -> source_tick t flow_state ()));
+  Engine.schedule_at t.engine ~time:(Float.max start (Engine.now t.engine)) (fun _ ->
+      source_tick t flow_state ());
   fid
 
 type stats = {

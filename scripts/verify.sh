@@ -1,7 +1,7 @@
 #!/bin/sh
 # Extended local verification gate: build, tests, formatting (when the
-# formatter is installed), and a quick bench smoke run that must produce
-# a metrics manifest.  Tier-1 remains `dune build && dune runtest`
+# formatter is installed), and a quick bench smoke run whose perf record
+# must carry the metrics registry.  Tier-1 remains `dune build && dune runtest`
 # (ROADMAP.md); this script is the fuller pre-push check.
 set -eu
 
@@ -28,8 +28,8 @@ trap 'rm -rf "$tmpdir"' EXIT
 step "bench determinism: fig2 --quick --jobs 2 vs --jobs 1"
 dune exec bench/main.exe -- fig2 --quick --heartbeat --jobs 2 --out "$tmpdir/verify-bench-j2" >/dev/null
 dune exec bench/main.exe -- fig2 --quick --heartbeat --jobs 1 --out "$tmpdir/verify-bench-j1" >/dev/null
-test -s "$tmpdir/verify-bench-j1/fig2.metrics.json" || {
-  echo "FAIL: fig2 --quick did not write a metrics manifest" >&2
+grep -q '"metrics"' "$tmpdir/verify-bench-j1/BENCH_fig2.json" || {
+  echo "FAIL: fig2 --quick wrote no metrics registry into BENCH_fig2.json" >&2
   exit 1
 }
 diff "$tmpdir/verify-bench-j1/fig2.dat" "$tmpdir/verify-bench-j2/fig2.dat" || {
@@ -205,17 +205,18 @@ grep -q '"span_end"' "$tmpdir/t.jsonl" || {
   exit 1
 }
 
-step "examples: each runs to exit 0 with output"
+step "examples: each runs to exit 0, stdout against scripts/golden/examples/"
 # The examples build with the tree but nothing else runs them; each
-# must exit 0 and print something (about 7 s for all of them).
+# must exit 0 and print exactly its golden (about 7 s for all of them).
+# Their stdout is deterministic, identical across runs.
 for src in examples/*.ml; do
   ex=$(basename "$src" .ml)
   "_build/default/examples/$ex.exe" > "$tmpdir/example-$ex.txt" || {
     echo "FAIL: examples/$ex exited non-zero" >&2
     exit 1
   }
-  test -s "$tmpdir/example-$ex.txt" || {
-    echo "FAIL: examples/$ex printed nothing" >&2
+  cmp "$tmpdir/example-$ex.txt" "scripts/golden/examples/$ex.txt" || {
+    echo "FAIL: examples/$ex stdout differs from scripts/golden/examples/$ex.txt" >&2
     exit 1
   }
 done

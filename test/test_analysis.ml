@@ -180,14 +180,10 @@ let run_triangle_scenario ?(spans = Span.create ()) () =
   let c0 = admit 0 in
   let c1 = admit 1 in
   ignore (admit 2);
-  ignore (Engine.schedule_at engine ~time:10. (fun _ -> ignore (admit 3)));
-  ignore (Engine.schedule_at engine ~time:20. (fun _ -> ignore (admit 4)));
-  ignore
-    (Engine.schedule_at engine ~time:40. (fun _ ->
-         ignore (Drcomm.terminate svc c0)));
-  ignore
-    (Engine.schedule_at engine ~time:100. (fun _ ->
-         ignore (Drcomm.terminate svc c1)));
+  Engine.schedule_at engine ~time:10. (fun _ -> ignore (admit 3));
+  Engine.schedule_at engine ~time:20. (fun _ -> ignore (admit 4));
+  Engine.schedule_at engine ~time:40. (fun _ -> ignore (Drcomm.terminate svc c0));
+  Engine.schedule_at engine ~time:100. (fun _ -> ignore (Drcomm.terminate svc c1));
   Obs.span obs "measure" (fun () -> ignore (Engine.run engine));
   Obs.close obs;
   path
@@ -364,10 +360,7 @@ let snap ~t ~seq ~events ~d_events ~live =
         d_events;
         live;
         live_by_level = [ live ];
-        queue = 1;
-        footprint = 2;
         peak_live = live;
-        peak_queue = 1;
         hot = [ (3, d_events) ];
         counters = [ ("drcomm.admitted", d_events) ];
         slo_good = d_events;
@@ -706,13 +699,20 @@ let test_perf_record_roundtrip () =
   Alcotest.(check bool) "GC delta sees the minor collection" true
     (gc.Perf_record.minor_collections >= 1);
   let gc = { gc with Perf_record.major_words = 3. } in
+  let metrics = Metrics.create () in
+  Metrics.add (Metrics.counter metrics "engine.events") 7;
   save
     (Perf_record.bench ~experiment:"fig2" ~scale:Perf_record.Quick ~jobs:2
-       ~wall_s:1.25 ~gc ~spans
+       ~wall_s:1.25 ~gc ~metrics ~spans
        ~plateaus:[ { Perf_record.live = 10; ops = 4; ops_per_sec = 2.; us_per_op = 5e5 } ]
        ());
   let r = load () in
   Alcotest.check approx "wall_s" 1.25 (Perf_record.wall_s r);
+  Alcotest.(check bool) "the metrics registry is in the record" true
+    (let text = In_channel.with_open_text path In_channel.input_all in
+     Option.is_some
+       (Option.bind (Jsonx.member "metrics" (Jsonx.of_string text)) (fun m ->
+            Option.bind (Jsonx.member "counters" m) (Jsonx.member "engine.events"))));
   Alcotest.(check (option (float 0.))) "gc.major_words" (Some 3.)
     (Perf_record.major_words r);
   rewrites_identically r;

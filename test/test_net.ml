@@ -374,10 +374,10 @@ let qcheck_link_state_model =
    drop off one link at a time.  After every step, on every link, for a
    random probe: [backup_pool_with] is the worst single failure
    recomputed from [edge_demands] (the plain sum of floors without
-   multiplexing), [backup_fits] is the exact admission test,
-   [backup_headroom] is the headroom left by that pool, capped at 0, a
-   random value and [max_int], the accounting audit passes, and every
-   registration still reads back its floor and edges. *)
+   multiplexing), [backup_headroom] is the headroom left by that pool,
+   capped at 0 (the admission test), a random value and [max_int], the
+   accounting audit passes, and every registration still reads back its
+   floor and edges. *)
 let qcheck_pool_query_definition =
   QCheck.Test.make ~name:"backup pool query matches its definition" ~count:60
     QCheck.(pair small_int bool)
@@ -465,9 +465,6 @@ let qcheck_pool_query_definition =
               [ 0; Prng.int rng capacity; max_int ];
             let pool' = Link_state.backup_pool_with l ~b_min ~primary_edges in
             check (pool' = expected_pool);
-            check
-              (Link_state.backup_fits l ~b_min ~primary_edges
-              = (Link_state.primary_min_total l + pool' <= capacity));
             (match Link_state.check_invariant l with
             | () -> ()
             | exception Failure _ -> ok := false);

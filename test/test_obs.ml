@@ -663,7 +663,6 @@ type fake_run = {
   mutable fr_time : float;
   mutable fr_events : int;
   mutable fr_live : int array;
-  mutable fr_queue : int;
   mutable fr_counters : (string * int) list;
   mutable fr_slo : int * int;
 }
@@ -678,8 +677,6 @@ let fake_source r =
     Snapshot.sim_time = (fun () -> r.fr_time);
     events = (fun () -> r.fr_events);
     live_by_level = (fun () -> r.fr_live);
-    queue_size = (fun () -> r.fr_queue);
-    queue_footprint = (fun () -> 2 * r.fr_queue);
     hot = (fun () -> [ (17, r.fr_events) ]);
     counters = (fun () -> r.fr_counters);
     slo = (fun () -> r.fr_slo);
@@ -697,7 +694,6 @@ let test_snapshot_emitter_roundtrip () =
       fr_time = 0.;
       fr_events = 5;
       fr_live = [| 1; 0; 2 |];
-      fr_queue = 4;
       fr_counters = [ ("a.ops", 5); ("b.idle", 0) ];
       fr_slo = (3, 1);
     }
@@ -710,7 +706,6 @@ let test_snapshot_emitter_roundtrip () =
   r.fr_time <- 20.;
   r.fr_events <- 30;
   r.fr_live <- [| 0; 1; 1 |];
-  r.fr_queue <- 1;
   r.fr_counters <- [ ("a.ops", 31); ("b.idle", 0); ("c.new", 2) ];
   Snapshot.tick snap;
   Alcotest.(check int) "two snapshots emitted" 2 (Snapshot.emitted snap);
@@ -726,9 +721,7 @@ let test_snapshot_emitter_roundtrip () =
                   d_events;
                   live;
                   live_by_level;
-                  footprint;
                   peak_live;
-                  peak_queue;
                   hot;
                   counters;
                   _;
@@ -738,9 +731,7 @@ let test_snapshot_emitter_roundtrip () =
             d_events,
             live,
             live_by_level,
-            footprint,
             peak_live,
-            peak_queue,
             hot,
             counters )
         | Ok _ -> Alcotest.fail "non-snapshot line in the stream"
@@ -749,8 +740,8 @@ let test_snapshot_emitter_roundtrip () =
   in
   match parsed with
   | [
-   (t1, seq1, d1, live1, _, _, _, _, hot1, counters1);
-   (t2, seq2, d2, _, levels2, footprint2, peak_live2, peak_queue2, _, counters2);
+   (t1, seq1, d1, live1, _, _, hot1, counters1);
+   (t2, seq2, d2, _, levels2, peak_live2, _, counters2);
   ] ->
     Alcotest.check approx "first tick time" 10. t1;
     Alcotest.check approx "second tick time" 20. t2;
@@ -761,8 +752,6 @@ let test_snapshot_emitter_roundtrip () =
     Alcotest.(check int) "live sums levels" 3 live1;
     Alcotest.(check (list int)) "levels verbatim" [ 0; 1; 1 ] levels2;
     Alcotest.(check int) "peak live survives the drop" 3 peak_live2;
-    Alcotest.(check int) "peak queue survives the drop" 4 peak_queue2;
-    Alcotest.(check int) "footprint from the source" 2 footprint2;
     Alcotest.(check (list (pair string int)))
       "counter deltas, zero-suppressed"
       [ ("a.ops", 20) ] counters1;
@@ -812,7 +801,6 @@ let test_wall_heartbeat_cadence () =
       fr_time = 1.;
       fr_events = 10;
       fr_live = [| 1 |];
-      fr_queue = 0;
       fr_counters = [];
       fr_slo = (0, 0);
     }
@@ -851,7 +839,6 @@ let test_wall_heartbeat_gc_sanity () =
       fr_time = 0.;
       fr_events = 0;
       fr_live = [||];
-      fr_queue = 0;
       fr_counters = [];
       fr_slo = (0, 0);
     }
@@ -898,7 +885,6 @@ let test_wall_heartbeat_interleaves_with_snapshots () =
       fr_time = 0.;
       fr_events = 0;
       fr_live = [| 2 |];
-      fr_queue = 1;
       fr_counters = [];
       fr_slo = (0, 0);
     }
@@ -1140,7 +1126,6 @@ let test_snapshot_slo_fields () =
       fr_time = 0.;
       fr_events = 0;
       fr_live = [| 0 |];
-      fr_queue = 0;
       fr_counters = [];
       fr_slo = (3, 1);
     }

@@ -422,7 +422,7 @@ let qcheck_flooding_route_admissible =
    maximally-disjoint fallback, with or without backup multiplexing.
    Every call must return the path the reference returns; the reference
    computes the backup pool from its definition, not through
-   [Link_state.backup_pool_with] or [Link_state.backup_fits]. *)
+   [Link_state.backup_pool_with] or [Link_state.backup_headroom]. *)
 let scratch_search_agrees seed ~transit_stub ~multiplexing =
   let rng = Prng.create seed in
   let g =

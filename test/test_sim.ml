@@ -6,9 +6,9 @@ let approx = Alcotest.float 1e-9
 
 let test_queue_time_order () =
   let q = Event_queue.create () in
-  ignore (Event_queue.add q ~time:3. "c");
-  ignore (Event_queue.add q ~time:1. "a");
-  ignore (Event_queue.add q ~time:2. "b");
+  Event_queue.add q ~time:3. "c";
+  Event_queue.add q ~time:1. "a";
+  Event_queue.add q ~time:2. "b";
   let pop () = Option.get (Event_queue.pop q) in
   Alcotest.(check (pair (float 0.) string)) "first" (1., "a") (pop ());
   Alcotest.(check (pair (float 0.) string)) "second" (2., "b") (pop ());
@@ -17,70 +17,54 @@ let test_queue_time_order () =
 
 let test_queue_fifo_on_ties () =
   let q = Event_queue.create () in
-  ignore (Event_queue.add q ~time:1. "first");
-  ignore (Event_queue.add q ~time:1. "second");
-  ignore (Event_queue.add q ~time:1. "third");
+  Event_queue.add q ~time:1. "first";
+  Event_queue.add q ~time:1. "second";
+  Event_queue.add q ~time:1. "third";
   let order = List.init 3 (fun _ -> snd (Option.get (Event_queue.pop q))) in
   Alcotest.(check (list string)) "insertion order" [ "first"; "second"; "third" ] order
 
-let test_queue_cancel () =
-  let q = Event_queue.create () in
-  let h1 = Event_queue.add q ~time:1. "a" in
-  ignore (Event_queue.add q ~time:2. "b");
-  Alcotest.(check bool) "cancel pending" true (Event_queue.cancel q h1);
-  Alcotest.(check bool) "double cancel" false (Event_queue.cancel q h1);
-  Alcotest.(check int) "one live" 1 (Event_queue.size q);
-  Alcotest.(check (pair (float 0.) string)) "skips cancelled" (2., "b")
-    (Option.get (Event_queue.pop q))
-
-let test_queue_cancel_after_fire () =
-  let q = Event_queue.create () in
-  let h = Event_queue.add q ~time:1. "a" in
-  ignore (Event_queue.pop q);
-  Alcotest.(check bool) "cancel after fire" false (Event_queue.cancel q h)
-
 let test_queue_peek () =
   let q = Event_queue.create () in
-  Alcotest.(check bool) "empty" true (Event_queue.is_empty q);
-  let h = Event_queue.add q ~time:5. "x" in
+  Alcotest.(check (option (float 0.))) "empty" None (Event_queue.peek_time q);
+  Event_queue.add q ~time:5. "x";
   Alcotest.(check (option (float 0.))) "peek" (Some 5.) (Event_queue.peek_time q);
-  ignore (Event_queue.cancel q h);
-  Alcotest.(check (option (float 0.))) "peek skips cancelled" None
-    (Event_queue.peek_time q);
-  Alcotest.(check bool) "empty again" true (Event_queue.is_empty q)
+  Alcotest.(check int) "peek leaves the event queued" 1 (Event_queue.size q)
 
 let test_queue_non_finite_time () =
   let q = Event_queue.create () in
   Alcotest.check_raises "nan" (Invalid_argument "Event_queue.add: non-finite time")
-    (fun () -> ignore (Event_queue.add q ~time:Float.nan "x"))
+    (fun () -> Event_queue.add q ~time:Float.nan "x")
 
-(* Regression: the queue once retained every cancelled and popped slot
-   until the matching heap entry drained, so a churn workload under a
-   far-future long-lived timer grew without bound.  Storage must stay
-   proportional to the *live* population, not to the total ever added. *)
-let test_queue_footprint_bounded () =
+(* A pre-sized heap must still grow once its capacity is exceeded. *)
+let test_queue_capacity_growth () =
+  let q = Event_queue.create ~capacity:4 () in
+  for i = 100 downto 1 do
+    Event_queue.add q ~time:(float_of_int i) i
+  done;
+  Alcotest.(check int) "all queued" 100 (Event_queue.size q);
+  let order = List.init 100 (fun _ -> snd (Option.get (Event_queue.pop q))) in
+  Alcotest.(check (list int)) "time order" (List.init 100 succ) order;
+  Alcotest.(check int) "drained" 0 (Event_queue.size q)
+
+(* Ties stay first-in first-out even when pops interleave with adds. *)
+let test_queue_interleaved_ties () =
   let q = Event_queue.create () in
-  (* Long-lived timers parked far in the future... *)
-  for i = 1 to 10 do
-    ignore (Event_queue.add q ~time:(1e6 +. float_of_int i) "long-lived")
-  done;
-  (* ...while 10k transient events churn through underneath them. *)
-  for i = 1 to 10_000 do
-    let h = Event_queue.add q ~time:(float_of_int i) "transient" in
-    if i mod 3 = 0 then ignore (Event_queue.cancel q h)
-    else ignore (Event_queue.pop q)
-  done;
-  Alcotest.(check int) "live population" 10 (Event_queue.size q);
-  Alcotest.(check bool)
-    (Printf.sprintf "footprint O(live), got %d" (Event_queue.footprint q))
-    true
-    (Event_queue.footprint q <= 50)
+  Event_queue.add q ~time:1. "a";
+  Event_queue.add q ~time:2. "b";
+  Alcotest.(check (pair (float 0.) string)) "first pop" (1., "a")
+    (Option.get (Event_queue.pop q));
+  Event_queue.add q ~time:2. "c";
+  Event_queue.add q ~time:0.5 "d";
+  Alcotest.(check int) "three live" 3 (Event_queue.size q);
+  let order = List.init 3 (fun _ -> snd (Option.get (Event_queue.pop q))) in
+  Alcotest.(check (list string)) "earliest, then ties in order" [ "d"; "b"; "c" ] order;
+  Alcotest.(check (option (float 0.))) "empty" None (Event_queue.peek_time q)
 
 let test_queue_many_random () =
   let q = Event_queue.create () in
   let rng = Prng.create 5 in
   let times = List.init 1000 (fun _ -> Prng.float rng 100.) in
-  List.iter (fun t -> ignore (Event_queue.add q ~time:t ())) times;
+  List.iter (fun t -> Event_queue.add q ~time:t ()) times;
   let rec drain last acc =
     match Event_queue.pop q with
     | None -> acc
@@ -95,8 +79,8 @@ let test_queue_many_random () =
 let test_engine_runs_in_order () =
   let e = Engine.create () in
   let log = ref [] in
-  ignore (Engine.schedule e ~delay:2. (fun _ -> log := "b" :: !log));
-  ignore (Engine.schedule e ~delay:1. (fun _ -> log := "a" :: !log));
+  Engine.schedule e ~delay:2. (fun _ -> log := "b" :: !log);
+  Engine.schedule e ~delay:1. (fun _ -> log := "a" :: !log);
   ignore (Engine.run e);
   Alcotest.(check (list string)) "order" [ "b"; "a" ] !log;
   Alcotest.check approx "clock at last event" 2. (Engine.now e)
@@ -104,9 +88,8 @@ let test_engine_runs_in_order () =
 let test_engine_nested_scheduling () =
   let e = Engine.create () in
   let fired = ref 0. in
-  ignore
-    (Engine.schedule e ~delay:1. (fun e ->
-         ignore (Engine.schedule e ~delay:1.5 (fun e -> fired := Engine.now e))));
+  Engine.schedule e ~delay:1. (fun e ->
+      Engine.schedule e ~delay:1.5 (fun e -> fired := Engine.now e));
   ignore (Engine.run e);
   Alcotest.check approx "nested time" 2.5 !fired
 
@@ -115,38 +98,25 @@ let test_engine_until () =
   let count = ref 0 in
   let rec tick engine =
     incr count;
-    ignore (Engine.schedule engine ~delay:1. tick)
+    Engine.schedule engine ~delay:1. tick
   in
-  ignore (Engine.schedule e ~delay:1. tick);
+  Engine.schedule e ~delay:1. tick;
   let handled = Engine.run ~until:5.5 e in
   Alcotest.(check int) "five events" 5 handled;
   Alcotest.check approx "clock clamped to until" 5.5 (Engine.now e);
   Alcotest.(check int) "next still pending" 1 (Engine.pending e)
 
-let test_engine_max_events () =
-  let e = Engine.create () in
-  let rec tick engine = ignore (Engine.schedule engine ~delay:1. tick) in
-  ignore (Engine.schedule e ~delay:1. tick);
-  let handled = Engine.run ~max_events:7 e in
-  Alcotest.(check int) "stopped by budget" 7 handled
-
-let test_engine_cancel () =
-  let e = Engine.create () in
-  let fired = ref false in
-  let h = Engine.schedule e ~delay:1. (fun _ -> fired := true) in
-  Alcotest.(check bool) "cancelled" true (Engine.cancel e h);
-  ignore (Engine.run e);
-  Alcotest.(check bool) "did not fire" false !fired
-
 let test_engine_past_rejected () =
-  let e = Engine.create ~start_time:10. () in
+  let e = Engine.create () in
+  Engine.schedule_at e ~time:10. (fun _ -> ());
+  ignore (Engine.run e);
   Alcotest.check_raises "past" (Invalid_argument "Engine.schedule_at: time in the past")
-    (fun () -> ignore (Engine.schedule_at e ~time:9. (fun _ -> ())))
+    (fun () -> Engine.schedule_at e ~time:9. (fun _ -> ()))
 
 let test_engine_step () =
   let e = Engine.create () in
   Alcotest.(check bool) "empty step" false (Engine.step e);
-  ignore (Engine.schedule e ~delay:1. (fun _ -> ()));
+  Engine.schedule e ~delay:1. (fun _ -> ());
   Alcotest.(check bool) "one step" true (Engine.step e)
 
 (* --- heartbeats --- *)
@@ -161,7 +131,7 @@ let test_engine_heartbeat_boundaries () =
   let seen = ref [] in
   List.iter
     (fun time ->
-      ignore (Engine.schedule_at e ~time (fun e -> seen := Engine.now e :: !seen)))
+      Engine.schedule_at e ~time (fun e -> seen := Engine.now e :: !seen))
     [ 3.; 7.; 12.; 25. ];
   Engine.on_heartbeat e ~every:10. (fun e ->
       beats := (Engine.now e, Engine.dispatched e) :: !beats);
@@ -180,7 +150,7 @@ let test_engine_heartbeat_deterministic () =
     let e = Engine.create () in
     let beats = ref [] in
     for i = 1 to 50 do
-      ignore (Engine.schedule_at e ~time:(float_of_int i *. 1.7) (fun _ -> ()))
+      Engine.schedule_at e ~time:(float_of_int i *. 1.7) (fun _ -> ())
     done;
     Engine.on_heartbeat e ~every:7. (fun e ->
         beats := (Engine.now e, Engine.dispatched e, Engine.pending e) :: !beats);
@@ -194,7 +164,7 @@ let test_engine_heartbeat_deterministic () =
 let test_engine_heartbeat_respects_until () =
   let e = Engine.create () in
   let beats = ref 0 in
-  ignore (Engine.schedule_at e ~time:100. (fun _ -> ()));
+  Engine.schedule_at e ~time:100. (fun _ -> ());
   Engine.on_heartbeat e ~every:10. (fun _ -> incr beats);
   ignore (Engine.run ~until:35. e);
   (* Boundaries 10, 20, 30 lie within [0, 35]; 40+ must not fire even
@@ -217,7 +187,7 @@ let test_engine_wall_heartbeat_fires () =
   let e = Engine.create () in
   let beats = ref 0 in
   for i = 1 to 200 do
-    ignore (Engine.schedule_at e ~time:(float_of_int i) (fun _ -> ()))
+    Engine.schedule_at e ~time:(float_of_int i) (fun _ -> ())
   done;
   Engine.on_wall_heartbeat e ~every_s:1e-9 (fun _ -> incr beats);
   ignore (Engine.run e);
@@ -286,13 +256,54 @@ let qcheck_event_queue_sorts =
     QCheck.(list_of_size (QCheck.Gen.int_range 0 100) (float_range 0. 1000.))
     (fun times ->
       let q = Event_queue.create () in
-      List.iter (fun t -> ignore (Event_queue.add q ~time:t ())) times;
+      List.iter (fun t -> Event_queue.add q ~time:t ()) times;
       let rec drain acc =
         match Event_queue.pop q with
         | None -> List.rev acc
         | Some (t, ()) -> drain (t :: acc)
       in
       drain [] = List.sort compare times)
+
+(* Adds and pops interleave, and times come from four values, so ties
+   are frequent.  After every step [pop], [peek_time] and [size] must
+   agree with a reference list sorted by (time, insertion index). *)
+let qcheck_event_queue_interleaved =
+  let op =
+    QCheck.Gen.(frequency [ (3, map Option.some (int_bound 3)); (2, return None) ])
+  in
+  let show = function Some k -> Printf.sprintf "add %d" k | None -> "pop" in
+  QCheck.Test.make ~name:"event queue agrees with a sorted list under interleaving"
+    ~count:300
+    (QCheck.make ~print:QCheck.Print.(list show) QCheck.Gen.(list_size (int_range 0 120) op))
+    (fun ops ->
+      let q = Event_queue.create () in
+      let by_time_then_index (t1, i1) (t2, i2) =
+        match Float.compare t1 t2 with 0 -> Int.compare i1 i2 | c -> c
+      in
+      let reference = ref [] and added = ref 0 in
+      List.for_all
+        (fun step ->
+          let agrees =
+            match step with
+            | Some k ->
+              let entry = (float_of_int k, !added) in
+              incr added;
+              Event_queue.add q ~time:(fst entry) (snd entry);
+              reference := List.merge by_time_then_index !reference [ entry ];
+              true
+            | None -> (
+              match (Event_queue.pop q, !reference) with
+              | None, [] -> true
+              | Some got, want :: rest ->
+                reference := rest;
+                by_time_then_index got want = 0
+              | Some _, [] | None, _ :: _ -> false)
+          in
+          agrees
+          && Event_queue.size q = List.length !reference
+          && Option.equal Float.equal (Event_queue.peek_time q)
+               (Option.map fst (List.nth_opt !reference 0)))
+        ops)
 
 let () =
   Alcotest.run "sim"
@@ -301,20 +312,17 @@ let () =
         [
           Alcotest.test_case "time order" `Quick test_queue_time_order;
           Alcotest.test_case "fifo ties" `Quick test_queue_fifo_on_ties;
-          Alcotest.test_case "cancel" `Quick test_queue_cancel;
-          Alcotest.test_case "cancel after fire" `Quick test_queue_cancel_after_fire;
           Alcotest.test_case "peek" `Quick test_queue_peek;
           Alcotest.test_case "non-finite time" `Quick test_queue_non_finite_time;
+          Alcotest.test_case "capacity growth" `Quick test_queue_capacity_growth;
+          Alcotest.test_case "interleaved ties" `Quick test_queue_interleaved_ties;
           Alcotest.test_case "1000 random events" `Quick test_queue_many_random;
-          Alcotest.test_case "footprint bounded" `Quick test_queue_footprint_bounded;
         ] );
       ( "engine",
         [
           Alcotest.test_case "runs in order" `Quick test_engine_runs_in_order;
           Alcotest.test_case "nested scheduling" `Quick test_engine_nested_scheduling;
           Alcotest.test_case "until" `Quick test_engine_until;
-          Alcotest.test_case "max events" `Quick test_engine_max_events;
-          Alcotest.test_case "cancel" `Quick test_engine_cancel;
           Alcotest.test_case "past rejected" `Quick test_engine_past_rejected;
           Alcotest.test_case "step" `Quick test_engine_step;
         ] );
@@ -343,5 +351,6 @@ let () =
           [
             qcheck_welford_matches_naive;
             qcheck_event_queue_sorts;
+            qcheck_event_queue_interleaved;
           ] );
     ]
