@@ -92,7 +92,7 @@ let elasticity scale =
 (* 3. Redistribution policies with mixed utilities: two client classes
    (utility 1 and 4) on the paper network; how does each policy share the
    extras? *)
-let policies scale =
+let policies obs scale =
   Exp.section "Ablation C: adaptation policy vs per-class average bandwidth";
   let offered = match scale with Exp.Full -> 1500 | Exp.Quick -> 400 in
   let qos_low = Qos.make ~b_min:100 ~b_max:500 ~increment:50 ~utility:1. () in
@@ -102,7 +102,7 @@ let policies scale =
     let g = paper_graph 1 in
     let net = Net_state.create ~capacity:(Bandwidth.mbps 2) g in
     let cfg = Drcomm.Config.make ~policy () in
-    let service = Drcomm.create ~config:cfg net in
+    let service = Drcomm.create ~config:cfg ~obs net in
     let rng = Prng.create 42 in
     let low = ref [] and high = ref [] in
     for i = 1 to offered do
@@ -144,14 +144,14 @@ let policies scale =
 
 (* 4. Passive backups vs active replication: standing resource cost and
    blocking as load grows. *)
-let replication scale =
+let replication obs scale =
   Exp.section "Ablation D: passive backup channels vs active replication";
   let offered = match scale with Exp.Full -> 2000 | Exp.Quick -> 500 in
   let bandwidth = 100 in
   let g = paper_graph 1 in
   let run_backup () =
     let net = Net_state.create g in
-    let service = Drcomm.create net in
+    let service = Drcomm.create ~obs net in
     let rng = Prng.create 42 in
     let carried = ref 0 in
     for _ = 1 to offered do
@@ -238,12 +238,12 @@ let flooding scale =
 (* 6. Run-time phase: end-to-end packet delay over established channels
    as the data-plane load factor grows (fraction of each reservation the
    source actually uses; >1 = non-conforming). *)
-let runtime_delay scale =
+let runtime_delay obs scale =
   Exp.section "Ablation F: end-to-end packet delay vs data-plane load factor";
   let g = paper_graph 1 in
   let capacity = Bandwidth.paper_link_capacity in
   let net = Net_state.create ~capacity g in
-  let service = Drcomm.create net in
+  let service = Drcomm.create ~obs net in
   let rng = Prng.create 42 in
   let qos = Qos.paper_spec ~increment:50 in
   let n_conn = match scale with Exp.Full -> 800 | Exp.Quick -> 200 in
@@ -259,8 +259,10 @@ let runtime_delay scale =
   let rows =
     List.map
       (fun factor ->
-        let engine = Engine.create () in
-        let sim = Netsim.create ~propagation_delay:0.0005 engine g ~rate_of:(fun _ -> capacity) in
+        let engine = Engine.create ~obs () in
+        let sim =
+          Netsim.create ~propagation_delay:0.0005 ~obs engine g ~rate_of:(fun _ -> capacity)
+        in
         let flows =
           List.map
             (fun id ->
@@ -305,14 +307,14 @@ let runtime_delay scale =
 
 (* 7. Route discovery strategy: parallel bounded flooding vs sequential
    k-shortest probing (§2.1.1's two families). *)
-let route_search scale =
+let route_search obs scale =
   Exp.section "Ablation G: flooding vs sequential route discovery";
   let offered = match scale with Exp.Full -> 2000 | Exp.Quick -> 500 in
   let attempt strategy =
     let g = paper_graph 1 in
     let net = Net_state.create g in
     let cfg = Drcomm.Config.make ~route_search:strategy () in
-    let service = Drcomm.create ~config:cfg net in
+    let service = Drcomm.create ~config:cfg ~obs net in
     let rng = Prng.create 42 in
     let carried = ref 0 and hops = ref 0 in
     for _ = 1 to offered do
@@ -360,7 +362,7 @@ let route_search scale =
 (* 8. Dependability depth: how many connections survive a failure storm
    as a function of backups-per-connection ("one or more backup channels"
    in the paper's framework). *)
-let backup_depth scale =
+let backup_depth obs scale =
   Exp.section "Ablation H: survivability vs backups per connection";
   let offered = match scale with Exp.Full -> 1000 | Exp.Quick -> 300 in
   let failures = match scale with Exp.Full -> 120 | Exp.Quick -> 40 in
@@ -373,7 +375,7 @@ let backup_depth scale =
           Drcomm.Config.make ~with_backups:(k > 0) ~require_backup:(k > 0)
             ~backups_per_connection:(max k 1) ()
         in
-        let service = Drcomm.create ~config:cfg net in
+        let service = Drcomm.create ~config:cfg ~obs net in
         let rng = Prng.create 42 in
         let carried = ref 0 in
         for _ = 1 to offered do
@@ -442,13 +444,16 @@ let restoration scale =
   let restor c =
     {
       c with
-      Scenario.with_backups = false;
-      require_backup = false;
-      restore_on_failure = true;
+      Scenario.service =
+        Drcomm.Config.make ~with_backups:false ~require_backup:false
+          ~restore_on_failure:true ();
     }
   in
   let unprotected c =
-    { c with Scenario.with_backups = false; require_backup = false }
+    {
+      c with
+      Scenario.service = Drcomm.Config.make ~with_backups:false ~require_backup:false ();
+    }
   in
   let light = heavy / 3 in
   let modes =
@@ -510,13 +515,13 @@ let restoration scale =
    service layer directly and stay imperative.  All share one perf
    record. *)
 let run scale =
-  Exp.with_record "ablations" scale @@ fun () ->
-  Exp.run_sweep (multiplexing scale);
-  Exp.run_sweep (elasticity scale);
-  policies scale;
-  replication scale;
+  Exp.with_record "ablations" scale @@ fun obs ->
+  Exp.run_sweep obs (multiplexing scale);
+  Exp.run_sweep obs (elasticity scale);
+  policies obs scale;
+  replication obs scale;
   flooding scale;
-  runtime_delay scale;
-  route_search scale;
-  backup_depth scale;
-  Exp.run_sweep (restoration scale)
+  runtime_delay obs scale;
+  route_search obs scale;
+  backup_depth obs scale;
+  Exp.run_sweep obs (restoration scale)

@@ -118,8 +118,7 @@ type experiment = {
   render : (Scenario.result * float) list -> unit;
 }
 
-let run_points ~name points =
-  let obs = Obs.default () in
+let run_points ~obs ~name points =
   (* One buffer per point: each index is written by exactly one worker,
      so the buffers need no locking, and concatenating them in index
      order reproduces the sequential stream whatever --jobs is. *)
@@ -169,9 +168,9 @@ let run_points ~name points =
 
 (* Run one experiment's sweep and render it (no perf record — used for
    sub-experiments sharing one, e.g. the ablations). *)
-let run_sweep e =
+let run_sweep obs e =
   let t0 = Clock.now () in
-  let results = run_points ~name:e.name e.points in
+  let results = run_points ~obs ~name:e.name e.points in
   let wall = Clock.elapsed_since t0 in
   e.render results;
   note "(%d points in %.1fs, %d jobs)" (List.length e.points) wall !jobs
@@ -189,12 +188,12 @@ let paper_config ~scale ~offered ~increment ~seed =
   }
 
 (* Every experiment runs under a fresh metrics registry and span
-   profiler and leaves one machine-readable record in the --out
-   directory (or the working directory): BENCH_<name>.json, the perf
-   record `perfdiff` compares (see Perf_record).  It carries scale,
-   jobs, wall time, main-domain GC deltas, the metrics registry
-   (per-phase timings with p50/p95/p99, event counts) and the span
-   aggregates.
+   profiler, handed to [f] as its context, and leaves one
+   machine-readable record in the --out directory (or the working
+   directory): BENCH_<name>.json, the perf record `perfdiff` compares
+   (see Perf_record).  It carries scale, jobs, wall time, main-domain
+   GC deltas, the metrics registry (per-phase timings with
+   p50/p95/p99, event counts) and the span aggregates.
 
    These records anchor cross-PR performance trajectories: later
    optimisation work diffs them against earlier runs
@@ -209,11 +208,10 @@ let with_record ?plateaus name scale f =
   let obs =
     Obs.create ~metrics:(Metrics.create ()) ~spans:(Span.create ()) ()
   in
-  Obs.set_default obs;
   let (result, wall_s), gc =
     Perf_record.with_gc (fun () ->
         let t0 = Clock.now () in
-        let result = Fun.protect ~finally:(fun () -> Obs.set_default Obs.null) f in
+        let result = f obs in
         (result, Clock.elapsed_since t0))
   in
   let bench_path = in_out_dir ("BENCH_" ^ name ^ ".json") in
@@ -226,4 +224,4 @@ let with_record ?plateaus name scale f =
   Printf.printf "(perf record written to %s)\n" bench_path;
   result
 
-let run_experiment scale e = with_record e.name scale (fun () -> run_sweep e)
+let run_experiment scale e = with_record e.name scale (fun obs -> run_sweep obs e)

@@ -15,10 +15,10 @@ let bench_flooding () =
       let src, dst = Prng.sample_distinct_pair rng (Graph.node_count g) in
       ignore (Flooding.primary_route net (Flooding.request ~src ~dst ~floor:100 ())))
 
-let bench_admission () =
+let bench_admission obs =
   let g = Lazy.force paper_graph in
   let net = Net_state.create g in
-  let service = Drcomm.create net in
+  let service = Drcomm.create ~obs net in
   let rng = Prng.create 4 in
   let qos = Qos.paper_spec ~increment:50 in
   Staged.stage (fun () ->
@@ -30,7 +30,7 @@ let bench_admission () =
         ignore (Drcomm.terminate service id)
       | Drcomm.Rejected _ -> ())
 
-let bench_markov_solve () =
+let bench_markov_solve obs =
   let rng = Prng.create 5 in
   let n = 9 in
   let random_stochastic () =
@@ -55,7 +55,7 @@ let bench_markov_solve () =
     }
   in
   let qos = Qos.paper_spec ~increment:50 in
-  Staged.stage (fun () -> ignore (Model.average_bandwidth_regularized p ~qos))
+  Staged.stage (fun () -> ignore (Model.average_bandwidth_regularized ~obs p ~qos))
 
 let bench_waxman () =
   let counter = ref 0 in
@@ -79,14 +79,14 @@ let bench_backup_route () =
    link-disjoint backup within the hop bound: every call runs the
    disjoint search and then the maximally-disjoint Dijkstra fallback,
    which the empty 100-node case above never reaches. *)
-let bench_backup_fallback () =
+let bench_backup_fallback obs =
   let rng = Prng.create 7 in
   let info = Transit_stub.generate rng Scale.topo_spec in
   let stubs = Scale.stub_table info in
   let net = Net_state.create ~capacity:Scale.capacity info.Transit_stub.graph in
   let hop_bound = 6 in
   let config = Drcomm.Config.make ~hop_bound ~require_backup:false () in
-  let service = Drcomm.create ~config net in
+  let service = Drcomm.create ~config ~obs net in
   Drcomm.set_auto_redistribute service false;
   for _ = 1 to 20_000 do
     let src, dst = Scale.stub_pair rng stubs in
@@ -120,10 +120,10 @@ let bench_backup_fallback () =
 
 (* The paper network after 5 000 offered admissions with backups, the
    pairs drawn from [rng], with auto-redistribution off. *)
-let loaded_paper_network rng =
+let loaded_paper_network obs rng =
   let g = Lazy.force paper_graph in
   let net = Net_state.create g in
-  let service = Drcomm.create net in
+  let service = Drcomm.create ~obs net in
   Drcomm.set_auto_redistribute service false;
   let qos = Qos.paper_spec ~increment:50 in
   for _ = 1 to 5_000 do
@@ -138,10 +138,10 @@ let loaded_paper_network rng =
    routes and the links lie off them, as the disjoint flood asks.  One
    run is one pass over the set: a single query takes tens of
    nanoseconds, below what one timed call resolves. *)
-let bench_backup_pool_query () =
+let bench_backup_pool_query obs =
   let g = Lazy.force paper_graph in
   let rng = Prng.create 8 in
-  let net = loaded_paper_network rng in
+  let net = loaded_paper_network obs rng in
   let cases = ref [] in
   while List.length !cases < 256 do
     let src, dst = Prng.sample_distinct_pair rng (Graph.node_count g) in
@@ -164,10 +164,10 @@ let bench_backup_pool_query () =
    disjoint flood reads per-edge demands wherever the pool's bound does
    not decide a link (the empty network of "backup route search" never
    reads one). *)
-let bench_backup_route_loaded () =
+let bench_backup_route_loaded obs =
   let g = Lazy.force paper_graph in
   let rng = Prng.create 10 in
-  let net = loaded_paper_network rng in
+  let net = loaded_paper_network obs rng in
   let cases =
     Array.init 64 (fun _ ->
         let rec draw () =
@@ -216,30 +216,31 @@ let bench_water_fill () =
       Policy.equal_share.Policy.run env candidates)
 
 (* Built when the micro bench runs, not at start-up: the fallback case
-   loads 20 000 connections. *)
-let tests () =
+   loads 20 000 connections.  The services and the Markov solve record
+   into the bench's context [obs]. *)
+let tests obs =
   [
     Test.make ~name:"flooding primary route (fig2-4 inner loop)" (bench_flooding ());
     Test.make ~name:"backup route search" (bench_backup_route ());
     Test.make ~name:"backup route fallback (loaded transit-stub)"
-      (bench_backup_fallback ());
+      (bench_backup_fallback obs);
     Test.make ~name:"backup pool query x256 (loaded paper network)"
-      (bench_backup_pool_query ());
+      (bench_backup_pool_query obs);
     Test.make ~name:"backup route search (loaded paper network)"
-      (bench_backup_route_loaded ());
+      (bench_backup_route_loaded obs);
     Test.make ~name:"water-fill rounds (equal-share, 4000 candidates)"
       (bench_water_fill ());
-    Test.make ~name:"DR admission + termination" (bench_admission ());
-    Test.make ~name:"9-state Markov solve (table1/fig2)" (bench_markov_solve ());
+    Test.make ~name:"DR admission + termination" (bench_admission obs);
+    Test.make ~name:"9-state Markov solve (table1/fig2)" (bench_markov_solve obs);
     Test.make ~name:"100-node Waxman generation" (bench_waxman ());
   ]
 
 let run scale =
-  Exp.with_record "micro" scale @@ fun () ->
+  Exp.with_record "micro" scale @@ fun obs ->
   Exp.section "Micro-benchmarks (bechamel)";
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
   let instances = [ Instance.monotonic_clock ] in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"micro" (tests ())) in
+  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"micro" (tests obs)) in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in

@@ -69,7 +69,7 @@ let ops_per_sec p = if p.churn_s > 0. then float_of_int p.ops /. p.churn_s else 
 let us_per_op p =
   if p.ops > 0 then p.churn_s *. 1e6 /. float_of_int p.ops else 0.
 
-let sweep scale =
+let sweep obs scale =
   Exp.section "Scale: churn throughput vs live DR-connections";
   let rng = Prng.create 7 in
   let info = Transit_stub.generate rng topo_spec in
@@ -79,7 +79,6 @@ let sweep scale =
     (Graph.node_count g) (Graph.edge_count g) (Array.length stubs);
   let net = Net_state.create ~capacity g in
   let config = Drcomm.Config.make ~hop_bound:6 ~require_backup:false () in
-  let obs = Obs.default () in
   let service = Drcomm.create ~config ~obs net in
   let rejected = ref 0 in
   let load_to target =
@@ -212,4 +211,4 @@ let run scale =
           })
         !stats)
     "scale" scale
-    (fun () -> stats := sweep scale)
+    (fun obs -> stats := sweep obs scale)

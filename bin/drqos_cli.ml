@@ -74,9 +74,8 @@ let profile_arg =
 (* Build the observability context the run-like commands share: a live
    tracer when --trace is given, a live registry when --metrics is, a
    span profiler under --profile, and the disabled singletons otherwise.
-   Installed as the process default (with an at_exit flush) so solver
-   internals (Linsolve, Ctmc) report too and an abnormal exit cannot
-   lose buffered trace output. *)
+   Its at_exit flush keeps an abnormal exit from losing buffered trace
+   output. *)
 let open_out_or_exit path =
   try open_out path
   with Sys_error msg ->
@@ -85,8 +84,8 @@ let open_out_or_exit path =
 
 let make_obs ?(profile = false) ?flight ~trace ~metrics () =
   (* Open (or validate) every output file before a single sink exists:
-     [open_out_or_exit] calls [exit 1], and once [Obs.install] has run
-     an exit triggers the at_exit trace flush — which must never fire
+     [open_out_or_exit] calls [exit 1], and once [Obs.close_at_exit] has
+     run an exit triggers the at_exit trace flush — which must never fire
      against a context whose other outputs failed to open.  Opening
      first also keeps a failed invocation from leaving a freshly
      truncated trace file behind (see test_cli). *)
@@ -111,7 +110,7 @@ let make_obs ?(profile = false) ?flight ~trace ~metrics () =
   in
   let spans = if profile then Span.create () else Span.disabled in
   let obs = Obs.create ~metrics:registry ~trace:tracer ~spans ?flight () in
-  Obs.install obs;
+  Obs.close_at_exit obs;
   obs
 
 let write_file path f =
@@ -193,7 +192,7 @@ let scenario_term =
       Scenario.topology = scenario_topology nodes topo;
       capacity;
       qos = Qos.paper_spec ~increment;
-      policy;
+      service = Drcomm.Config.make ~policy ();
       lambda;
       mu;
       churn_events = churn;
@@ -262,13 +261,15 @@ let run_cmd =
       {
         base with
         Scenario.multiplexing = not no_multiplexing;
-        with_backups = not no_backups;
-        require_backup = not no_backups;
+        service =
+          Drcomm.Config.make
+            ~policy:(Drcomm.Config.policy base.Scenario.service)
+            ~with_backups:(not no_backups) ~require_backup:(not no_backups) ();
         offered;
         gamma;
       }
     in
-    (* The heartbeat sink opens before [make_obs] installs the trace and
+    (* The heartbeat sink opens before [make_obs] opens the trace and
        metrics sinks: a bad --heartbeat path must exit before any other
        output file has been created (regression covered in test_cli). *)
     let hb_oc = Option.map open_out_or_exit heartbeat in
@@ -410,7 +411,6 @@ let sweep_cmd =
     (* An unusable --out fails before the sweep, not after it. *)
     Option.iter mkdir_p out;
     let obs = Obs.create ~metrics:(Metrics.create ()) () in
-    Obs.set_default obs;
     let t0 = Clock.now () in
     let results =
       Sweep.map ~jobs ~obs (fun obs cfg -> Scenario.run ~obs cfg) (List.map point grid)
@@ -517,18 +517,18 @@ let chain_cmd =
     let qos = Qos.paper_spec ~increment in
     let n = Qos.levels qos in
     let p = Model.synthetic ~lambda ~mu ~gamma ~p_f ~p_s ~levels:n in
-    let pi = Ctmc.stationary (Model.build_regularized p) in
+    let pi = Ctmc.stationary ~obs (Model.build_regularized p) in
     Format.printf "stationary distribution of the %d-state chain:@." n;
     Array.iteri
       (fun i x ->
         Format.printf "  S%d (%3d Kbps): %6.3f@." i (Qos.bandwidth_of_level qos i) x)
       pi;
     Format.printf "average bandwidth: %.1f Kbps@."
-      (Model.average_bandwidth_regularized p ~qos);
+      (Model.average_bandwidth_regularized ~obs p ~qos);
     Format.printf "sensitivities (d avg / d knob):@.";
     List.iter
       (fun (label, knob) ->
-        Format.printf "  %-7s %12.1f@." label (Model.sensitivity p ~qos knob))
+        Format.printf "  %-7s %12.1f@." label (Model.sensitivity ~obs p ~qos knob))
       [
         ("lambda", `Lambda); ("mu", `Mu); ("gamma", `Gamma); ("P_f", `P_f); ("P_s", `P_s);
       ];

@@ -6,11 +6,10 @@
    writes one per module, executables' mains included; a root without
    any is an input error), runs the project rule set
    (R1 float equality, R2 closed-variant catch-alls, R3 partial stdlib
-   functions, R4 swallowed exceptions, R5 stray stdout prints, R6 global
-   Obs state inside Sweep.map workers, R7 cross-domain races, R8
-   event-loop blocking, R9 wall-clock taint) and exits 0 only when every
-   finding is covered by a justified baseline entry and no baseline
-   entry is stale.
+   functions, R4 swallowed exceptions, R5 stray stdout prints, R7
+   cross-domain races, R8 event-loop blocking, R9 wall-clock taint) and
+   exits 0 only when every finding is covered by a justified baseline
+   entry and no baseline entry is stale.
 
    Exit codes follow the repo convention: 0 clean, 1 findings (or stale
    suppressions), 2 usage/input error. *)
@@ -44,76 +43,64 @@ let die_usage msg =
   usage stderr;
   exit 2
 
-let parse_rules csv =
-  List.map
-    (fun name ->
-      match Lint.rule_of_name (String.trim name) with
-      | Some r -> r
-      | None -> die_usage (Printf.sprintf "unknown rule id %S" name))
-    (String.split_on_char ',' csv)
+let csv s = List.map String.trim (String.split_on_char ',' s)
+
+let list_rules () =
+  List.iter
+    (fun r ->
+      Printf.printf "%s (%s): %s\n" (Lint.rule_name r)
+        (Lint.severity_name (Lint.severity r))
+        (Lint.describe r))
+    Lint.all_rules;
+  exit 0
 
 let () =
-  let roots = ref [] in
   let rules = ref Lint.all_rules in
   let lib_prefix = ref "lib/" in
   let r8_roots = ref Lint_flow.default_r8_roots in
   let baseline = ref None in
   let write_baseline = ref None in
   let format = ref `Text in
-  let rec parse = function
-    | [] -> ()
-    | "--help" :: _ ->
-      usage stdout;
-      exit 0
-    | "--list-rules" :: _ ->
-      List.iter
-        (fun r ->
-          Printf.printf "%s (%s): %s\n" (Lint.rule_name r)
-            (Lint.severity_name (Lint.severity r))
-            (Lint.describe r))
-        Lint.all_rules;
-      exit 0
-    | "--rules" :: csv :: rest ->
-      rules := parse_rules csv;
-      parse rest
-    | "--lib-prefix" :: p :: rest ->
-      lib_prefix := p;
-      parse rest
-    | "--r8-roots" :: csv :: rest ->
-      r8_roots := List.map String.trim (String.split_on_char ',' csv);
-      parse rest
-    | "--baseline" :: f :: rest ->
-      baseline := Some f;
-      parse rest
-    | "--write-baseline" :: f :: rest ->
-      write_baseline := Some f;
-      parse rest
-    | "--format" :: "json" :: rest ->
-      format := `Json;
-      parse rest
-    | "--format" :: "github" :: rest ->
-      format := `Github;
-      parse rest
-    | "--format" :: "text" :: rest ->
-      format := `Text;
-      parse rest
-    | "--format" :: other :: _ ->
-      die_usage
-        (Printf.sprintf "unknown format %S (expected text, json or github)"
-           other)
-    | [ ("--rules" | "--lib-prefix" | "--r8-roots" | "--baseline"
-        | "--write-baseline" | "--format") as flag ] ->
-      die_usage (Printf.sprintf "%s needs an argument" flag)
-    | arg :: rest ->
-      if String.length arg > 0 && arg.[0] = '-' then
-        die_usage (Printf.sprintf "unknown option %S" arg)
-      else begin
-        roots := arg :: !roots;
-        parse rest
-      end
+  let set r v =
+    r := v;
+    Ok ()
   in
-  parse (List.tl (Array.to_list Sys.argv));
-  let roots = List.rev !roots in
+  let parse_rules s =
+    match List.find_opt (fun n -> Option.is_none (Lint.rule_of_name n)) (csv s) with
+    | Some name -> Error (Printf.sprintf "unknown rule id %S" name)
+    | None -> set rules (List.filter_map Lint.rule_of_name (csv s))
+  in
+  let parse_format = function
+    | "text" -> set format `Text
+    | "json" -> set format `Json
+    | "github" -> set format `Github
+    | other ->
+      Error
+        (Printf.sprintf "unknown format %S (expected text, json or github)" other)
+  in
+  let specs =
+    [
+      ("--help", Cliopt.Unit (fun () -> usage stdout; exit 0));
+      ("--list-rules", Cliopt.Unit list_rules);
+      ("--rules", Cliopt.Value parse_rules);
+      ("--lib-prefix", Cliopt.Value (set lib_prefix));
+      ("--r8-roots", Cliopt.Value (fun s -> set r8_roots (csv s)));
+      ("--baseline", Cliopt.Value (fun f -> set baseline (Some f)));
+      ("--write-baseline", Cliopt.Value (fun f -> set write_baseline (Some f)));
+      ("--format", Cliopt.Value parse_format);
+    ]
+  in
+  let roots =
+    match Cliopt.parse ~specs (List.tl (Array.to_list Sys.argv)) with
+    | Error msg -> die_usage msg
+    | Ok args ->
+      List.iter
+        (fun arg ->
+          if String.starts_with ~prefix:"-" arg then
+            die_usage (Printf.sprintf "unknown option %S" arg))
+        args;
+      args
+  in
   if roots = [] then die_usage "no roots given";
   let config =
     {

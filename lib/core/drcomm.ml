@@ -118,8 +118,7 @@ type t = {
   live_hwm : Metrics.hwm;
 }
 
-let create ?(config = Config.default) ?obs net =
-  let obs = match obs with Some o -> o | None -> Obs.default () in
+let create ?(config = Config.default) ?(obs = Obs.null) net =
   {
     net;
     cfg = config;

@@ -108,7 +108,7 @@ module Config : sig
 end
 
 val create : ?config:Config.t -> ?obs:Obs.t -> Net_state.t -> t
-(** [obs] (default {!Obs.default}) receives the service's
+(** [obs] (default {!Obs.null}) receives the service's
     instrumentation: counters [drcomm.admits], [drcomm.rejects],
     [drcomm.terminations], [drcomm.elastic_upgrades],
     [drcomm.elastic_retreats], [drcomm.link_failures],

@@ -112,10 +112,10 @@ let build_regularized p =
 
 let bandwidth_reward qos i = float_of_int (Qos.bandwidth_of_level qos i)
 
-let average_bandwidth_regularized p ~qos =
+let average_bandwidth_regularized ?obs p ~qos =
   if Qos.levels qos <> levels p then
     invalid_arg "Model.average_bandwidth_regularized: QoS levels mismatch";
-  Ctmc.mean_reward (build_regularized p) (bandwidth_reward qos)
+  Ctmc.mean_reward ?obs (build_regularized p) (bandwidth_reward qos)
 
 let stationary p = Ctmc.stationary (build p)
 
@@ -141,11 +141,11 @@ let knob_value p = function
   | `P_f -> p.p_f
   | `P_s -> p.p_s
 
-let sensitivity p ~qos knob =
+let sensitivity ?obs p ~qos knob =
   let x = knob_value p knob in
   (* Relative central difference; absolute floor keeps zero-valued knobs
      (e.g. gamma = 0) differentiable one-sidedly within the clamp. *)
   let h = Float.max (Float.abs x *. 1e-4) 1e-9 in
   let lo = Float.max 0. (x -. h) and hi = x +. h in
-  let f v = average_bandwidth_regularized (with_knob p knob v) ~qos in
+  let f v = average_bandwidth_regularized ?obs (with_knob p knob v) ~qos in
   (f hi -. f lo) /. (hi -. lo)

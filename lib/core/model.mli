@@ -62,9 +62,10 @@ val build_regularized : params -> Ctmc.t
     top level, which is exactly the physical behaviour (redistribution
     drives unconstrained channels to [b_max]). *)
 
-val average_bandwidth_regularized : params -> qos:Qos.t -> float
+val average_bandwidth_regularized : ?obs:Obs.t -> params -> qos:Qos.t -> float
 (** [average_bandwidth] on the regularised chain — total function used by
-    experiment drivers. *)
+    experiment drivers.  [obs] (default {!Obs.null}) observes the solve
+    (see {!Ctmc.stationary}). *)
 
 val stationary : params -> float array
 (** Steady-state probability of each level.  Raises
@@ -77,9 +78,10 @@ val average_bandwidth : params -> qos:Qos.t -> float
 
 type knob = [ `Lambda | `Mu | `Gamma | `P_f | `P_s ]
 
-val sensitivity : params -> qos:Qos.t -> knob -> float
+val sensitivity : ?obs:Obs.t -> params -> qos:Qos.t -> knob -> float
 (** Central finite-difference derivative of the average bandwidth with
     respect to one scalar parameter (relative step 1e-4, regularised
     chain) — what-if analysis for the planning workflow: e.g.
     [sensitivity p ~qos `Gamma] tells how many Kbps one unit of extra
-    failure rate costs.  Probability knobs are clamped to [0, 1]. *)
+    failure rate costs.  Probability knobs are clamped to [0, 1].
+    [obs] observes both solves. *)

@@ -8,12 +8,7 @@ type config = {
   capacity : Bandwidth.t;
   multiplexing : bool;
   qos : Qos.t;
-  policy : Policy.t;
-  require_backup : bool;
-  with_backups : bool;
-  backups_per_connection : int;
-  restore_on_failure : bool;
-  route_search : [ `Flooding | `Sequential of int ];
+  service : Drcomm.Config.t;
   offered : int;
   lambda : float;
   mu : float;
@@ -30,12 +25,7 @@ let default =
     capacity = Bandwidth.paper_link_capacity;
     multiplexing = true;
     qos = Qos.paper_spec ~increment:(Bandwidth.kbps 50);
-    policy = Policy.equal_share;
-    require_backup = true;
-    with_backups = true;
-    backups_per_connection = 1;
-    restore_on_failure = false;
-    route_search = `Flooding;
+    service = Drcomm.Config.default;
     offered = 3000;
     lambda = 0.001;
     mu = 0.001;
@@ -228,8 +218,7 @@ let rec schedule_churn c engine =
     end
   end
 
-let run ?obs ?snapshot (cfg : config) =
-  let obs = match obs with Some o -> o | None -> Obs.default () in
+let run ?(obs = Obs.null) ?snapshot (cfg : config) =
   if cfg.offered < 0 then invalid_arg "Scenario.run: negative offered count";
   if cfg.lambda <= 0. || cfg.mu <= 0. then
     invalid_arg "Scenario.run: lambda and mu must be positive";
@@ -239,13 +228,7 @@ let run ?obs ?snapshot (cfg : config) =
   let workload_rng = Prng.split topo_rng in
   let graph = build_graph topo_rng cfg.topology in
   let net = Net_state.create ~multiplexing:cfg.multiplexing ~capacity:cfg.capacity graph in
-  let dr_config =
-    Drcomm.Config.make ~policy:cfg.policy ~route_search:cfg.route_search
-      ~require_backup:cfg.require_backup ~with_backups:cfg.with_backups
-      ~backups_per_connection:cfg.backups_per_connection
-      ~restore_on_failure:cfg.restore_on_failure ()
-  in
-  let service = Drcomm.create ~config:dr_config ~obs net in
+  let service = Drcomm.create ~config:cfg.service ~obs net in
   (* Load phase: attempt [offered] set-ups.  Redistribution is deferred to
      one global pass — per-event adaptation only matters once we measure,
      and the warmup churn re-equilibrates the allocation anyway. *)
@@ -370,7 +353,7 @@ let run ?obs ?snapshot (cfg : config) =
         let params =
           Model.params_of_estimator ~lambda:cfg.lambda ~mu:cfg.mu ~gamma:cfg.gamma est
         in
-        Model.average_bandwidth_regularized params ~qos:cfg.qos)
+        Model.average_bandwidth_regularized ~obs params ~qos:cfg.qos)
   in
   let ideal =
     let hops = if avg_hops > 0. then avg_hops else Paths.average_hops graph in

@@ -23,12 +23,9 @@ type config = {
   capacity : Bandwidth.t;
   multiplexing : bool;
   qos : Qos.t;
-  policy : Policy.t;
-  require_backup : bool;
-  with_backups : bool;
-  backups_per_connection : int;
-  restore_on_failure : bool;
-  route_search : [ `Flooding | `Sequential of int ];
+  service : Drcomm.Config.t;
+      (** policy, route search, backups and restoration of the DR
+          service ({!Drcomm.Config.make}). *)
   offered : int;  (** connections whose set-up is attempted (load phase). *)
   lambda : float;
   mu : float;
@@ -41,7 +38,8 @@ type config = {
 
 val default : config
 (** The paper's Fig. 2 baseline: 100-node calibrated Waxman, 10 Mbps
-    links, QoS 100–500 Kbps step 50 (9 levels), equal-share policy,
+    links, QoS 100–500 Kbps step 50 (9 levels), the baseline service
+    {!Drcomm.Config.default} (equal-share policy, one required backup),
     [lambda = mu = 0.001], no failures, 3000 offered connections,
     500 warmup + 3000 measured events, seed 1. *)
 
@@ -78,12 +76,13 @@ type result = {
 val run : ?obs:Obs.t -> ?snapshot:Snapshot.t -> config -> result
 (** Deterministic in [config] (all randomness from [seed]).
 
-    [obs] (default {!Obs.default}) observes the whole run: phases
+    [obs] (default {!Obs.null}) observes the whole run: phases
     [load], [warmup], [measure] and [solve] are timed and traced, churn
     events are counted under [scenario.churn_*], and the context is
-    threaded into the {!Drcomm} service and the {!Engine} (whose clock
-    drives the trace timestamps).  Observability never perturbs the
-    simulation itself.
+    threaded into the {!Drcomm} service, the {!Engine} (whose clock
+    drives the trace timestamps) and the chain's solve (see
+    {!Ctmc.stationary}).  Observability never perturbs the simulation
+    itself.
 
     [snapshot] attaches a telemetry emitter to the churn-phase engine:
     its event-time cadence fires on deterministic simulation-time
@@ -110,7 +109,7 @@ val run_replications :
     own seed is ignored) and returns the per-seed results, in seed-list
     order, alongside their aggregate.  Replications run through
     {!Sweep.map}: [jobs] (default [Sweep.recommended_jobs ()]) bounds
-    the worker domains, [obs] (default {!Obs.default}) receives every
+    the worker domains, [obs] (default {!Obs.null}) receives every
     worker's merged metrics, and the results are bit-for-bit identical
     to a sequential run.  Raises [Invalid_argument] on an empty list. *)
 

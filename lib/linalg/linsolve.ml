@@ -57,7 +57,7 @@ let residual a x b =
   Array.iteri (fun i v -> worst := Float.max !worst (Float.abs (v -. b.(i)))) ax;
   !worst
 
-let solve_left_nullvector q =
+let solve_left_nullvector ?(obs = Obs.null) q =
   let n = Matrix.rows q in
   if Matrix.cols q <> n then
     invalid_arg "Linsolve.solve_left_nullvector: matrix not square";
@@ -72,10 +72,9 @@ let solve_left_nullvector q =
   b.(n - 1) <- 1.;
   let pi = gaussian a b in
   (* A-posteriori accuracy of the raw solve (one extra mat-vec, only
-     when observed): worst constraint violation of [a pi = b].  It reads
-     the process-wide context, since solves happen deep inside
-     Model/Ctmc; disabled context: one branch per solve. *)
-  let metrics = Obs.metrics (Obs.default ()) in
+     when observed): worst constraint violation of [a pi = b]; disabled
+     context: one branch per solve. *)
+  let metrics = Obs.metrics obs in
   if Metrics.enabled metrics then
     Metrics.set (Metrics.gauge metrics "linalg.nullvector_residual") (residual a pi b);
   (* Tiny negative entries from rounding are clamped, then renormalised. *)

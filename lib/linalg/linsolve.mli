@@ -9,13 +9,15 @@ val gaussian : Matrix.t -> float array -> float array
     Raises {!Singular} if [a] is (numerically) singular.  [a] and [b] are
     not modified. *)
 
-val solve_left_nullvector : Matrix.t -> float array
+val solve_left_nullvector : ?obs:Obs.t -> Matrix.t -> float array
 (** [solve_left_nullvector q] returns the probability vector [pi] with
     [pi q = 0] and [sum pi = 1] — the stationary distribution of the CTMC
     whose generator is [q].  Implemented by replacing one equation of the
     transposed system with the normalisation constraint.  Raises
     {!Singular} when the chain is reducible (no unique stationary
-    vector). *)
+    vector).  When [obs] (default {!Obs.null}) has live metrics, the
+    gauge [linalg.nullvector_residual] records the raw solve's
+    residual. *)
 
 val residual : Matrix.t -> float array -> float array -> float
 (** [residual a x b] is the infinity norm of [a x - b]; a cheap a-posteriori

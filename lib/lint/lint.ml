@@ -1,8 +1,8 @@
-type rule_id = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9
+type rule_id = R1 | R2 | R3 | R4 | R5 | R7 | R8 | R9
 
 type severity = Error | Warning
 
-let all_rules = [ R1; R2; R3; R4; R5; R6; R7; R8; R9 ]
+let all_rules = [ R1; R2; R3; R4; R5; R7; R8; R9 ]
 
 let rule_name = function
   | R1 -> "R1"
@@ -10,7 +10,6 @@ let rule_name = function
   | R3 -> "R3"
   | R4 -> "R4"
   | R5 -> "R5"
-  | R6 -> "R6"
   | R7 -> "R7"
   | R8 -> "R8"
   | R9 -> "R9"
@@ -21,14 +20,13 @@ let rule_of_name = function
   | "R3" -> Some R3
   | "R4" -> Some R4
   | "R5" -> Some R5
-  | "R6" -> Some R6
   | "R7" -> Some R7
   | "R8" -> Some R8
   | "R9" -> Some R9
   | _ -> None
 
 let severity = function
-  | R1 | R2 | R4 | R6 | R7 | R8 | R9 -> Error
+  | R1 | R2 | R4 | R7 | R8 | R9 -> Error
   | R3 | R5 -> Warning
 
 let describe = function
@@ -45,9 +43,6 @@ let describe = function
   | R5 ->
     "direct stdout printing (print_*, Printf.printf, Format.printf) from \
      library code; route output through Obs or take an out_channel"
-  | R6 ->
-    "global observability state (Obs.set_default / Obs.install, or a value \
-     that transitively reaches one) used inside a Sweep.map worker function"
   | R7 ->
     "cross-domain race: a top-level mutable value (ref, Hashtbl, Buffer, \
      array, mutable record) reachable — directly or through any call chain \
@@ -76,7 +71,6 @@ let rule_index = function
   | R3 -> 3
   | R4 -> 4
   | R5 -> 5
-  | R6 -> 6
   | R7 -> 7
   | R8 -> 8
   | R9 -> 9

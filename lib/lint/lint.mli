@@ -5,19 +5,21 @@
     fuzzer (PR 3) and the trace audit (PR 4) kept finding at runtime:
     float [=] in numerical code, catch-alls silently absorbing new
     constructors of closed project variants, partial stdlib functions,
-    swallowed exceptions, stray prints bypassing {!Obs}, and global
-    observability state mutated from inside [Sweep.map] workers.
+    swallowed exceptions, stray prints bypassing {!Obs}, and mutable
+    state shared across worker domains.
 
     This module holds what every layer shares: rule identities,
     severities, and the finding record with its text/JSON renderings.
     The analyses themselves live in {!Lint_rules} (syntactic, per
     compilation unit) and, for everything that crosses function or
     module boundaries, in {!Lint_flow} on the {!Lint_interproc} engine
-    (R6 Obs state in workers, R7 cross-domain races, R8 event-loop
-    hygiene, R9 wall-clock taint).  {!Lint_driver} orchestrates, and
+    (R7 cross-domain races, R8 event-loop hygiene, R9 wall-clock
+    taint).  {!Lint_driver} orchestrates, and
     {!Lint_baseline} applies suppressions. *)
 
-type rule_id = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9
+type rule_id = R1 | R2 | R3 | R4 | R5 | R7 | R8 | R9
+(** R6 is retired: it guarded a domain-local default context that no
+    longer exists.  The remaining rules keep their numbers. *)
 
 type severity = Error | Warning
 

@@ -72,13 +72,13 @@ let load_unit path =
 
 let syntactic = function
   | Lint.R1 | Lint.R2 | Lint.R3 | Lint.R4 | Lint.R5 -> true
-  | Lint.R6 | Lint.R7 | Lint.R8 | Lint.R9 -> false
+  | Lint.R7 | Lint.R8 | Lint.R9 -> false
 
 let run config =
   let findings = ref [] in
   let emit f = findings := f :: !findings in
   let enabled r = List.mem r config.rules in
-  (* R1–R5 walk the typedtree; R6–R9 need only the summary. *)
+  (* R1–R5 walk the typedtree; R7–R9 need only the summary. *)
   let need_tree = List.exists syntactic config.rules in
   let visit (u : Lint_interproc.unit_info) =
     if need_tree then

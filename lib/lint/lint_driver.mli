@@ -3,7 +3,7 @@
 
     Each [.cmt] is read once: R1–R5 walk its typedtree (skipped when
     none of them is enabled), then {!Lint_interproc} summarises it, and
-    R6–R9 run over the summaries.
+    R7–R9 run over the summaries.
 
     The driver never prints — the executable owns presentation — and it
     reports unreadable inputs and roots that yield no implementation

@@ -1,7 +1,4 @@
-(* R6/R7/R8/R9: the interprocedural rules built on {!Lint_interproc}.
-
-   R6 — global Obs state in Sweep.map workers: a worker closure that
-   names Obs.default, or reaches Obs.set_default / Obs.install.
+(* R7/R8/R9: the interprocedural rules built on {!Lint_interproc}.
 
    R7 — cross-domain races: a top-level mutable value reachable,
    directly or through any call chain, from a worker closure passed to
@@ -39,56 +36,9 @@ let finding rule (u : summary) (pos : pos) message =
 let chain names = String.concat " -> " names
 
 (* ------------------------------------------------------------------ *)
-(* R6/R7: worker closures at spawn sites.                              *)
+(* R7: worker closures at spawn sites.                                 *)
 
-(* The walk both worker rules share: every worker reference at a spawn
-   site of [kind] in a non-[exempt] unit is reported by [direct] when it
-   names a [forbidden] global, else by [indirect] when it is [tainted]. *)
-let check_workers ~emit ~rule ~exempt ~kind ~forbidden ~tainted ~direct
-    ~indirect db =
-  List.iter
-    (fun u ->
-      if not (List.mem u.s_modname exempt) then
-        List.iter
-          (fun sp ->
-            if kind sp.sp_kind then
-              List.iter
-                (fun (w : use) ->
-                  if SS.mem w.u_name forbidden then
-                    emit (finding rule u w.u_pos (direct sp w))
-                  else if SS.mem w.u_name tainted then
-                    emit (finding rule u w.u_pos (indirect sp w)))
-                sp.sp_worker)
-          u.s_spawns)
-    (units db)
-
-(* R6.  [Sweep.map] hands every worker a private Obs fork; mutating the
-   domain-local default from inside one clobbers it.  Taint stops at
-   Sweep.map, which installs worker forks by design, and the Obs and
-   Sweep units own the default cell.  Naming [Obs.default] directly is
-   forbidden too: the worker already holds the context to record into. *)
-let check_r6 ~emit db =
-  let seeds = SS.of_list [ "Obs.set_default"; "Obs.install" ] in
-  let tainted =
-    transitive db ~seeds ~stop:(fun _ d -> d.d_name = "Sweep.map") ()
-  in
-  check_workers ~emit ~rule:Lint.R6 ~exempt:[ "Obs"; "Sweep" ]
-    ~kind:(String.equal "Sweep.map") ~forbidden:(SS.add "Obs.default" seeds)
-    ~tainted
-    ~direct:(fun _ w ->
-      Printf.sprintf
-        "Sweep.map worker references %s directly; use the Obs.t the worker \
-         receives as its first argument"
-        w.u_name)
-    ~indirect:(fun _ w ->
-      Printf.sprintf
-        "Sweep.map worker calls %s, which transitively mutates the \
-         domain-local Obs default (Obs.set_default/Obs.install); workers \
-         must record only into their private fork"
-        w.u_name)
-    db
-
-(* R7.  The Obs layer implements the documented fork/absorb merge
+(* The Obs layer implements the documented fork/absorb merge
    protocol (DESIGN §8): its internal mutable state is per-domain by
    construction and merged explicitly, so worker code reaching it is the
    sanctioned path, not a race.  Sweep owns the domain pool itself. *)
@@ -129,25 +79,36 @@ let check_r7 ~emit db =
     | Some ({ d_mutable = Some k; _ }, _) -> k
     | _ -> "mutable"
   in
-  check_workers ~emit ~rule:Lint.R7 ~exempt:r7_exempt ~kind:(fun _ -> true)
-    ~forbidden:muts ~tainted
-    ~direct:(fun sp w ->
-      Printf.sprintf
-        "%s worker shares top-level mutable %s %s across domains; route \
-         per-domain state through the Obs fork/absorb protocol or an Atomic"
-        sp.sp_kind (kind_of w.u_name) w.u_name)
-    ~indirect:(fun sp w ->
+  (* Every worker reference at a spawn site in a non-exempt unit: a
+     mutable global named directly, else one reached through calls. *)
+  let check u sp (w : use) =
+    if SS.mem w.u_name muts then
+      emit
+        (finding Lint.R7 u w.u_pos
+           (Printf.sprintf
+              "%s worker shares top-level mutable %s %s across domains; route \
+               per-domain state through the Obs fork/absorb protocol or an \
+               Atomic"
+              sp.sp_kind (kind_of w.u_name) w.u_name))
+    else if SS.mem w.u_name tainted then
       let via =
         match witness db ~seeds:muts ~tainted w.u_name with
         | Some c -> chain c
         | None -> w.u_name
       in
-      Printf.sprintf
-        "%s worker calls %s, which reaches top-level mutable state without \
-         the fork/absorb merge protocol (%s); pass the state in, or merge \
-         per-domain copies explicitly"
-        sp.sp_kind w.u_name via)
-    db
+      emit
+        (finding Lint.R7 u w.u_pos
+           (Printf.sprintf
+              "%s worker calls %s, which reaches top-level mutable state \
+               without the fork/absorb merge protocol (%s); pass the state \
+               in, or merge per-domain copies explicitly"
+              sp.sp_kind w.u_name via))
+  in
+  List.iter
+    (fun u ->
+      if not (List.mem u.s_modname r7_exempt) then
+        List.iter (fun sp -> List.iter (check u sp) sp.sp_worker) u.s_spawns)
+    (units db)
 
 (* ------------------------------------------------------------------ *)
 (* R8: event-loop hygiene.                                             *)
@@ -250,7 +211,6 @@ let check_r9 ~emit db =
     (units db)
 
 let check ~emit ~enabled ~r8_roots db =
-  if enabled Lint.R6 then check_r6 ~emit db;
   if enabled Lint.R7 then check_r7 ~emit db;
   if enabled Lint.R8 then check_r8 ~emit ~r8_roots db;
   if enabled Lint.R9 then check_r9 ~emit db

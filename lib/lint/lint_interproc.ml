@@ -124,8 +124,8 @@ let traversal_prims =
     ]
 
 (* Head type constructors whose values are shared mutable state.  Atomic
-   and Domain.DLS are deliberately absent: they are the sanctioned
-   cross-domain primitives. *)
+   is deliberately absent: it is the sanctioned cross-domain
+   primitive. *)
 let mutable_type_heads =
   SS.of_list
     [ "ref"; "array"; "bytes"; "Hashtbl.t"; "Buffer.t"; "Queue.t"; "Stack.t" ]

@@ -1,4 +1,4 @@
-(** The interprocedural analysis engine behind rules R6–R9.
+(** The interprocedural analysis engine behind rules R7–R9.
 
     One typed-AST pass per compilation unit ({!summarize}) distils each
     unit into plain data: per-definition summaries — the globals a body
@@ -21,7 +21,7 @@ type unit_info = {
 type pos = { line : int; col : int }
 
 type use = { u_name : string; u_pos : pos }
-(** One reference to a global, e.g. [Obs.set_default] or [Drcomm.admit];
+(** One reference to a global, e.g. [Obs.event] or [Drcomm.admit];
     locals resolve to a [Module.name] that matches no definition and
     falls out of every fix-point. *)
 

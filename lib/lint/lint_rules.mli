@@ -2,7 +2,7 @@
 
     Each check walks one typed AST with a {!Tast_iterator} and emits
     {!Lint.finding}s through the context's [emit] callback.  The
-    cross-unit rules (R6–R9) run on {!Lint_interproc}; this module only
+    cross-unit rules (R7–R9) run on {!Lint_interproc}; this module only
     exposes the shared helpers its summariser needs. *)
 
 type ctx = {

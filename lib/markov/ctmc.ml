@@ -37,12 +37,11 @@ let generator c =
   done;
   q
 
-let stationary c =
-  let obs = Obs.default () in
+let stationary ?(obs = Obs.null) c =
   if not (Obs.enabled obs) then Linsolve.solve_left_nullvector (generator c)
   else begin
     let t0 = Clock.now () in
-    let pi = Linsolve.solve_left_nullvector (generator c) in
+    let pi = Linsolve.solve_left_nullvector ~obs (generator c) in
     let dt = Clock.elapsed_since t0 in
     Metrics.incr (Obs.counter obs "markov.stationary_solves");
     Metrics.observe (Obs.timer obs "markov.stationary_s") dt;
@@ -50,8 +49,8 @@ let stationary c =
     pi
   end
 
-let mean_reward c reward =
-  let pi = stationary c in
+let mean_reward ?obs c reward =
+  let pi = stationary ?obs c in
   let acc = ref 0. in
   Array.iteri (fun i p -> acc := !acc +. (p *. reward i)) pi;
   !acc

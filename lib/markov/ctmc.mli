@@ -21,10 +21,16 @@ val generator : t -> Matrix.t
 (** The generator matrix [q]: off-diagonals are the accumulated rates,
     each diagonal entry is minus its row sum. *)
 
-val stationary : t -> float array
+val stationary : ?obs:Obs.t -> t -> float array
 (** Stationary probability vector [pi] ([pi q = 0], [sum pi = 1]).
-    Raises {!Linsolve.Singular} when the chain is reducible. *)
+    Raises {!Linsolve.Singular} when the chain is reducible.
 
-val mean_reward : t -> (int -> float) -> float
+    [obs] (default {!Obs.null}) receives the solve: counter
+    [markov.stationary_solves], timer [markov.stationary_s], one
+    [Solve] trace event, and {!Linsolve.solve_left_nullvector}'s
+    residual gauge. *)
+
+val mean_reward : ?obs:Obs.t -> t -> (int -> float) -> float
 (** [mean_reward c reward] is [sum_i pi_i * reward i] — e.g. the paper's
-    average reserved bandwidth when [reward i = b_min + i * delta]. *)
+    average reserved bandwidth when [reward i = b_min + i * delta].
+    [obs] observes the {!stationary} solve. *)

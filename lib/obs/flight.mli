@@ -6,7 +6,7 @@
     is attached, so instrumented call sites keep constructing events and
     {!Obs.event} routes them here.  Nothing is written anywhere until
     {!dump_to_file}: the black box only surfaces on a crash (the
-    {!Obs.install}/[Fun.protect] path) or an invariant violation
+    {!Obs.close_at_exit}/[Fun.protect] path) or an invariant violation
     ([lib/check]).
 
     Dumps are plain trace JSONL (each retained event through

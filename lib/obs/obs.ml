@@ -50,13 +50,6 @@ let profiling t = Span.enabled t.spans
 let set_clock t f = if t != null then t.clock <- f
 let now t = t.clock ()
 
-(* Domain-local, so a worker domain installing its private context (see
-   Sweep) never races the main domain's — deep call sites that read the
-   default (Linsolve, Ctmc) stay single-domain by construction. *)
-let default_key = Domain.DLS.new_key (fun () -> null)
-let default () = Domain.DLS.get default_key
-let set_default t = Domain.DLS.set default_key t
-
 let fork t =
   let metrics =
     if Metrics.enabled t.metrics then Metrics.create () else Metrics.disabled
@@ -137,14 +130,13 @@ let metrics_json t = Metrics.snapshot t.metrics
 
 let close t = Trace.close t.trace
 
-let install t =
-  set_default t;
-  (* [Trace.close] is idempotent, so the at_exit hook is safe alongside
-     an explicit close on the normal path; it exists for the abnormal
-     ones — an uncaught exception or a mid-run [exit] must not lose the
-     buffered JSONL tail.  The flight dump fires here too: an armed
-     recorder writes its black box on any exit path that did not
-     explicitly cancel it. *)
+(* [Trace.close] is idempotent, so the at_exit hook is safe alongside
+   an explicit close on the normal path; it exists for the abnormal
+   ones — an uncaught exception or a mid-run [exit] must not lose the
+   buffered JSONL tail.  The flight dump fires here too: an armed
+   recorder writes its black box on any exit path that did not
+   explicitly cancel it. *)
+let close_at_exit t =
   at_exit (fun () ->
       (* A failing dump write at exit must not mask the original
          failure or block the trace flush below. *)

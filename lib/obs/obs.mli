@@ -2,11 +2,11 @@
     a {!Span} profiler, a {!Flight} recorder, and a simulation clock,
     bundled so instrumented components take one value.
 
-    Components accept [?obs] at creation and default to the process-wide
-    {!default} (initially {!null}, so nothing is recorded until an
-    entry point — CLI, bench harness — installs a real context).  The
-    clock maps trace timestamps to simulation time; {!Scenario.run}
-    points it at its engine. *)
+    Components take [?obs] and default to {!null}: a context reaches a
+    component only as an argument, so nothing is recorded unless the
+    caller — CLI, bench harness — passes a live one.  The clock maps
+    trace timestamps to simulation time; {!Scenario.run} points it at
+    its engine. *)
 
 type t
 
@@ -44,14 +44,6 @@ val profiling : t -> bool
 val set_clock : t -> (unit -> float) -> unit
 val now : t -> float
 
-val default : unit -> t
-val set_default : t -> unit
-(** The default context is {e domain-local}: each domain starts at
-    {!null}, and installing a context in one domain is invisible to the
-    others.  Worker domains (see [Sweep]) install a {!fork} of the
-    caller's context so nothing they record crosses a domain boundary
-    until the merge at join time. *)
-
 val fork : t -> t
 (** A worker-private context mirroring [t]: fresh metrics and span
     components (each enabled iff [t]'s is), no tracer or flight recorder
@@ -83,7 +75,7 @@ val cancel_flight_dump : t -> unit
 val dump_flight : t -> string option
 (** Write the armed dump now (idempotent: at most one dump per arming;
     skipped when disarmed or the recorder is empty).  Returns the path
-    written.  {!install}'s [at_exit] hook calls this too, so an uncaught
+    written.  {!close_at_exit}'s hook calls this too, so an uncaught
     exception still produces the black box. *)
 
 val span : t -> string -> (unit -> 'a) -> 'a
@@ -99,10 +91,9 @@ val metrics_json : t -> Jsonx.t
 val close : t -> unit
 (** Close the tracer's sink (idempotent, see {!Trace.close}). *)
 
-val install : t -> unit
-(** {!set_default} plus an [at_exit] hook that writes any armed flight
-    dump and closes the tracer: entry points call this so a raised
-    exception or mid-run [exit] cannot lose buffered trace output or
-    the crash black box.  Pair with
-    [Fun.protect ~finally:(fun () -> close t)] around the run itself to
-    flush on the normal path too. *)
+val close_at_exit : t -> unit
+(** Register an [at_exit] hook that writes any armed flight dump and
+    closes the tracer: entry points call this so a raised exception or
+    mid-run [exit] cannot lose buffered trace output or the crash black
+    box.  Pair with [Fun.protect ~finally:(fun () -> close t)] around
+    the run itself to flush on the normal path too. *)

@@ -29,8 +29,7 @@ let snapshot_source t =
     slo = (fun () -> t.slo_fn ());
   }
 
-let create ?config ?obs net =
-  let obs = match obs with Some o -> o | None -> Obs.default () in
+let create ?config ?(obs = Obs.null) net =
   let service = Drcomm.create ?config ~obs net in
   let snap_doc = ref None in
   let keep_doc time ev = snap_doc := Some (Trace.to_json ~time ev) in

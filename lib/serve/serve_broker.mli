@@ -13,10 +13,10 @@
 type t
 
 val create : ?config:Drcomm.Config.t -> ?obs:Obs.t -> Net_state.t -> t
-(** [obs] (default {!Obs.default} at creation time) receives the
-    service's instrumentation; give it a live metrics registry to make
-    the [metrics] request meaningful and a live tracer to stream events
-    to subscribers. *)
+(** [obs] (default {!Obs.null}) receives the service's
+    instrumentation; give it a live metrics registry to make the
+    [metrics] request meaningful and a live tracer to stream events to
+    subscribers. *)
 
 val service : t -> Drcomm.t
 

@@ -3,7 +3,6 @@ type t = {
   mutable clock : float;
   obs : Obs.t;
   ev_dispatched : Metrics.counter;
-  queue_depth : Metrics.gauge;
   (* Metrics-independent dispatch count: telemetry needs it even when
      the metrics registry is off, and it must not double when several
      engines share a registry. *)
@@ -16,14 +15,12 @@ type t = {
   mutable whb_fn : (t -> unit) option;
 }
 
-let create ?capacity ?obs () =
-  let obs = match obs with Some o -> o | None -> Obs.default () in
+let create ?capacity ?(obs = Obs.null) () =
   {
     queue = Event_queue.create ?capacity ();
     clock = 0.;
     obs;
     ev_dispatched = Obs.counter obs "engine.events";
-    queue_depth = Obs.gauge obs "engine.queue_depth";
     dispatched = 0;
     hb_every = 0.;
     hb_next = infinity;
@@ -44,8 +41,6 @@ let schedule_at t ~time f =
 let schedule t ~delay f =
   if delay < 0. then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ~time:(t.clock +. delay) f
-
-let pending t = Event_queue.size t.queue
 
 let on_heartbeat t ~every f =
   if every <= 0. then invalid_arg "Engine.on_heartbeat: every must be positive";
@@ -72,7 +67,6 @@ let step t =
 let run ?(until = infinity) t =
   Obs.span t.obs "engine.run" @@ fun () ->
   let handled = ref 0 in
-  let instrumented = Metrics.enabled (Obs.metrics t.obs) in
   let continue = ref true in
   while !continue do
     match Event_queue.peek_time t.queue with
@@ -94,9 +88,6 @@ let run ?(until = infinity) t =
           t.hb_next <- t.hb_next +. t.hb_every
         done
       | None -> ());
-      (* Sampled before dispatch, so the gauge's peak is the true high
-         watermark of live events. *)
-      if instrumented then Metrics.set t.queue_depth (float_of_int (Event_queue.size t.queue));
       ignore (step t);
       incr handled;
       (* Wall heartbeats poll the clock only every 64 events to keep the

@@ -11,12 +11,10 @@ val create : ?capacity:int -> ?obs:Obs.t -> unit -> t
     an expected number of concurrently-scheduled events (see
     {!Event_queue.create}).
 
-    [obs] (default {!Obs.default}) receives the engine's instrumentation:
-    counter [engine.events] (dispatched events) and gauge
-    [engine.queue_depth] (live events sampled before each dispatch, peak
-    = high watermark); each {!run} is the span [engine.run], whose
-    [phase.engine.run] timer records its wall time.  With a disabled
-    context the per-event overhead is one branch. *)
+    [obs] (default {!Obs.null}) receives the engine's instrumentation:
+    counter [engine.events] (dispatched events); each {!run} is the span
+    [engine.run], whose [phase.engine.run] timer records its wall time.
+    With a disabled context the per-event overhead is one branch. *)
 
 val now : t -> float
 (** Current simulation time: the timestamp of the event being handled, or
@@ -27,8 +25,6 @@ val schedule : t -> delay:float -> (t -> unit) -> unit
 
 val schedule_at : t -> time:float -> (t -> unit) -> unit
 (** Absolute-time variant; [time >= now t]. *)
-
-val pending : t -> int
 
 val dispatched : t -> int
 (** Total events dispatched over the engine's lifetime.  Unlike the

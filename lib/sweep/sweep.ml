@@ -1,23 +1,12 @@
 let recommended_jobs () = Domain.recommended_domain_count ()
 
-let map ?jobs ?obs f points =
-  let obs = match obs with Some o -> o | None -> Obs.default () in
+let map ?jobs ?(obs = Obs.null) f points =
   let jobs = match jobs with Some j -> j | None -> recommended_jobs () in
   if jobs < 1 then invalid_arg "Sweep.map: jobs must be >= 1";
   let items = Array.of_list points in
   let n = Array.length items in
   let workers = min jobs n in
-  if workers <= 1 then begin
-    (* One effective worker: run in the calling domain, but still install
-       [obs] as the domain default for the duration — exactly what a
-       worker does with its fork — so deep call sites that read the
-       default (the solvers) record the same instruments either way. *)
-    let saved = Obs.default () in
-    Obs.set_default obs;
-    Fun.protect
-      ~finally:(fun () -> Obs.set_default saved)
-      (fun () -> List.map (f obs) points)
-  end
+  if workers <= 1 then List.map (f obs) points
   else begin
     let results = Array.make n None in
     let errors = Array.make n None in
@@ -27,7 +16,6 @@ let map ?jobs ?obs f points =
        before our reads. *)
     let worker () =
       let wobs = Obs.fork obs in
-      Obs.set_default wobs;
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin
@@ -59,10 +47,9 @@ type open_loop_report = {
   max_lag_s : float;
 }
 
-let open_loop ?jobs ?obs ?(timer = "open_loop.latency")
+let open_loop ?jobs ?(obs = Obs.null) ?(timer = "open_loop.latency")
     ?(on_complete = fun _ _ -> ()) ~arrivals ~worker ?(finish = fun _ -> ())
     f =
-  let obs = match obs with Some o -> o | None -> Obs.default () in
   let jobs = match jobs with Some j -> j | None -> recommended_jobs () in
   if jobs < 1 then invalid_arg "Sweep.open_loop: jobs must be >= 1";
   let n = Array.length arrivals in
@@ -106,18 +93,11 @@ let open_loop ?jobs ?obs ?(timer = "open_loop.latency")
             i := !i + workers
           done)
     in
-    if workers = 1 then begin
-      let saved = Obs.default () in
-      Obs.set_default obs;
-      Fun.protect
-        ~finally:(fun () -> Obs.set_default saved)
-        (fun () -> run 0 obs)
-    end
+    if workers = 1 then run 0 obs
     else begin
       let spawn w =
         Domain.spawn (fun () ->
             let wobs = Obs.fork obs in
-            Obs.set_default wobs;
             (match run w wobs with
             | () -> ()
             | exception e ->

@@ -20,18 +20,13 @@ val map : ?jobs:int -> ?obs:Obs.t -> (Obs.t -> 'a -> 'b) -> 'a list -> 'b list
     [jobs] (default {!recommended_jobs}) bounds the number of worker
     domains; the pool never spawns more workers than points.  With one
     effective worker the pool degenerates to a plain sequential [List.map]
-    in the calling domain — no domain is spawned; [f] receives [obs]
-    itself, installed as the domain default for the duration (exactly
-    what each worker does with its fork, so deep call sites reading the
-    default record the same instruments either way).  Raises
-    [Invalid_argument] when [jobs < 1].
+    in the calling domain — no domain is spawned, and [f] receives [obs]
+    itself.  Raises [Invalid_argument] when [jobs < 1].
 
-    [obs] defaults to the calling domain's {!Obs.default}.  Each worker
-    domain receives a private {!Obs.fork} of it, installs that fork as
-    its domain-local default (so deep call sites reading the default
-    record into the worker's registry), and the forks' metrics are merged
-    back into [obs] after the join — counters and timer counts are exact
-    sums, identical to a sequential run.
+    [obs] defaults to {!Obs.null}.  Each worker domain receives a
+    private {!Obs.fork} of it as [f]'s first argument, and the forks'
+    metrics are merged back into [obs] after the join — counters and
+    timer counts are exact sums, identical to a sequential run.
 
     Points are handed to idle workers dynamically (an atomic cursor), so
     uneven point costs balance; determinism is unaffected because results

@@ -47,9 +47,8 @@ type t = {
   m_missed : Metrics.counter;
 }
 
-let create ?(propagation_delay = 0.) ?obs engine graph ~rate_of =
+let create ?(propagation_delay = 0.) ?(obs = Obs.null) engine graph ~rate_of =
   if propagation_delay < 0. then invalid_arg "Netsim.create: negative propagation delay";
-  let obs = match obs with Some o -> o | None -> Obs.default () in
   {
     engine;
     servers =

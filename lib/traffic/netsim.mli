@@ -19,7 +19,7 @@ val create : ?propagation_delay:float -> ?obs:Obs.t -> Engine.t -> Graph.t ->
   rate_of:(Dirlink.id -> Bandwidth.t) -> t
 (** One server per directed link of the graph.  [propagation_delay]
     (seconds per hop, default 0) is added after each transmission.
-    [obs] (default {!Obs.default}) receives the counters
+    [obs] (default {!Obs.null}) receives the counters
     [netsim.packets_sent], [netsim.packets_delivered] and
     [netsim.deadline_misses]. *)
 

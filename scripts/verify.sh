@@ -108,7 +108,7 @@ for e in fig3 fig4 table1; do
 done
 
 step "lint: zero unbaselined findings, no stale baseline entries (timed)"
-# drqos_lint walks the .cmt files dune built — every rule, R1-R9, over
+# drqos_lint walks the .cmt files dune built — every rule (R1-R5, R7-R9) over
 # the whole tree (examples included).  `@all` writes no .cmt for an
 # executable's main module, so `@check` is built first; a root with no
 # implementation .cmt is an input error, not a clean pass.  Exit 1
@@ -202,6 +202,22 @@ test -s "$tmpdir/t.jsonl" && test -s "$tmpdir/m.json" || {
 }
 grep -q '"span_end"' "$tmpdir/t.jsonl" || {
   echo "FAIL: profiled trace carries no span events" >&2
+  exit 1
+}
+
+step "analyze golden: unprofiled run trace against scripts/golden/"
+# Without --profile the trace carries no wall-clock value that analyze
+# prints, so its report is a pure function of the seed.  Its event
+# counts include one solve and six phase_begin/phase_end pairs (load,
+# warmup, measure, solve, two engine runs): a solver or phase instrument
+# that stops reaching the run's context fails here.  A change meant to
+# move the trace re-records the golden with the same two commands.
+dune exec bin/drqos_cli.exe -- run --offered 100 --churn 100 --warmup 20 \
+  --trace "$tmpdir/u.jsonl" >/dev/null
+dune exec bin/drqos_cli.exe -- analyze "$tmpdir/u.jsonl" --audit \
+  > "$tmpdir/u-analyze.txt"
+cmp "$tmpdir/u-analyze.txt" scripts/golden/analyze-run100-audit.txt || {
+  echo "FAIL: analyze --audit of the unprofiled run trace differs from scripts/golden/analyze-run100-audit.txt" >&2
   exit 1
 }
 

@@ -84,6 +84,8 @@ let test_lint_usage_errors_exit_2 () =
     (exit_of (lint ^ " --format yaml some-root"));
   Alcotest.(check int) "unknown rule id" 2
     (exit_of (lint ^ " --rules R99 some-root"));
+  Alcotest.(check int) "repeated value flag" 2
+    (exit_of (lint ^ " --format json --format text some-root"));
   (* Flags the linter no longer has; the root itself is valid. *)
   let fixtures = " lintfix/.lint_fixtures.objs/byte" in
   let dir = Filename.temp_file "drqos_lint" ".d" in

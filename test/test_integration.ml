@@ -172,7 +172,7 @@ let test_full_pipeline_with_policies () =
           Scenario.topology =
             Scenario.Waxman (Waxman.spec ~nodes:25 ~alpha:0.5 ~beta:0.3 ());
           capacity = Bandwidth.mbps 2;
-          policy;
+          service = Drcomm.Config.make ~policy ();
           offered = 150;
           warmup_events = 30;
           churn_events = 120;

@@ -34,8 +34,6 @@ let golden =
     ("R9", "test/lintfix/lintfix_clock.ml", 20);
     ("R9", "test/lintfix/lintfix_clock.ml", 22);
     ("R9", "test/lintfix/lintfix_clock.ml", 25);
-    ("R6", "test/lintfix/lintfix_domain.ml", 10);
-    ("R6", "test/lintfix/lintfix_domain.ml", 15);
     ("R8", "test/lintfix/lintfix_evloop.ml", 6);
     ("R8", "test/lintfix/lintfix_evloop.ml", 16);
     ("R7", "test/lintfix/lintfix_race.ml", 8);
@@ -61,18 +59,10 @@ let golden =
 let golden_sorted =
   List.sort compare golden
 
-(* R6 and R7 share one walk over spawn-site workers; their message text
-   is pinned here, as the --format json report over test/lintfix gives
-   it. *)
+(* R7's message text over spawn-site workers is pinned here, as the
+   --format json report over test/lintfix gives it. *)
 let golden_worker_messages =
   [
-    ( ("R6", "test/lintfix/lintfix_domain.ml", 10),
-      "Sweep.map worker calls Lintfix_domain.helper, which transitively \
-       mutates the domain-local Obs default (Obs.set_default/Obs.install); \
-       workers must record only into their private fork" );
-    ( ("R6", "test/lintfix/lintfix_domain.ml", 15),
-      "Sweep.map worker references Obs.default directly; use the Obs.t the \
-       worker receives as its first argument" );
     ( ("R7", "test/lintfix/lintfix_race.ml", 8),
       "Sweep.map worker shares top-level mutable Hashtbl.t \
        Lintfix_race_state.hits across domains; route per-domain state \
@@ -101,12 +91,12 @@ let test_golden_findings () =
     List.filter_map
       (fun (f : Lint.finding) ->
         match f.rule with
-        | Lint.R6 | Lint.R7 -> Some (key f, f.message)
+        | Lint.R7 -> Some (key f, f.message)
         | _ -> None)
       findings
   in
   Alcotest.(check (list (pair key_t string)))
-    "R6/R7 messages" golden_worker_messages
+    "R7 messages" golden_worker_messages
     (List.sort compare worker_messages)
 
 let test_severities () =

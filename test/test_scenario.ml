@@ -106,7 +106,12 @@ let test_increment_size_insensitivity () =
     (gap < 0.12 *. r50.Scenario.sim_avg_bandwidth)
 
 let test_multi_backup_scenario () =
-  let cfg = { (tiny ~offered:100 ~gamma:0.0005 ()) with Scenario.backups_per_connection = 2 } in
+  let cfg =
+    {
+      (tiny ~offered:100 ~gamma:0.0005 ()) with
+      Scenario.service = Drcomm.Config.make ~backups_per_connection:2 ();
+    }
+  in
   let r = Scenario.run cfg in
   Alcotest.(check bool) "ran with failures" true (r.Scenario.failures_injected > 0);
   Alcotest.(check bool) "in range" true (in_qos_range r.Scenario.sim_avg_bandwidth)
@@ -115,9 +120,9 @@ let test_restoration_scenario () =
   let cfg =
     {
       (tiny ~offered:150 ~gamma:0.001 ()) with
-      Scenario.with_backups = false;
-      require_backup = false;
-      restore_on_failure = true;
+      Scenario.service =
+        Drcomm.Config.make ~with_backups:false ~require_backup:false
+          ~restore_on_failure:true ();
     }
   in
   let r = Scenario.run cfg in
@@ -127,7 +132,11 @@ let test_restoration_scenario () =
 let test_sequential_route_search_scenario () =
   let flood = Scenario.run (tiny ~offered:150 ()) in
   let seq =
-    Scenario.run { (tiny ~offered:150 ()) with Scenario.route_search = `Sequential 8 }
+    Scenario.run
+      {
+        (tiny ~offered:150 ()) with
+        Scenario.service = Drcomm.Config.make ~route_search:(`Sequential 8) ();
+      }
   in
   (* Both strategies must carry comparable populations at light load. *)
   Alcotest.(check bool)
@@ -205,6 +214,60 @@ let test_replications_summary () =
   Alcotest.check (Alcotest.float 1e-12) "parallel equals sequential"
     s.Scenario.sim_mean s2.Scenario.sim_mean
 
+(* The chain's solve reports only into the context the caller passes:
+   a live registry and tracer handed to [Scenario.run] receive the
+   solver's counter, timer, residual gauge and one [Solve] event per
+   solve, and a live context passed to nothing records nothing. *)
+let test_solver_reports_to_passed_context () =
+  let solves = ref 0 in
+  let tracer =
+    Trace.create
+      {
+        Trace.emit = (fun _ -> function Trace.Solve _ -> incr solves | _ -> ());
+        close = ignore;
+      }
+  in
+  let obs = Obs.create ~metrics:(Metrics.create ()) ~trace:tracer () in
+  let unrelated_events = ref 0 in
+  let unrelated =
+    Obs.create ~metrics:(Metrics.create ())
+      ~trace:(Trace.create { Trace.emit = (fun _ _ -> incr unrelated_events); close = ignore })
+      ()
+  in
+  let names o section =
+    match Jsonx.member section (Obs.metrics_json o) with
+    | Some (Jsonx.Obj kvs) -> List.map fst kvs
+    | _ -> []
+  in
+  ignore (Scenario.run ~obs (tiny ()));
+  List.iter
+    (fun (section, name) ->
+      Alcotest.(check bool) (name ^ " recorded") true (List.mem name (names obs section)))
+    [
+      ("counters", "markov.stationary_solves");
+      ("timers", "markov.stationary_s");
+      ("gauges", "linalg.nullvector_residual");
+    ];
+  let m = Obs.metrics obs in
+  Alcotest.(check int) "one solve counted" 1
+    (Metrics.count (Metrics.counter m "markov.stationary_solves"));
+  Alcotest.(check int) "one solve timed" 1
+    (Metrics.timer_count (Metrics.timer m "markov.stationary_s"));
+  Alcotest.(check int) "one solve event" 1 !solves;
+  List.iter
+    (fun section ->
+      Alcotest.(check (list string)) ("unrelated " ^ section ^ " untouched") []
+        (names unrelated section))
+    [ "counters"; "gauges"; "hwm"; "timers" ];
+  Alcotest.(check int) "unrelated tracer untouched" 0 !unrelated_events;
+  (* Worker domains record into forks of the same context, merged at
+     join: one solve per replication. *)
+  let obs = Obs.create ~metrics:(Metrics.create ()) () in
+  let cfg = { (tiny ~offered:80 ()) with Scenario.churn_events = 80; warmup_events = 20 } in
+  ignore (Scenario.run_replications ~seeds:[ 1; 2 ] ~jobs:2 ~obs cfg);
+  Alcotest.(check int) "one solve per replication" 2
+    (Metrics.count (Metrics.counter (Obs.metrics obs) "markov.stationary_solves"))
+
 let test_replications_validation () =
   Alcotest.check_raises "empty" (Invalid_argument "Scenario.run_replications: no seeds")
     (fun () -> ignore (Scenario.run_replications ~seeds:[] (tiny ())))
@@ -235,6 +298,11 @@ let () =
           Alcotest.test_case "restoration" `Quick test_restoration_scenario;
           Alcotest.test_case "sequential search" `Quick
             test_sequential_route_search_scenario;
+        ] );
+      ( "observability",
+        [
+          Alcotest.test_case "solver reports to the passed context" `Quick
+            test_solver_reports_to_passed_context;
         ] );
       ( "replications",
         [
