@@ -1,6 +1,6 @@
 (* Bechamel micro-benchmarks of the operations each experiment leans on:
-   route discovery, admission, the Markov solve, and topology
-   generation. *)
+   route discovery, admission, the Markov solve, topology generation,
+   and the daemon's wire codec and trace lines. *)
 
 open Bechamel
 open Toolkit
@@ -215,24 +215,52 @@ let bench_water_fill () =
       Array.blit room 0 counters 0 links;
       Policy.equal_share.Policy.run env candidates)
 
-(* Built when the micro bench runs, not at start-up: the fallback case
+(* The daemon's per-request codec: decoding an admit request line (the
+   JSON parse and the typed decode [Serve_server] runs) and encoding its
+   reply line. *)
+let admit_line =
+  Jsonx.to_string
+    (Serve_proto.request_to_json ~id:42
+       (Serve_proto.Admit { src = 3; dst = 71; qos = Qos.paper_spec ~increment:50 }))
+
+let bench_decode_admit () =
+  Staged.stage (fun () -> ignore (Serve_proto.request_of_json (Jsonx.of_string admit_line)))
+
+let bench_encode_admitted () =
+  let reply = Serve_proto.Admitted { channel = 17; level = 4 } in
+  Staged.stage (fun () ->
+      ignore (Jsonx.to_string (Serve_proto.response_to_json ~id:42 reply)))
+
+(* One trace line, the work per event that a daemon with no trace
+   reader skips. *)
+let bench_trace_line () =
+  let ev = Trace.Upgrade { channel = 17; from_level = 2; to_level = 3 } in
+  Staged.stage (fun () -> ignore (Jsonx.to_string (Trace.to_json ~time:1234. ev)))
+
+(* Each case is keyed for its gauge [micro.<key>.ns] in the record.
+   Built when the micro bench runs, not at start-up: the fallback case
    loads 20 000 connections.  The services and the Markov solve record
    into the bench's context [obs]. *)
-let tests obs =
+let cases obs =
   [
-    Test.make ~name:"flooding primary route (fig2-4 inner loop)" (bench_flooding ());
-    Test.make ~name:"backup route search" (bench_backup_route ());
-    Test.make ~name:"backup route fallback (loaded transit-stub)"
-      (bench_backup_fallback obs);
-    Test.make ~name:"backup pool query x256 (loaded paper network)"
-      (bench_backup_pool_query obs);
-    Test.make ~name:"backup route search (loaded paper network)"
-      (bench_backup_route_loaded obs);
-    Test.make ~name:"water-fill rounds (equal-share, 4000 candidates)"
-      (bench_water_fill ());
-    Test.make ~name:"DR admission + termination" (bench_admission obs);
-    Test.make ~name:"9-state Markov solve (table1/fig2)" (bench_markov_solve obs);
-    Test.make ~name:"100-node Waxman generation" (bench_waxman ());
+    ("flooding_primary", "flooding primary route (fig2-4 inner loop)", bench_flooding ());
+    ("backup_route", "backup route search", bench_backup_route ());
+    ( "backup_fallback",
+      "backup route fallback (loaded transit-stub)",
+      bench_backup_fallback obs );
+    ( "backup_pool_query",
+      "backup pool query x256 (loaded paper network)",
+      bench_backup_pool_query obs );
+    ( "backup_route_loaded",
+      "backup route search (loaded paper network)",
+      bench_backup_route_loaded obs );
+    ("water_fill", "water-fill rounds (equal-share, 4000 candidates)", bench_water_fill ());
+    ("admission", "DR admission + termination", bench_admission obs);
+    ("markov_solve", "9-state Markov solve (table1/fig2)", bench_markov_solve obs);
+    ("waxman", "100-node Waxman generation", bench_waxman ());
+    ("decode_admit", "serve codec: decode an admit request", bench_decode_admit ());
+    ("encode_admitted", "serve codec: encode its reply", bench_encode_admitted ());
+    ("trace_line", "trace line (upgrade event)", bench_trace_line ());
   ]
 
 let run scale =
@@ -240,21 +268,26 @@ let run scale =
   Exp.section "Micro-benchmarks (bechamel)";
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
   let instances = [ Instance.monotonic_clock ] in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"micro" (tests obs)) in
+  let cases = cases obs in
+  let tests = List.map (fun (_, name, f) -> Test.make ~name f) cases in
+  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"micro" tests) in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let results = Analyze.all ols Instance.monotonic_clock raw in
+  let estimate name =
+    match Hashtbl.find_opt results ("micro/" ^ name) with
+    | Some result -> (
+      match Analyze.OLS.estimates result with Some [ est ] -> est | _ -> nan)
+    | None -> nan
+  in
   let rows =
-    Hashtbl.fold
-      (fun name result acc ->
-        let time_ns =
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> est
-          | _ -> nan
-        in
-        (name, time_ns) :: acc)
-      results []
+    List.map
+      (fun (key, name, _) ->
+        let ns = estimate name in
+        Metrics.set (Obs.gauge obs ("micro." ^ key ^ ".ns")) ns;
+        ("micro/" ^ name, ns))
+      cases
     |> List.sort compare
     |> List.map (fun (name, ns) ->
            let pretty =

@@ -117,13 +117,6 @@ let average_bandwidth_regularized ?obs p ~qos =
     invalid_arg "Model.average_bandwidth_regularized: QoS levels mismatch";
   Ctmc.mean_reward ?obs (build_regularized p) (bandwidth_reward qos)
 
-let stationary p = Ctmc.stationary (build p)
-
-let average_bandwidth p ~qos =
-  if Qos.levels qos <> levels p then
-    invalid_arg "Model.average_bandwidth: QoS levels do not match the chain";
-  Ctmc.mean_reward (build p) (bandwidth_reward qos)
-
 type knob = [ `Lambda | `Mu | `Gamma | `P_f | `P_s ]
 
 let with_knob p knob value =

@@ -51,7 +51,9 @@ val validate : params -> unit
     non-stochastic rows. *)
 
 val build : params -> Ctmc.t
-(** The chain of Figure 1. *)
+(** The chain of Figure 1.  It is reducible when no transitions were
+    observed (all-identity matrices), and {!Ctmc.stationary} then raises
+    {!Linsolve.Singular}. *)
 
 val build_regularized : params -> Ctmc.t
 (** {!build} plus vanishing rates between adjacent levels
@@ -63,18 +65,10 @@ val build_regularized : params -> Ctmc.t
     drives unconstrained channels to [b_max]). *)
 
 val average_bandwidth_regularized : ?obs:Obs.t -> params -> qos:Qos.t -> float
-(** [average_bandwidth] on the regularised chain — total function used by
-    experiment drivers.  [obs] (default {!Obs.null}) observes the solve
-    (see {!Ctmc.stationary}). *)
-
-val stationary : params -> float array
-(** Steady-state probability of each level.  Raises
-    {!Linsolve.Singular} if the chain is reducible (e.g. all-identity
-    matrices — no transitions observed). *)
-
-val average_bandwidth : params -> qos:Qos.t -> float
-(** The paper's headline metric: [sum_i pi_i * (b_min + i * Δ)].
-    [Qos.levels qos] must equal [levels params]. *)
+(** The paper's headline metric, [sum_i pi_i * (b_min + i * Δ)], on the
+    regularised chain — a total function, the one the experiments call.
+    [Qos.levels qos] must equal the chain's level count.  [obs] (default
+    {!Obs.null}) observes the solve (see {!Ctmc.stationary}). *)
 
 type knob = [ `Lambda | `Mu | `Gamma | `P_f | `P_s ]
 

@@ -45,6 +45,7 @@ type state = {
   c_reaped : Metrics.counter;
   c_refused : Metrics.counter;
   c_undecodable : Metrics.counter;
+  c_trace_lines : Metrics.counter;
   max_pending : int;  (* per-connection output backlog cap, bytes *)
   mutable anon_rids : int; (* server-assigned rids for untraced requests *)
   mutable conns : conn list;
@@ -76,23 +77,19 @@ let bind_listener (addr : address) =
     Unix.listen fd listen_backlog;
     fd
 
-(* Queue one framed line for [conn].  The dispatch path never touches
-   the socket — the select loop owns the writes — so one stuck peer can
-   stall only its own stream, never the daemon.  A subscriber whose
-   backlog exceeds [max_pending] bytes is cut loose instead of holding
-   the daemon's memory hostage; the loop reaps it. *)
-let send conn line =
+(* Queue one framed line, newline included, for [conn].  The dispatch
+   path never touches the socket — the select loop owns the writes — so
+   one stuck peer can stall only its own stream, never the daemon.  A
+   subscriber whose backlog exceeds [max_pending] bytes is cut loose
+   instead of holding the daemon's memory hostage; the loop reaps it. *)
+let send conn data =
   if conn.alive then begin
-    let data = line ^ "\n" in
     Queue.add data conn.outq;
     conn.out_bytes <- conn.out_bytes + String.length data;
     if conn.out_bytes > conn.max_pending then conn.alive <- false
   end
 
-let send_json conn doc = send conn (Jsonx.to_string doc)
-
-(* One trace event as a pushed line. *)
-let event_line time ev = Jsonx.to_string (Trace.to_json ~time ev)
+let send_json conn doc = send conn (Jsonx.to_string doc ^ "\n")
 
 let pending conn = not (Queue.is_empty conn.outq)
 
@@ -140,8 +137,19 @@ let drain_conn ?(timeout = 1.0) conn =
   in
   go ()
 
-let broadcast t pred line =
-  List.iter (fun c -> if pred c then send c line) t.conns
+(* One trace or heartbeat event, for the trace file [oc] when given and
+   every live connection [wants] selects.  The line is serialized only
+   when it has such a reader, and then once: the file and every queue
+   share the one framed string.  [serve.trace_lines] counts the lines
+   built. *)
+let broadcast t ?oc wants time ev =
+  let reader c = c.alive && wants c in
+  if Option.is_some oc || List.exists reader t.conns then begin
+    Metrics.incr t.c_trace_lines;
+    let line = Jsonx.to_string (Trace.to_json ~time ev) ^ "\n" in
+    Option.iter (fun oc -> output_string oc line) oc;
+    List.iter (fun c -> if reader c then send c line) t.conns
+  end
 
 let close_conn t conn =
   if conn.alive then conn.alive <- false;
@@ -373,21 +381,16 @@ let run ?config ?(wall_every = 1.0) ?slo ?trace_file ?slow_dir
   (* The server owns its observability context: the tracer's sink
      broadcasts events to subscribed connections as they happen (and
      tees to [trace_file] when given), the metrics registry backs the
-     [metrics] request. *)
+     [metrics] request.  No event precedes [t]: creating the broker
+     traces nothing. *)
   let t_ref = ref None in
   let trace_sink =
     {
       Trace.emit =
         (fun time ev ->
-          let line = event_line time ev in
-          (match trace_oc with
-          | Some oc ->
-            output_string oc line;
-            output_char oc '\n'
-          | None -> ());
-          match !t_ref with
-          | None -> ()
-          | Some t -> broadcast t (fun c -> c.want_trace) line);
+          Option.iter
+            (fun t -> broadcast t ?oc:trace_oc (fun c -> c.want_trace) time ev)
+            !t_ref);
       close = (fun () -> Option.iter close_out trace_oc);
     }
   in
@@ -428,6 +431,7 @@ let run ?config ?(wall_every = 1.0) ?slo ?trace_file ?slow_dir
       c_reaped = Obs.counter obs "serve.reaped";
       c_refused = Obs.counter obs "serve.refused";
       c_undecodable = Obs.counter obs "serve.undecodable";
+      c_trace_lines = Obs.counter obs "serve.trace_lines";
       max_pending = max_pending_bytes;
       anon_rids = 0;
       conns = [];
@@ -438,11 +442,10 @@ let run ?config ?(wall_every = 1.0) ?slo ?trace_file ?slow_dir
   t_ref := Some t;
   (* Wall heartbeats: the Snapshot emitter pushes Trace.Heartbeat lines
      to subscribed connections on a monotonic cadence. *)
-  let push_heartbeat time ev =
-    broadcast t (fun c -> c.want_heartbeat) (event_line time ev)
-  in
   let hb =
-    Snapshot.create ~wall_every ~sink:{ Trace.emit = push_heartbeat; close = ignore } ()
+    Snapshot.create ~wall_every
+      ~sink:{ Trace.emit = broadcast t (fun c -> c.want_heartbeat); close = ignore }
+      ()
   in
   Snapshot.start hb (Serve_broker.snapshot_source broker);
   (match addr with

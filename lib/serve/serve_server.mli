@@ -27,7 +27,10 @@
     The server builds its own observability context: a live metrics
     registry (served by the [metrics] request) and a tracer whose sink
     broadcasts to subscribed connections.  Wall heartbeats ride the
-    {!Snapshot} emitter on a monotonic {!Clock} cadence. *)
+    {!Snapshot} emitter on a monotonic {!Clock} cadence.  A trace or
+    heartbeat line is serialized only when it has a reader (the trace
+    file or a live connection subscribed to its stream) and then once,
+    however many read it; [serve.trace_lines] counts the lines built. *)
 
 type address = [ `Unix of string | `Tcp of string * int ]
 (** [`Unix path] is unlinked (if stale) before binding and again on

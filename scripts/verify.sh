@@ -255,7 +255,8 @@ test -s "$tmpdir/perf/BENCH_micro.json" || {
   echo "FAIL: micro --quick did not write BENCH_micro.json" >&2
   exit 1
 }
-for key in experiment wall_s gc spans; do
+# micro.<case>.ns gauges carry each case's bechamel estimate.
+for key in experiment wall_s gc spans micro.trace_line.ns; do
   grep -q "\"$key\"" "$tmpdir/perf/BENCH_micro.json" || {
     echo "FAIL: BENCH_micro.json is missing the \"$key\" field" >&2
     exit 1

@@ -22,6 +22,10 @@ let params ?(lambda = 1.) ?(mu = 1.) ?(gamma = 0.) ?(p_f = 0.5) ?(p_s = 0.25) ()
     t_mat = Matrix.of_arrays [| [| 0.; 1.; 0. |]; [| 0.; 0.; 1. |]; [| 0.; 0.; 1. |] |];
   }
 
+(* The paper's average bandwidth on the unregularised chain. *)
+let average_bandwidth p ~qos =
+  Ctmc.mean_reward (Model.build p) (fun i -> float_of_int (Qos.bandwidth_of_level qos i))
+
 let test_build_rates_match_figure1 () =
   let p = params () in
   let c = Model.build p in
@@ -36,8 +40,8 @@ let test_build_rates_match_figure1 () =
   Alcotest.check approx "no 2->1" 0. (Ctmc.rate c ~src:2 ~dst:1)
 
 let test_gamma_adds_downward_pressure () =
-  let without = Model.average_bandwidth (params ()) ~qos:qos3 in
-  let with_failures = Model.average_bandwidth (params ~gamma:2. ()) ~qos:qos3 in
+  let without = average_bandwidth (params ()) ~qos:qos3 in
+  let with_failures = average_bandwidth (params ~gamma:2. ()) ~qos:qos3 in
   Alcotest.(check bool)
     (Printf.sprintf "failures reduce average (%.1f -> %.1f)" without with_failures)
     true
@@ -51,12 +55,12 @@ let test_upward_triangle_of_a_ignored () =
   Alcotest.check approx "A upward ignored" 0.75 (Ctmc.rate c ~src:0 ~dst:1)
 
 let test_average_bandwidth_in_range () =
-  let avg = Model.average_bandwidth (params ()) ~qos:qos3 in
+  let avg = average_bandwidth (params ()) ~qos:qos3 in
   Alcotest.(check bool) "within [100, 300]" true (avg >= 100. && avg <= 300.)
 
 let test_more_contention_lower_average () =
-  let light = Model.average_bandwidth (params ~p_f:0.05 ~p_s:0.05 ()) ~qos:qos3 in
-  let heavy = Model.average_bandwidth (params ~p_f:0.9 ~p_s:0.05 ()) ~qos:qos3 in
+  let light = average_bandwidth (params ~p_f:0.05 ~p_s:0.05 ()) ~qos:qos3 in
+  let heavy = average_bandwidth (params ~p_f:0.9 ~p_s:0.05 ()) ~qos:qos3 in
   Alcotest.(check bool)
     (Printf.sprintf "p_f up, average down (%.1f vs %.1f)" light heavy)
     true (heavy < light)
@@ -77,10 +81,11 @@ let test_validate_rejects () =
 
 let test_average_bandwidth_levels_mismatch () =
   Alcotest.check_raises "mismatch"
-    (Invalid_argument "Model.average_bandwidth: QoS levels do not match the chain")
+    (Invalid_argument "Model.average_bandwidth_regularized: QoS levels mismatch")
     (fun () ->
       ignore
-        (Model.average_bandwidth (params ()) ~qos:(Qos.paper_spec ~increment:50)))
+        (Model.average_bandwidth_regularized (params ())
+           ~qos:(Qos.paper_spec ~increment:50)))
 
 let test_degenerate_chain_regularised_to_ceiling () =
   (* All-identity matrices: no transitions observed (uncontended network).
@@ -99,13 +104,13 @@ let test_degenerate_chain_regularised_to_ceiling () =
     }
   in
   Alcotest.check_raises "singular" Linsolve.Singular (fun () ->
-      ignore (Model.stationary p));
+      ignore (Ctmc.stationary (Model.build p)));
   let avg = Model.average_bandwidth_regularized p ~qos:qos3 in
   Alcotest.check (Alcotest.float 0.5) "ceiling" 300. avg
 
 let test_regularisation_negligible_when_rates_exist () =
   let p = params () in
-  let plain = Model.average_bandwidth p ~qos:qos3 in
+  let plain = average_bandwidth p ~qos:qos3 in
   let reg = Model.average_bandwidth_regularized p ~qos:qos3 in
   Alcotest.check loose "negligible perturbation" plain reg
 

@@ -443,14 +443,15 @@ let test_broker_snapshot_hot_links () =
 (* ------------------------------------------------------------------ *)
 (* Live socket session                                                 *)
 
-let with_server f =
+let with_server ?trace_file f =
   let path =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "drqos-serve-test-%d.sock" (Unix.getpid ()))
   in
   let served =
-    Domain.spawn (fun () -> Serve_server.run ~wall_every:0.05 (`Unix path) (ring_net ()))
+    Domain.spawn (fun () ->
+        Serve_server.run ~wall_every:0.05 ?trace_file (`Unix path) (ring_net ()))
   in
   (* [join] waits for the server to finish shutting down — assertions
      about post-shutdown state (the socket file, say) must run after it,
@@ -462,7 +463,19 @@ let with_server f =
       ignore (Domain.join served)
     end
   in
-  Fun.protect ~finally:join (fun () -> f path join)
+  match f path join with
+  | v ->
+    join ();
+    v
+  | exception e ->
+    (* A failed check skipped the test's own shutdown: send one, or
+       [join] would wait for the daemon forever. *)
+    (try
+       ignore
+         (Serve_client.request (Serve_client.connect (`Unix path)) Serve_proto.Shutdown)
+     with Unix.Unix_error _ | Failure _ | Sys_error _ -> ());
+    join ();
+    raise e
 
 (* A bad output path must fail before the listener is bound: neither the
    socket file nor its fd may outlive the failed [run]. *)
@@ -610,6 +623,14 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
+(* A counter of the daemon's registry, read through the [metrics]
+   request. *)
+let counter c name =
+  match Serve_client.request c Serve_proto.Metrics with
+  | Serve_proto.Metrics_reply doc ->
+    Option.bind (Option.bind (Jsonx.member "counters" doc) (Jsonx.member name)) Jsonx.to_int
+  | _ -> Alcotest.fail "metrics request failed"
+
 (* Regression for unbounded input buffering: a client streaming bytes
    with no newline used to grow the daemon's memory without bound, at
    quadratic copying cost.  Past the 1 MiB line cap it gets one id-0
@@ -664,14 +685,8 @@ let test_socket_line_cap () =
       (match Serve_client.request c Serve_proto.Ping with
       | Serve_proto.Pong -> ()
       | _ -> Alcotest.fail "a second client's ping must still pong");
-      match Serve_client.request c Serve_proto.Metrics with
-      | Serve_proto.Metrics_reply doc ->
-        Alcotest.(check (option int)) "counted as undecodable" (Some 1)
-          (Option.bind
-             (Option.bind (Jsonx.member "counters" doc)
-                (Jsonx.member "serve.undecodable"))
-             Jsonx.to_int)
-      | _ -> Alcotest.fail "metrics request failed")
+      Alcotest.(check (option int)) "counted as undecodable" (Some 1)
+        (counter c "serve.undecodable"))
 
 (* Regression for the event-loop blocking fix (lint R8): replies and
    broadcasts are queued per connection and written by the select loop,
@@ -697,16 +712,7 @@ let test_socket_slow_subscriber_reaped () =
   (match Serve_client.request s (Serve_proto.Subscribe `Trace) with
   | Serve_proto.Subscribed _ -> ()
   | _ -> Alcotest.fail "subscribe failed");
-  let reaped_count c =
-    match Serve_client.request c Serve_proto.Metrics with
-    | Serve_proto.Metrics_reply doc ->
-      Option.value ~default:0
-        (Option.bind
-           (Option.bind (Jsonx.member "counters" doc)
-              (Jsonx.member "serve.reaped"))
-           Jsonx.to_int)
-    | _ -> Alcotest.fail "metrics request failed"
-  in
+  let reaped_count c = Option.value ~default:0 (counter c "serve.reaped") in
   (* A responsive client hammers mutations; each one is pushed to the
      subscriber, whose backlog (kernel buffer, then output queue) can
      only grow until the cap cuts it loose. *)
@@ -736,6 +742,128 @@ let test_socket_slow_subscriber_reaped () =
   | _ -> Alcotest.fail "shutdown not acknowledged");
   Serve_client.close c;
   Serve_client.close s
+
+(* The daemon serializes a trace or heartbeat line only for a reader
+   (the trace file or a subscribed connection) and then once, however
+   many readers get it; [serve.trace_lines] counts the lines built.
+   Requests [mark1] and [mark2] carry trace contexts, so every reader's
+   share of the stream between them can be cut out by rid. *)
+let trace_lines c =
+  match counter c "serve.trace_lines" with
+  | Some n -> n
+  | None -> Alcotest.fail "no serve.trace_lines counter"
+
+let mark1 = 1_000
+let mark2 = 2_000
+
+(* [rounds] admits between the two marked pings, each torn down again
+   at once, or only every second one with [~keep_half:true]. *)
+let marked_churn ?(keep_half = false) c ~rounds =
+  let ping rid =
+    match
+      Serve_client.request ~trace:{ Reqtrace.rid; t_sched = 0. } c Serve_proto.Ping
+    with
+    | Serve_proto.Pong -> ()
+    | _ -> Alcotest.fail "ping did not pong"
+  in
+  ping mark1;
+  for i = 1 to rounds do
+    match
+      Serve_client.request c
+        (Serve_proto.Admit { src = i mod 4; dst = (i + 1) mod 4; qos = qos_a })
+    with
+    | Serve_proto.Admitted _ when keep_half && i mod 2 = 1 -> ()
+    | Serve_proto.Admitted { channel; _ } -> (
+      match Serve_client.request c (Serve_proto.Teardown { channel }) with
+      | Serve_proto.Torn_down _ -> ()
+      | _ -> Alcotest.fail "teardown failed")
+    | _ -> Alcotest.fail "admit failed"
+  done;
+  ping mark2
+
+(* The lines from [mark1]'s first trace line through [mark2]'s last. *)
+let marked docs =
+  let rec from rid = function
+    | d :: rest when Option.bind (Jsonx.member "rid" d) Jsonx.to_int <> Some rid ->
+      from rid rest
+    | l -> l
+  in
+  List.map Jsonx.to_string (List.rev (from mark2 (List.rev (from mark1 docs))))
+
+let subscribe_trace c =
+  match Serve_client.request c (Serve_proto.Subscribe `Trace) with
+  | Serve_proto.Subscribed _ -> ()
+  | _ -> Alcotest.fail "subscribe failed"
+
+let test_socket_trace_lines_for_readers () =
+  with_server (fun path _join ->
+      let c = Serve_client.connect ~retries:50 (`Unix path) in
+      (* No subscriber, no file: nothing is serialized, heartbeat ticks
+         included. *)
+      marked_churn ~keep_half:true c ~rounds:20;
+      Unix.sleepf 0.15;
+      Alcotest.(check int) "no reader, no line" 0 (trace_lines c);
+      (* One trace subscriber: one line per push it drains. *)
+      let s = Serve_client.connect (`Unix path) in
+      subscribe_trace s;
+      let before = trace_lines s in
+      ignore (Serve_client.pushes s);
+      marked_churn c ~rounds:20;
+      let after = trace_lines s in
+      let pushes = Serve_client.pushes s in
+      Alcotest.(check int) "one line per push" (List.length pushes) (after - before);
+      Alcotest.(check bool) "the churn was pushed" true
+        (List.length (marked pushes) > 20);
+      (* Two trace subscribers: the same lines, each built once. *)
+      let s2 = Serve_client.connect (`Unix path) in
+      subscribe_trace s2;
+      marked_churn c ~rounds:10;
+      let both = trace_lines s in
+      let pushes = Serve_client.pushes s in
+      Alcotest.(check int) "one line per event, not per reader"
+        (List.length pushes) (both - after);
+      (match Serve_client.request s2 Serve_proto.Ping with
+      | Serve_proto.Pong -> ()
+      | _ -> Alcotest.fail "ping did not pong");
+      let pushes2 = Serve_client.pushes s2 in
+      Alcotest.(check bool) "the churn was pushed" true
+        (List.length (marked pushes) > 10);
+      Alcotest.(check (list string)) "both subscribers get the same lines"
+        (marked pushes) (marked pushes2);
+      (match Serve_client.request c Serve_proto.Shutdown with
+      | Serve_proto.Shutting_down -> ()
+      | _ -> Alcotest.fail "shutdown not acknowledged");
+      List.iter Serve_client.close [ c; s; s2 ])
+
+(* With [~trace_file], the file and a trace subscriber get the same
+   lines for the same requests. *)
+let test_socket_trace_file_matches_pushes () =
+  let trace_file =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "drqos-trace-lines-%d.jsonl" (Unix.getpid ()))
+  in
+  with_server ~trace_file (fun path join ->
+      let s = Serve_client.connect ~retries:50 (`Unix path) in
+      subscribe_trace s;
+      let c = Serve_client.connect (`Unix path) in
+      marked_churn c ~rounds:20;
+      (match Serve_client.request s Serve_proto.Ping with
+      | Serve_proto.Pong -> ()
+      | _ -> Alcotest.fail "ping did not pong");
+      let pushes = marked (Serve_client.pushes s) in
+      (match Serve_client.request c Serve_proto.Shutdown with
+      | Serve_proto.Shutting_down -> ()
+      | _ -> Alcotest.fail "shutdown not acknowledged");
+      List.iter Serve_client.close [ c; s ];
+      join ();
+      let file =
+        In_channel.with_open_text trace_file In_channel.input_lines
+        |> List.map Jsonx.of_string |> marked
+      in
+      Sys.remove trace_file;
+      Alcotest.(check bool) "the churn reached the file" true (List.length file > 20);
+      Alcotest.(check (list string)) "the file has the subscriber's lines" pushes file)
 
 (* ------------------------------------------------------------------ *)
 (* Request tracing                                                     *)
@@ -957,6 +1085,10 @@ let () =
             test_bad_trace_file;
           Alcotest.test_case "slow dir without a parent leaves no socket"
             `Quick test_bad_slow_dir;
+          Alcotest.test_case "trace lines are built once, only for a reader"
+            `Slow test_socket_trace_lines_for_readers;
+          Alcotest.test_case "trace file lines equal a subscriber's pushes"
+            `Slow test_socket_trace_file_matches_pushes;
         ] );
       ( "reqtrace",
         [
