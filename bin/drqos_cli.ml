@@ -99,17 +99,25 @@ let make_obs ?(profile = false) ?flight ~trace ~metrics () =
   | Some path ->
     (* Validate writability now, not after a long run. *)
     close_out (open_out_or_exit path));
-  let tracer =
+  let sink =
     match (trace, trace_oc) with
-    | Some "-", _ -> Trace.create (Trace.console_sink stdout)
-    | _, Some oc -> Trace.create (Trace.jsonl_sink oc)
-    | _, None -> Trace.disabled
+    | Some "-", _ -> Some (Trace.console_sink stdout)
+    | _, Some oc -> Some (Trace.jsonl_sink oc)
+    | _, None -> None
+  in
+  (* A flight ring records every event, whether or not a sink follows it. *)
+  let tracer =
+    match (flight, sink) with
+    | Some ring, sink ->
+      Trace.create (Flight.sink ring (Option.value sink ~default:Trace.null_sink))
+    | None, Some sink -> Trace.create sink
+    | None, None -> Trace.disabled
   in
   let registry =
     match metrics with None -> Metrics.disabled | Some _ -> Metrics.create ()
   in
   let spans = if profile then Span.create () else Span.disabled in
-  let obs = Obs.create ~metrics:registry ~trace:tracer ~spans ?flight () in
+  let obs = Obs.create ~metrics:registry ~trace:tracer ~spans () in
   Obs.close_at_exit obs;
   obs
 
@@ -273,11 +281,8 @@ let run_cmd =
        metrics sinks: a bad --heartbeat path must exit before any other
        output file has been created (regression covered in test_cli). *)
     let hb_oc = Option.map open_out_or_exit heartbeat in
-    let obs =
-      make_obs ~profile ~trace ~metrics
-        ~flight:(Flight.create ~capacity:2048 ()) ()
-    in
-    Obs.set_flight_dump obs flight_dump;
+    let ring = Flight.create ~capacity:2048 () in
+    let obs = make_obs ~profile ~trace ~metrics ~flight:ring () in
     let snapshot =
       Option.map
         (fun oc ->
@@ -286,19 +291,17 @@ let run_cmd =
         hb_oc
     in
     (* The protect (plus the at_exit hook in [make_obs]) flushes the
-       trace sink — and dumps the flight recorder — even when the run
-       raises mid-way. *)
+       trace sink even when the run raises mid-way, the one case in
+       which [Flight.dump_on_raise] writes the flight recorder. *)
     Fun.protect
       ~finally:(fun () ->
-        (match Obs.dump_flight obs with
-        | Some path -> Format.eprintf "flight recorder dumped to %s@." path
-        | None -> ());
         Option.iter close_out hb_oc;
         Obs.close obs)
     @@ fun () ->
     let t0 = Clock.now () in
-    let r = Scenario.run ~obs ?snapshot cfg in
-    Obs.cancel_flight_dump obs;
+    let r =
+      Flight.dump_on_raise ring flight_dump (fun () -> Scenario.run ~obs ?snapshot cfg)
+    in
     let wall_s = Clock.elapsed_since t0 in
     Format.printf "%a@." Scenario.pp_result r;
     Format.printf "level distribution (time-weighted):@.";

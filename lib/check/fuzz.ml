@@ -135,11 +135,11 @@ let replay ?(extra_invariant = fun (_ : Drcomm.t) -> ()) cfg (ops : Op.t array) 
   let n = Graph.node_count g in
   let ec = Graph.edge_count g in
   let metrics = Metrics.create () in
-  (* Always-on flight recorder: replays are fully deterministic, so the
-     ring's tail is a black box of the trace events leading into a
-     violation, with the op index as the time axis. *)
+  (* Always-on flight recorder: replays are deterministic, so the ring's
+     tail is the events leading into a violation, op index as time axis. *)
   let flight = Flight.create ~capacity:256 () in
-  let obs = Obs.create ~metrics ~flight () in
+  let trace = Trace.create (Flight.sink flight Trace.null_sink) in
+  let obs = Obs.create ~metrics ~trace () in
   let net =
     Net_state.create ~multiplexing:cfg.multiplexing ~capacity:cfg.capacity g
   in

@@ -261,6 +261,8 @@ let remove_live t ch =
 let add_churn t links =
   List.iter (fun dl -> t.churn_on_link.(dl) <- t.churn_on_link.(dl) + 1) links
 
+(* Link writes, churn and counters go per increment; the trace records
+   each move once, from [retreat_extras_on] and [redistribute_flush]. *)
 let set_level t ch lvl =
   if lvl <> ch.level then begin
     let bw = bandwidth_at ch lvl in
@@ -268,11 +270,6 @@ let set_level t ch lvl =
       ch.primary;
     add_churn t ch.primary;
     if lvl > ch.level then Metrics.incr t.m_upgrades else Metrics.incr t.m_retreats;
-    if Obs.tracing t.obs then
-      Obs.event t.obs
-        (if lvl > ch.level then
-           Trace.Upgrade { channel = ch.id; from_level = ch.level; to_level = lvl }
-         else Trace.Retreat { channel = ch.id; from_level = ch.level; to_level = lvl });
     note_level t ch lvl
   end
 
@@ -365,16 +362,36 @@ let redistribute_flush t =
     t.dirty_n <- 0;
     match !candidates with
     | [] -> ()
-    | candidates ->
+    | candidates -> (
+      (* Under a tracer, a channel's first grant of the flush notes its
+         level (a second mark generation, so no new field), and each
+         channel that rose gets one [Upgrade] after the run. *)
+      let moved = if Obs.tracing t.obs then Some (next_mark t, ref []) else None in
+      let grant ch =
+        (match moved with
+        | Some (first, acc) when ch.mark <> first ->
+          ch.mark <- first;
+          acc := (ch, ch.level) :: !acc
+        | _ -> ());
+        grant_increment t ch
+      in
       let env =
         {
           Policy.claim;
           can_upgrade = (fun ch -> can_upgrade t ch);
-          grant = (fun ch -> grant_increment t ch);
+          grant;
           tie = (fun a b -> compare a.id b.id);
         }
       in
-      t.cfg.Config.policy.Policy.run env candidates
+      t.cfg.Config.policy.Policy.run env candidates;
+      match moved with
+      | None -> ()
+      | Some (_, acc) ->
+        List.iter
+          (fun (ch, from_level) ->
+            Obs.event t.obs
+              (Trace.Upgrade { channel = ch.id; from_level; to_level = ch.level }))
+          (List.rev !acc))
   end
 
 let redistribute_pending t = redistribute_flush t
@@ -485,6 +502,9 @@ let retreat_extras_on t ?exclude links =
     (fun ch ->
       let before = ch.level in
       set_level t ch 0;
+      if Obs.tracing t.obs then
+        Obs.event t.obs
+          (Trace.Retreat { channel = ch.id; from_level = before; to_level = 0 });
       add_dirty_path t ch.primary;
       (ch, before))
     (distinct_on t ?exclude extras links)

@@ -116,7 +116,10 @@ val create : ?config:Config.t -> ?obs:Obs.t -> Net_state.t -> t
     [drcomm.backup_losses], [drcomm.drops], [drcomm.restores]; and the
     trace events [Admit], [Reject], [Terminate], [Upgrade], [Retreat],
     [Link_fail], [Link_repair], [Backup_activate], [Backup_lost],
-    [Drop], [Restore].  Timestamps come from the context's clock (see
+    [Drop], [Restore].  Each level move is traced once: a retreat as
+    one [Retreat] to the floor, a water-filling flush as one [Upgrade]
+    per channel it raised, while [drcomm.elastic_upgrades] counts the
+    increments.  Timestamps come from the context's clock (see
     {!Obs.set_clock}).
 
     Telemetry beyond the counters: the high watermark

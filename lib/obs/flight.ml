@@ -2,28 +2,21 @@
    [seen mod capacity]; recording is two stores and a bump, cheap enough
    to leave on under a full fuzz run. *)
 
-type t = {
-  on : bool;
-  times : float array;
-  evs : Trace.event option array;
-  mutable seen : int;
-}
-
-let disabled = { on = false; times = [||]; evs = [||]; seen = 0 }
+type t = { times : float array; evs : Trace.event option array; mutable seen : int }
 
 let create ?(capacity = 1024) () =
   if capacity < 1 then invalid_arg "Flight.create: capacity >= 1";
-  { on = true; times = Array.make capacity 0.; evs = Array.make capacity None; seen = 0 }
+  { times = Array.make capacity 0.; evs = Array.make capacity None; seen = 0 }
 
-let enabled t = t.on
-
-let record t ~time ev =
-  if t.on then begin
+let sink t (inner : Trace.sink) =
+  let emit time ev =
     let i = t.seen mod Array.length t.evs in
     t.times.(i) <- time;
     t.evs.(i) <- Some ev;
-    t.seen <- t.seen + 1
-  end
+    t.seen <- t.seen + 1;
+    inner.emit time ev
+  in
+  { Trace.emit; close = inner.close }
 
 let size t = min t.seen (Array.length t.evs)
 
@@ -38,12 +31,6 @@ let events t =
       match t.evs.(i) with
       | Some ev -> (t.times.(i), ev)
       | None -> assert false)
-
-let clear t =
-  if t.on then begin
-    Array.fill t.evs 0 (Array.length t.evs) None;
-    t.seen <- 0
-  end
 
 let header ~retained ~seen =
   Trace.Note
@@ -73,3 +60,16 @@ let dump_to_file t path =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
       dump_with ~seen:t.seen (events t) oc)
+
+(* A failing dump write must not mask the failure that triggered it. *)
+let dump_on_raise t path f =
+  match f () with
+  | v -> v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    (if size t > 0 then
+       try
+         dump_to_file t path;
+         Printf.eprintf "flight recorder dumped to %s\n%!" path
+       with Sys_error _ -> ());
+    Printexc.raise_with_backtrace e bt

@@ -1,13 +1,12 @@
 (** Crash flight recorder: a bounded ring of the most recent trace
     events.
 
-    The recorder retains the last-N [(time, event)] pairs even when the
-    trace sink is off — {!Obs.tracing} reports true whenever a recorder
-    is attached, so instrumented call sites keep constructing events and
-    {!Obs.event} routes them here.  Nothing is written anywhere until
-    {!dump_to_file}: the black box only surfaces on a crash (the
-    {!Obs.close_at_exit}/[Fun.protect] path) or an invariant violation
-    ([lib/check]).
+    The recorder is a stage in a trace sink chain: {!sink} records each
+    event in the ring and forwards it to the next sink, which may be
+    {!Trace.null_sink} when no trace output is wanted.  Nothing is
+    written anywhere until a dump: the black box only surfaces on a
+    crash ({!dump_on_raise}), a slow request (the daemon's
+    [--slow-dir]) or an invariant violation ([lib/check]).
 
     Dumps are plain trace JSONL (each retained event through
     {!Trace.to_json}, prefixed by one [note] line with the drop count),
@@ -16,18 +15,12 @@
 
 type t
 
-val disabled : t
-(** The shared no-op recorder: {!enabled} is false, {!record} is one
-    load and one branch. *)
-
 val create : ?capacity:int -> unit -> t
-(** A live recorder retaining the last [capacity] (default 1024)
-    events. *)
+(** A recorder retaining the last [capacity] (default 1024) events. *)
 
-val enabled : t -> bool
-
-val record : t -> time:float -> Trace.event -> unit
-(** Append one event, evicting the oldest when full. *)
+val sink : t -> Trace.sink -> Trace.sink
+(** [sink ring inner] records each event in [ring], evicting the oldest
+    when full, then forwards it to [inner]; closing it closes [inner]. *)
 
 val size : t -> int
 (** Events currently retained ([<= capacity]). *)
@@ -38,8 +31,6 @@ val seen : t -> int
 val events : t -> (float * Trace.event) list
 (** Retained events, oldest first. *)
 
-val clear : t -> unit
-
 val dump_to_file : t -> string -> unit
 (** Write the black box to a fresh file as trace JSONL: a [note] header
     line ([name = "flight_recorder"], retained/seen/dropped counts)
@@ -48,3 +39,9 @@ val dump_to_file : t -> string -> unit
 val dump_events : (float * Trace.event) list -> out_channel -> unit
 (** The same dump for an event list captured earlier (e.g. a fuzz
     failure's black box after further replays overwrote the recorder). *)
+
+val dump_on_raise : t -> string -> (unit -> 'a) -> 'a
+(** [dump_on_raise ring path f] runs [f].  If it raises, a non-empty
+    ring is dumped to [path] (reported on stderr) before the exception
+    is re-raised with its backtrace; on success nothing is written.  A
+    dump that cannot be written is skipped. *)

@@ -1,5 +1,5 @@
 type t = {
-  mutable on : bool;
+  on : bool;
   counters : (string, counter) Hashtbl.t;
   gauges : (string, gauge) Hashtbl.t;
   hwms : (string, hwm) Hashtbl.t;
@@ -39,25 +39,23 @@ let bucket_index x =
 let bucket_mid i =
   bucket_lo *. (10. ** ((float_of_int i +. 0.5) /. float_of_int buckets_per_decade))
 
-let create ?(enabled = true) () =
+let registry on =
   {
-    on = enabled;
+    on;
     counters = Hashtbl.create 16;
     gauges = Hashtbl.create 16;
     hwms = Hashtbl.create 16;
     timers = Hashtbl.create 16;
   }
 
+let create () = registry true
+
 (* The shared no-op registry: instruments minted from it keep their
-   [on = false] check forever (it is never enabled), so instrumented hot
-   paths cost one load and one branch when observability is off. *)
-let disabled = create ~enabled:false ()
+   [on = false] check forever, so instrumented hot paths cost one load
+   and one branch when observability is off. *)
+let disabled = registry false
 
 let enabled t = t.on
-
-let set_enabled t flag =
-  if t == disabled then invalid_arg "Metrics.set_enabled: the shared disabled registry";
-  t.on <- flag
 
 let intern table name make =
   match Hashtbl.find_opt table name with

@@ -15,17 +15,14 @@ type gauge
 type hwm
 type timer
 
-val create : ?enabled:bool -> unit -> t
-(** A fresh registry; [enabled] defaults to [true]. *)
+val create : unit -> t
+(** A fresh, live registry. *)
 
 val disabled : t
-(** The shared always-off registry.  {!set_enabled} rejects it, so
-    instruments minted from it are no-ops forever. *)
+(** The shared always-off registry: instruments minted from it are
+    no-ops forever. *)
 
 val enabled : t -> bool
-
-val set_enabled : t -> bool -> unit
-(** Raises [Invalid_argument] on {!disabled}. *)
 
 val counter : t -> string -> counter
 (** Interned by name: two calls with the same name return the same

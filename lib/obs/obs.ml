@@ -2,49 +2,24 @@ type t = {
   metrics : Metrics.t;
   trace : Trace.t;
   spans : Span.t;
-  flight : Flight.t;
-  mutable flight_dump : string option;
-  mutable flight_dumped : bool;
   mutable clock : unit -> float;
 }
 
 let zero_clock () = 0.
 
-let null =
-  {
-    metrics = Metrics.disabled;
-    trace = Trace.disabled;
-    spans = Span.disabled;
-    flight = Flight.disabled;
-    flight_dump = None;
-    flight_dumped = false;
-    clock = zero_clock;
-  }
-
 let create ?(metrics = Metrics.disabled) ?(trace = Trace.disabled)
-    ?(spans = Span.disabled) ?(flight = Flight.disabled) () =
-  {
-    metrics;
-    trace;
-    spans;
-    flight;
-    flight_dump = None;
-    flight_dumped = false;
-    clock = zero_clock;
-  }
+    ?(spans = Span.disabled) () =
+  { metrics; trace; spans; clock = zero_clock }
+
+let null = create ()
 
 let metrics t = t.metrics
 let spans t = t.spans
-let flight t = t.flight
 
 let enabled t =
   Metrics.enabled t.metrics || Trace.enabled t.trace || Span.enabled t.spans
-  || Flight.enabled t.flight
 
-(* The flight recorder consumes the same events as the tracer, so call
-   sites guarding event construction with [tracing] feed it even when
-   the trace sink itself is off. *)
-let tracing t = Trace.enabled t.trace || Flight.enabled t.flight
+let tracing t = Trace.enabled t.trace
 let profiling t = Span.enabled t.spans
 
 let set_clock t f = if t != null then t.clock <- f
@@ -67,28 +42,7 @@ let counter t name = Metrics.counter t.metrics name
 let gauge t name = Metrics.gauge t.metrics name
 let timer t name = Metrics.timer t.metrics name
 
-let event t ev =
-  if Trace.enabled t.trace then Trace.emit t.trace ~time:(t.clock ()) ev;
-  if Flight.enabled t.flight then Flight.record t.flight ~time:(t.clock ()) ev
-
-(* ------------------------------------------------------------------ *)
-(* Flight-recorder crash dump                                          *)
-
-let set_flight_dump t path =
-  if t != null then begin
-    t.flight_dump <- Some path;
-    t.flight_dumped <- false
-  end
-
-let cancel_flight_dump t = t.flight_dump <- None
-
-let dump_flight t =
-  match t.flight_dump with
-  | Some path when (not t.flight_dumped) && Flight.size t.flight > 0 ->
-    t.flight_dumped <- true;
-    Flight.dump_to_file t.flight path;
-    Some path
-  | _ -> None
+let event t ev = if Trace.enabled t.trace then Trace.emit t.trace ~time:(t.clock ()) ev
 
 (* Spans are timed (metrics timer [phase.<name>]), profiled
    (hierarchical {!Span} record when a profiler is attached) and traced.
@@ -133,12 +87,5 @@ let close t = Trace.close t.trace
 (* [Trace.close] is idempotent, so the at_exit hook is safe alongside
    an explicit close on the normal path; it exists for the abnormal
    ones — an uncaught exception or a mid-run [exit] must not lose the
-   buffered JSONL tail.  The flight dump fires here too: an armed
-   recorder writes its black box on any exit path that did not
-   explicitly cancel it. *)
-let close_at_exit t =
-  at_exit (fun () ->
-      (* A failing dump write at exit must not mask the original
-         failure or block the trace flush below. *)
-      (try ignore (dump_flight t) with Sys_error _ -> ());
-      close t)
+   buffered JSONL tail. *)
+let close_at_exit t = at_exit (fun () -> close t)

@@ -56,7 +56,8 @@ type event =
       (** ["no_primary_route"] or ["no_backup_route"]. *)
   | Terminate of { channel : int }
   | Upgrade of { channel : int; from_level : int; to_level : int }
-      (** Elastic water-filling granted increments. *)
+      (** Elastic water-filling raised the channel: one event per
+          channel per flush, [to_level - from_level] increments. *)
   | Retreat of { channel : int; from_level : int; to_level : int }
       (** Channel fell back toward its floor. *)
   | Link_fail of { edge : int }

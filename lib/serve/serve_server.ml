@@ -397,13 +397,11 @@ let run ?config ?(wall_every = 1.0) ?slo ?trace_file ?slow_dir
   (* A flight ring rides along when slow-request dumps are wanted: each
      exemplar dump then carries the events preceding the slow request,
      not just its own breakdown. *)
-  let flight =
-    match slow_dir with None -> None | Some _ -> Some (Flight.create ())
+  let slow = Option.map (fun dir -> (dir, Flight.create ())) slow_dir in
+  let sink =
+    match slow with Some (_, ring) -> Flight.sink ring trace_sink | None -> trace_sink
   in
-  let obs =
-    Obs.create ~metrics:(Metrics.create ())
-      ~trace:(Trace.create trace_sink) ?flight ()
-  in
+  let obs = Obs.create ~metrics:(Metrics.create ()) ~trace:(Trace.create sink) () in
   let broker = Serve_broker.create ?config ~obs net in
   (* Slow-request exemplars: the breakdown lands in the trace as a
      [slow_request] note; the first few also dump the flight ring so
@@ -411,14 +409,14 @@ let run ?config ?(wall_every = 1.0) ?slo ?trace_file ?slow_dir
   let slow_dumped = ref 0 in
   let on_exemplar ex =
     Obs.event obs (Reqtrace.exemplar_note ex);
-    match slow_dir with
-    | Some dir when !slow_dumped < 8 ->
+    match slow with
+    | Some (dir, ring) when !slow_dumped < 8 ->
       incr slow_dumped;
       let path =
         Filename.concat dir
           (Printf.sprintf "slow_%d.jsonl" (abs ex.Reqtrace.ex_rid))
       in
-      Flight.dump_to_file (Obs.flight obs) path
+      Flight.dump_to_file ring path
     | Some _ | None -> ()
   in
   let reqtrace = Reqtrace.create ?slo ~on_exemplar obs in

@@ -1,5 +1,31 @@
 let recommended_jobs () = Domain.recommended_domain_count ()
 
+(* The one worker-pool protocol: [workers] domains each run
+   [body w wobs guard] on a private fork [wobs] of [obs], wrapping each
+   failure-isolated unit of work as [guard slot f].  After every domain
+   joins, the forks are merged back into [obs] and the failure of the
+   lowest slot is re-raised with its backtrace.  Each slot is written by
+   one domain only, and [Domain.join] orders those writes before our
+   reads. *)
+let pool ~obs ~slots workers body =
+  let errors = Array.make slots None in
+  let guard slot f =
+    match f () with
+    | () -> ()
+    | exception e -> errors.(slot) <- Some (e, Printexc.get_raw_backtrace ())
+  in
+  let spawn w =
+    Domain.spawn (fun () ->
+        let wobs = Obs.fork obs in
+        body w wobs guard;
+        wobs)
+  in
+  let forks = Array.map Domain.join (Array.init workers spawn) in
+  Array.iter (fun wobs -> Obs.absorb ~into:obs wobs) forks;
+  Array.iter
+    (function Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
+    errors
+
 let map ?jobs ?(obs = Obs.null) f points =
   let jobs = match jobs with Some j -> j | None -> recommended_jobs () in
   if jobs < 1 then invalid_arg "Sweep.map: jobs must be >= 1";
@@ -9,33 +35,18 @@ let map ?jobs ?(obs = Obs.null) f points =
   if workers <= 1 then List.map (f obs) points
   else begin
     let results = Array.make n None in
-    let errors = Array.make n None in
     let next = Atomic.make 0 in
-    (* Each worker pulls the next unclaimed index; every cell is written
-       by exactly one domain, and [Domain.join] orders those writes
-       before our reads. *)
-    let worker () =
-      let wobs = Obs.fork obs in
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          (match f wobs items.(i) with
-          | r -> results.(i) <- Some r
-          | exception e -> errors.(i) <- Some (e, Printexc.get_raw_backtrace ()));
-          loop ()
-        end
-      in
-      loop ();
-      wobs
-    in
-    let domains = Array.init workers (fun _ -> Domain.spawn worker) in
-    let forks = Array.map Domain.join domains in
-    Array.iter (fun w -> Obs.absorb ~into:obs w) forks;
-    Array.iter
-      (function
-        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-        | None -> ())
-      errors;
+    (* Each worker pulls the next unclaimed index, so a failing point is
+       its own slot and the worker moves on to the next one. *)
+    pool ~obs ~slots:n workers (fun _ wobs guard ->
+        let rec loop () =
+          let i = Atomic.fetch_and_add next 1 in
+          if i < n then begin
+            guard i (fun () -> results.(i) <- Some (f wobs items.(i)));
+            loop ()
+          end
+        in
+        loop ());
     Array.to_list
       (Array.map (function Some r -> r | None -> assert false) results)
   end
@@ -57,7 +68,6 @@ let open_loop ?jobs ?(obs = Obs.null) ?(timer = "open_loop.latency")
   else begin
     let workers = min jobs n in
     let lags = Array.make workers 0. in
-    let errors = Array.make workers None in
     (* One schedule origin for every domain: operation [i] is due at
        [t0 + arrivals.(i)] on the shared monotonic clock. *)
     let t0 = Clock.now () in
@@ -94,25 +104,9 @@ let open_loop ?jobs ?(obs = Obs.null) ?(timer = "open_loop.latency")
           done)
     in
     if workers = 1 then run 0 obs
-    else begin
-      let spawn w =
-        Domain.spawn (fun () ->
-            let wobs = Obs.fork obs in
-            (match run w wobs with
-            | () -> ()
-            | exception e ->
-              errors.(w) <- Some (e, Printexc.get_raw_backtrace ()));
-            wobs)
-      in
-      let domains = Array.init workers spawn in
-      let forks = Array.map Domain.join domains in
-      Array.iter (fun wobs -> Obs.absorb ~into:obs wobs) forks;
-      Array.iter
-        (function
-          | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-          | None -> ())
-        errors
-    end;
+    else
+      pool ~obs ~slots:workers workers (fun w wobs guard ->
+          guard w (fun () -> run w wobs));
     let wall_s = Clock.now () -. t0 in
     {
       sent = n;

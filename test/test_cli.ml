@@ -136,6 +136,21 @@ let test_bad_heartbeat_path_leaves_no_trace_file () =
   Alcotest.(check int) "bad heartbeat path exits 1" 1 code;
   Alcotest.(check bool) "trace file never created" false trace_exists
 
+(* The flight recorder is dumped only when a run raises: a run that
+   completes leaves nothing at --flight-dump. *)
+let test_run_success_writes_no_flight_dump () =
+  let dump = Filename.temp_file "drqos_cli" ".flight.jsonl" in
+  Sys.remove dump;
+  let code =
+    exit_of
+      (Printf.sprintf "%s run --offered 5 --churn 5 --warmup 0 --flight-dump %s"
+         cli dump)
+  in
+  let left = Sys.file_exists dump in
+  if left then Sys.remove dump;
+  Alcotest.(check int) "run exits 0" 0 code;
+  Alcotest.(check bool) "no flight dump after a completed run" false left
+
 let test_bad_trace_path_exits_1 () =
   Alcotest.(check int) "bad --trace path exits 1" 1
     (exit_of
@@ -538,6 +553,8 @@ let () =
             test_bad_heartbeat_path_leaves_no_trace_file;
           Alcotest.test_case "bad trace/metrics paths exit 1" `Quick
             test_bad_trace_path_exits_1;
+          Alcotest.test_case "completed run writes no flight dump" `Quick
+            test_run_success_writes_no_flight_dump;
           Alcotest.test_case "loadgen bad output fails before replay" `Quick
             test_loadgen_bad_output_fails_first;
           Alcotest.test_case "serve bad output fails before bind" `Quick

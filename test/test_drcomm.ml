@@ -632,7 +632,7 @@ let soak ?(backups = 1) seed ops =
    emitted a trace event) even when the edge was healthy, so counters
    diverged from reality on the very first redundant repair. *)
 let test_repair_idempotent_metrics () =
-  let metrics = Metrics.create ~enabled:true () in
+  let metrics = Metrics.create () in
   let obs = Obs.create ~metrics () in
   let g = Graph.create 4 in
   let e01 = Graph.add_edge g 0 1 in
@@ -1035,8 +1035,9 @@ let test_admit_major_words () =
 (* [hot_links] is an exact count that is always on.  The service under
    test runs on the default (null) context; a traced twin replays the
    same operations, and its trace gives the expected counts without
-   Drcomm's own counter: one unit per primary link of the channel named
-   by each Admit, Upgrade, Retreat and Terminate event. *)
+   Drcomm's own counter: on each primary link of the channel it names,
+   one unit per Admit, Retreat and Terminate event, and one per granted
+   increment ([to_level - from_level]) of an Upgrade. *)
 let test_hot_links_exact () =
   let ops t =
     let primaries = Hashtbl.create 8 in
@@ -1074,17 +1075,19 @@ let test_hot_links_exact () =
   in
   let primaries = ops twin in
   let counts = Hashtbl.create 8 in
+  let churn channel units =
+    List.iter
+      (fun dl ->
+        Hashtbl.replace counts dl
+          (units + Option.value ~default:0 (Hashtbl.find_opt counts dl)))
+      (Hashtbl.find primaries channel)
+  in
   List.iter
     (function
-      | Trace.Admit { channel; _ }
-      | Trace.Upgrade { channel; _ }
-      | Trace.Retreat { channel; _ }
-      | Trace.Terminate { channel } ->
-        List.iter
-          (fun dl ->
-            Hashtbl.replace counts dl
-              (1 + Option.value ~default:0 (Hashtbl.find_opt counts dl)))
-          (Hashtbl.find primaries channel)
+      | Trace.Admit { channel; _ } | Trace.Retreat { channel; _ } | Trace.Terminate { channel }
+        ->
+        churn channel 1
+      | Trace.Upgrade { channel; from_level; to_level } -> churn channel (to_level - from_level)
       | _ -> ())
     !events;
   let expected =
@@ -1101,6 +1104,95 @@ let test_hot_links_exact () =
         (List.filteri (fun i _ -> i < k) expected)
         (Drcomm.hot_links service ~k))
     [ 1; 2; 3; 4; List.length expected; 100 ]
+
+(* --- Trace contract --- *)
+
+(* The trace records each level move once.  Without restoration every
+   operation flushes water-filling once, so an operation traces at most
+   one Upgrade per channel, rising; the moves' increments sum to the
+   [drcomm.elastic_upgrades] counter; and replaying them from each
+   event's [from_level] reproduces every live channel's level.  A backup
+   activation restarts its channel at the floor. *)
+let test_trace_one_move_per_channel () =
+  let rng = Prng.create 11 in
+  let g = Torus.generate ~rows:4 ~cols:4 in
+  let metrics = Metrics.create () in
+  let events = ref [] in
+  let sink = { Trace.emit = (fun _ ev -> events := ev :: !events); close = ignore } in
+  let obs = Obs.create ~metrics ~trace:(Trace.create sink) () in
+  let t = Drcomm.create ~obs (Net_state.create ~capacity:1000 g) in
+  let levels = Hashtbl.create 64 in
+  let level ch = Option.value ~default:0 (Hashtbl.find_opt levels ch) in
+  let move op ch ~from_level ~to_level =
+    if from_level <> level ch then
+      Alcotest.failf "%s: channel %d moves from %d, the replay has it at %d" op ch
+        from_level (level ch);
+    Hashtbl.replace levels ch to_level
+  in
+  let granted = ref 0 and multi = ref 0 and activations = ref 0 in
+  let check op =
+    let raised = Hashtbl.create 8 in
+    List.iter
+      (function
+        | Trace.Upgrade { channel; from_level; to_level } ->
+          if Hashtbl.mem raised channel then
+            Alcotest.failf "%s: channel %d upgraded twice in one flush" op channel;
+          Hashtbl.replace raised channel ();
+          if from_level >= to_level then
+            Alcotest.failf "%s: upgrade %d -> %d does not rise" op from_level to_level;
+          if to_level - from_level > 1 then incr multi;
+          granted := !granted + to_level - from_level;
+          move op channel ~from_level ~to_level
+        | Trace.Retreat { channel; from_level; to_level } ->
+          move op channel ~from_level ~to_level
+        | Trace.Backup_activate { channel; _ } ->
+          incr activations;
+          Hashtbl.replace levels channel 0
+        | _ -> ())
+      (List.rev !events);
+    events := []
+  in
+  let random_qos () =
+    let b_min = 100 * (1 + Prng.int rng 3) in
+    Qos.make ~b_min ~b_max:(b_min + (100 * Prng.int rng 4)) ~increment:100
+      ~utility:(0.5 +. Prng.float rng 4.) ()
+  in
+  let live () = Drcomm.active_channels t in
+  for _ = 1 to 400 do
+    let dice = Prng.int rng 100 in
+    if dice < 45 then begin
+      let src, dst = Prng.sample_distinct_pair rng (Graph.node_count g) in
+      ignore (Drcomm.admit t ~src ~dst ~qos:(random_qos ()));
+      check "admit"
+    end
+    else if dice < 70 && live () <> [] then begin
+      ignore (Drcomm.terminate t (Prng.pick_list rng (live ())));
+      check "terminate"
+    end
+    else if dice < 85 && live () <> [] then begin
+      ignore (Drcomm.change_qos t (Prng.pick_list rng (live ())) (random_qos ()));
+      check "change_qos"
+    end
+    else if dice < 93 then begin
+      ignore (Drcomm.fail_edge t (Prng.int rng (Graph.edge_count g)));
+      check "fail_edge"
+    end
+    else
+      match Net_state.failed_edges (Drcomm.net t) with
+      | [] -> ()
+      | es -> Drcomm.repair_edge t (Prng.pick_list rng es)
+  done;
+  Alcotest.(check bool) "some flush raised a channel by several increments" true
+    (!multi > 0);
+  Alcotest.(check bool) "some failure activated a backup" true (!activations > 0);
+  Alcotest.(check int) "the moves sum to drcomm.elastic_upgrades"
+    (Metrics.count (Metrics.counter metrics "drcomm.elastic_upgrades"))
+    !granted;
+  List.iter
+    (fun ch ->
+      Alcotest.(check int) "replayed level" (Drcomm.level t ch)
+        (level (Drcomm.Channel_id.to_int ch)))
+    (live ())
 
 let () =
   Alcotest.run "drcomm"
@@ -1207,6 +1299,11 @@ let () =
         [
           Alcotest.test_case "hot links are exact counts" `Quick
             test_hot_links_exact;
+        ] );
+      ( "trace",
+        [
+          Alcotest.test_case "one move per channel per flush" `Quick
+            test_trace_one_move_per_channel;
         ] );
       ( "allocation",
         [

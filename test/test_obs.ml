@@ -186,19 +186,7 @@ let test_metrics_disabled_is_noop () =
   let tm = Metrics.timer Metrics.disabled "never_t" in
   let ran = Metrics.time tm (fun () -> 123) in
   Alcotest.(check int) "thunk still runs" 123 ran;
-  Alcotest.(check int) "disabled timer records nothing" 0 (Metrics.timer_count tm);
-  Alcotest.(check bool) "cannot enable the shared registry" true
-    (match Metrics.set_enabled Metrics.disabled true with
-    | exception Invalid_argument _ -> true
-    | () -> false)
-
-let test_metrics_toggle () =
-  let reg = Metrics.create ~enabled:false () in
-  let c = Metrics.counter reg "toggled" in
-  Metrics.incr c;
-  Metrics.set_enabled reg true;
-  Metrics.incr c;
-  Alcotest.(check int) "only counted while enabled" 1 (Metrics.count c)
+  Alcotest.(check int) "disabled timer records nothing" 0 (Metrics.timer_count tm)
 
 (* --- timer percentiles --- *)
 
@@ -595,8 +583,9 @@ let test_counter_values_sorted_and_disabled () =
 
 let test_flight_wraparound () =
   let f = Flight.create ~capacity:4 () in
+  let sink = Flight.sink f Trace.null_sink in
   for i = 1 to 10 do
-    Flight.record f ~time:(float_of_int i) (Trace.Link_fail { edge = i })
+    sink.Trace.emit (float_of_int i) (Trace.Link_fail { edge = i })
   done;
   Alcotest.(check int) "size capped" 4 (Flight.size f);
   Alcotest.(check int) "seen counts everything" 10 (Flight.seen f);
@@ -605,26 +594,25 @@ let test_flight_wraparound () =
     (List.map
        (fun (_, ev) ->
          match ev with Trace.Link_fail { edge } -> edge | _ -> -1)
-       (Flight.events f));
-  Flight.clear f;
-  Alcotest.(check int) "clear empties the ring" 0 (Flight.size f)
+       (Flight.events f))
 
 let test_flight_dump_on_raise () =
   let path = Filename.temp_file "drqos_flight" ".jsonl" in
-  let flight = Flight.create ~capacity:8 () in
-  let obs = Obs.create ~flight () in
-  (* The whole point of the recorder: event capture with no trace sink. *)
-  Alcotest.(check bool) "tracing on via flight alone" true (Obs.tracing obs);
+  let ring = Flight.create ~capacity:8 () in
+  let forwarded = ref [] in
+  let inner =
+    { Trace.emit = (fun _ ev -> forwarded := Trace.kind ev :: !forwarded); close = ignore }
+  in
+  let obs = Obs.create ~trace:(Trace.create (Flight.sink ring inner)) () in
   Obs.set_clock obs (fun () -> 5.);
-  Obs.set_flight_dump obs path;
-  (try
-     Fun.protect
-       ~finally:(fun () -> ignore (Obs.dump_flight obs))
-       (fun () ->
-         Obs.event obs (Trace.Link_fail { edge = 3 });
-         Obs.event obs (Trace.Drop { channel = 1 });
-         failwith "simulated crash")
-   with Failure _ -> ());
+  Alcotest.check_raises "the run's exception propagates" (Failure "simulated crash")
+    (fun () ->
+      Flight.dump_on_raise ring path (fun () ->
+          Obs.event obs (Trace.Link_fail { edge = 3 });
+          Obs.event obs (Trace.Drop { channel = 1 });
+          failwith "simulated crash"));
+  Alcotest.(check (list string))
+    "the ring forwards every event" [ "link_fail"; "drop" ] (List.rev !forwarded);
   (* The dump is JSONL that Analysis/Trace can replay: a note header
      naming the recorder, then the retained events. *)
   let ic = open_in path in
@@ -637,25 +625,27 @@ let test_flight_dump_on_raise () =
   in
   close_in ic;
   Sys.remove path;
-  (match events with
+  match events with
   | (_, "note") :: rest ->
     Alcotest.(check (list (pair (Alcotest.float 1e-9) string)))
       "events at the crash clock"
       [ (5., "link_fail"); (5., "drop") ]
       rest
-  | _ -> Alcotest.fail "dump must start with the flight_recorder note");
-  Alcotest.(check bool) "second dump is a no-op (idempotent)" true
-    (Obs.dump_flight obs = None)
+  | _ -> Alcotest.fail "dump must start with the flight_recorder note"
 
 let test_flight_dump_cancelled_on_success () =
   let path = Filename.temp_file "drqos_flight" ".jsonl" in
   Sys.remove path;
-  let obs = Obs.create ~flight:(Flight.create ~capacity:8 ()) () in
-  Obs.set_flight_dump obs path;
-  Obs.event obs (Trace.Link_fail { edge = 1 });
-  Obs.cancel_flight_dump obs;
-  Alcotest.(check bool) "disarmed dump writes nothing" true
-    (Obs.dump_flight obs = None && not (Sys.file_exists path))
+  let ring = Flight.create ~capacity:8 () in
+  let obs = Obs.create ~trace:(Trace.create (Flight.sink ring Trace.null_sink)) () in
+  let r =
+    Flight.dump_on_raise ring path (fun () ->
+        Obs.event obs (Trace.Link_fail { edge = 1 });
+        42)
+  in
+  Alcotest.(check int) "the run's value" 42 r;
+  Alcotest.(check int) "the ring holds the event" 1 (Flight.size ring);
+  Alcotest.(check bool) "a successful run writes no dump" false (Sys.file_exists path)
 
 (* --- Snapshot emitter --- *)
 
@@ -1236,7 +1226,6 @@ let () =
           Alcotest.test_case "counters and snapshot" `Quick
             test_metrics_counters_and_snapshot;
           Alcotest.test_case "disabled is no-op" `Quick test_metrics_disabled_is_noop;
-          Alcotest.test_case "toggle" `Quick test_metrics_toggle;
           Alcotest.test_case "timer percentiles" `Quick test_timer_percentiles;
           Alcotest.test_case "percentiles in snapshot" `Quick
             test_timer_percentiles_in_snapshot;

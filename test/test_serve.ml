@@ -443,7 +443,7 @@ let test_broker_snapshot_hot_links () =
 (* ------------------------------------------------------------------ *)
 (* Live socket session                                                 *)
 
-let with_server ?trace_file f =
+let with_server ?(wall_every = 0.05) ?slo ?max_pending_bytes ?trace_file ?slow_dir f =
   let path =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -451,7 +451,8 @@ let with_server ?trace_file f =
   in
   let served =
     Domain.spawn (fun () ->
-        Serve_server.run ~wall_every:0.05 ?trace_file (`Unix path) (ring_net ()))
+        Serve_server.run ~wall_every ?slo ?max_pending_bytes ?trace_file ?slow_dir
+          (`Unix path) (ring_net ()))
   in
   (* [join] waits for the server to finish shutting down — assertions
      about post-shutdown state (the socket file, say) must run after it,
@@ -469,10 +470,13 @@ let with_server ?trace_file f =
     v
   | exception e ->
     (* A failed check skipped the test's own shutdown: send one, or
-       [join] would wait for the daemon forever. *)
+       [join] would wait for the daemon forever.  The check may have
+       failed before the daemon bound its socket, so dial with retries. *)
     (try
        ignore
-         (Serve_client.request (Serve_client.connect (`Unix path)) Serve_proto.Shutdown)
+         (Serve_client.request
+            (Serve_client.connect ~retries:50 (`Unix path))
+            Serve_proto.Shutdown)
      with Unix.Unix_error _ | Failure _ | Sys_error _ -> ());
     join ();
     raise e
@@ -694,18 +698,7 @@ let test_socket_line_cap () =
    backlog passes max_pending_bytes it is reaped, while a responsive
    client on the same daemon keeps getting replies throughout. *)
 let test_socket_slow_subscriber_reaped () =
-  let path =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "drqos-serve-slow-%d.sock" (Unix.getpid ()))
-  in
-  let served =
-    Domain.spawn (fun () ->
-        Serve_server.run ~wall_every:10. ~max_pending_bytes:2048 (`Unix path)
-          (ring_net ()))
-  in
-  Fun.protect ~finally:(fun () -> ignore (Domain.join served))
-  @@ fun () ->
+  with_server ~wall_every:10. ~max_pending_bytes:2048 @@ fun path _join ->
   (* The stalled subscriber: asks for the trace stream, then never reads
      its socket again. *)
   let s = Serve_client.connect ~retries:50 (`Unix path) in
@@ -961,19 +954,12 @@ let test_dispatch_timed () =
   Alcotest.(check (float 0.)) "ping flushes nothing" 0. r2
 
 let test_socket_stage_records () =
-  let tmp name =
+  let trace_file =
     Filename.concat
       (Filename.get_temp_dir_name ())
-      (Printf.sprintf "drqos-reqtrace-%d-%s" (Unix.getpid ()) name)
+      (Printf.sprintf "drqos-reqtrace-%d-trace.jsonl" (Unix.getpid ()))
   in
-  let path = tmp "sock" and trace_file = tmp "trace.jsonl" in
-  let served =
-    Domain.spawn (fun () ->
-        Serve_server.run ~wall_every:0.05 ~slo:1e9 ~trace_file (`Unix path)
-          (ring_net ()))
-  in
-  Fun.protect ~finally:(fun () -> ignore (Domain.join served))
-  @@ fun () ->
+  with_server ~slo:1e9 ~trace_file @@ fun path join ->
   let c = Serve_client.connect ~retries:50 (`Unix path) in
   let traced rid req =
     Serve_client.request ~trace:{ Reqtrace.rid; t_sched = 0.1 *. float_of_int rid }
@@ -994,7 +980,7 @@ let test_socket_stage_records () =
   | Serve_proto.Shutting_down -> ()
   | _ -> Alcotest.fail "shutdown not acknowledged");
   Serve_client.close c;
-  ignore (Domain.join served);
+  join ();
   let a = Analysis.of_file trace_file in
   Alcotest.(check (list string)) "trace is self-consistent" []
     (Analysis.request_check a);
@@ -1026,6 +1012,53 @@ let test_socket_stage_records () =
        (fun r -> r.Analysis.rq_rid < 0 && r.Analysis.rq_verb = "ping")
        reqs);
   Sys.remove trace_file
+
+(* Under a tiny SLO every request misses, and the first misses dump the
+   daemon's flight ring to [slow_dir]: the recorder's note, then the
+   events leading into the miss, ending with the miss's own note. *)
+let test_socket_slow_dir_dump () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "drqos-serve-slowdir-%d" (Unix.getpid ()))
+  in
+  let events =
+    with_server ~slo:1e-9 ~slow_dir:dir @@ fun path join ->
+    let c = Serve_client.connect ~retries:50 (`Unix path) in
+    (match
+       Serve_client.request ~trace:{ Reqtrace.rid = 7; t_sched = 0. } c
+         (Serve_proto.Admit { src = 0; dst = 2; qos = qos_a })
+     with
+    | Serve_proto.Admitted _ -> ()
+    | _ -> Alcotest.fail "traced admit failed");
+    (match Serve_client.request c Serve_proto.Shutdown with
+    | Serve_proto.Shutting_down -> ()
+    | _ -> Alcotest.fail "shutdown not acknowledged");
+    Serve_client.close c;
+    join ();
+    let ic = open_in (Filename.concat dir "slow_7.jsonl") in
+    Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+    Jsonx.fold_lines ic ~init:[] ~f:(fun acc ~line:_ doc ->
+        match Trace.of_json doc with
+        | Ok (_, ev) -> ev :: acc
+        | Error msg -> Alcotest.failf "unparseable dump line: %s" msg)
+    |> List.rev
+  in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  match events with
+  | Trace.Note { name = "flight_recorder"; _ } :: rest ->
+    let kinds = List.map Trace.kind rest in
+    Alcotest.(check bool) "the admission precedes the miss" true
+      (List.mem "admit" kinds);
+    Alcotest.(check bool) "the request's own records are kept" true
+      (List.exists
+         (function Trace.Req_end { rid = 7; _ } -> true | _ -> false)
+         rest);
+    (match List.rev rest with
+    | Trace.Note { name = "slow_request"; _ } :: _ -> ()
+    | _ -> Alcotest.fail "the dump must end with the slow_request note")
+  | _ -> Alcotest.fail "the dump must start with the flight_recorder note"
 
 let () =
   Alcotest.run "serve"
@@ -1085,6 +1118,8 @@ let () =
             test_bad_trace_file;
           Alcotest.test_case "slow dir without a parent leaves no socket"
             `Quick test_bad_slow_dir;
+          Alcotest.test_case "slow dir dumps the flight ring" `Slow
+            test_socket_slow_dir_dump;
           Alcotest.test_case "trace lines are built once, only for a reader"
             `Slow test_socket_trace_lines_for_readers;
           Alcotest.test_case "trace file lines equal a subscriber's pushes"
