@@ -272,7 +272,7 @@ let runtime_delay obs scale =
               Netsim.add_flow sim
                 ~path:(Drcomm.primary_links service id)
                 ~spec:(Traffic_spec.make ~rate ~burst_bits:4000 ~packet_bits:2000 ())
-                ~deadline:0.05 ~stop:horizon ())
+                ~deadline:0.05 ~stop:horizon)
             sample
         in
         ignore (Engine.run ~until:(horizon +. 2.) engine);
@@ -372,8 +372,7 @@ let backup_depth obs scale =
         let g = paper_graph 1 in
         let net = Net_state.create g in
         let cfg =
-          Drcomm.Config.make ~with_backups:(k > 0) ~require_backup:(k > 0)
-            ~backups_per_connection:(max k 1) ()
+          Drcomm.Config.make ~backups_per_connection:k ()
         in
         let service = Drcomm.create ~config:cfg ~obs net in
         let rng = Prng.create 42 in
@@ -445,14 +444,13 @@ let restoration scale =
     {
       c with
       Scenario.service =
-        Drcomm.Config.make ~with_backups:false ~require_backup:false
-          ~restore_on_failure:true ();
+        Drcomm.Config.make ~backups_per_connection:0 ~restore_on_failure:true ();
     }
   in
   let unprotected c =
     {
       c with
-      Scenario.service = Drcomm.Config.make ~with_backups:false ~require_backup:false ();
+      Scenario.service = Drcomm.Config.make ~backups_per_connection:0 ();
     }
   in
   let light = heavy / 3 in

@@ -272,7 +272,7 @@ let run_cmd =
         service =
           Drcomm.Config.make
             ~policy:(Drcomm.Config.policy base.Scenario.service)
-            ~with_backups:(not no_backups) ~require_backup:(not no_backups) ();
+            ~backups_per_connection:(if no_backups then 0 else 1) ();
         offered;
         gamma;
       }

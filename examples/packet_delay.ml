@@ -44,7 +44,7 @@ let () =
         let fid =
           Netsim.add_flow sim
             ~path:(Drcomm.primary_links service id)
-            ~spec ~deadline:0.1 ~stop:horizon ()
+            ~spec ~deadline:0.1 ~stop:horizon
         in
         (id, reserved, fid))
       chosen
@@ -60,7 +60,7 @@ let () =
   let rogue_unpoliced =
     Netsim.add_flow sim ~path:rogue_path
       ~spec:(Traffic_spec.make ~rate:(4 * rogue_rate) ~burst_bits:16000 ~packet_bits:2000 ())
-      ~deadline:0.02 ~stop:horizon ()
+      ~deadline:0.02 ~stop:horizon
   in
   ignore (Engine.run ~until:(horizon +. 2.) engine);
 
@@ -98,7 +98,7 @@ let () =
         ( id,
           reserved,
           Netsim.add_flow sim2 ~path:(Drcomm.primary_links service id) ~spec
-            ~deadline:0.1 ~stop:horizon () ))
+            ~deadline:0.1 ~stop:horizon ))
       flows
   in
   (* The policer caps the rogue at its reservation: the token bucket *is*
@@ -106,7 +106,7 @@ let () =
   let rogue_policed =
     Netsim.add_flow sim2 ~path:rogue_path
       ~spec:(Traffic_spec.make ~rate:rogue_rate ~burst_bits:4000 ~packet_bits:2000 ())
-      ~deadline:0.02 ~stop:horizon ()
+      ~deadline:0.02 ~stop:horizon
   in
   ignore (Engine.run ~until:(horizon +. 2.) engine2);
   printf "\n--- with the rogue POLICED to its contract ---\n";

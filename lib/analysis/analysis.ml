@@ -220,15 +220,19 @@ let of_events evs =
         incr failures;
         fails := time :: !fails
       | Link_repair _ -> ()
-      | Backup_activate _ -> activation_ts := time :: !activation_ts
+      | Backup_activate { channel; _ } ->
+        (* The backup becomes the primary at the floor; no level event
+           records that restart. *)
+        set_level channel ~from_level:0 ~to_level:0 ~time;
+        activation_ts := time :: !activation_ts
       | Backup_lost _ -> ()
       | Drop { channel } ->
         close channel ~time;
         drop_ts := time :: !drop_ts
-      | Restore _ ->
-        (* The channel survives re-establishment; its level history
-           continues through the upgrade/retreat events around it. *)
-        ()
+      | Restore { channel; _ } ->
+        (* Restoration re-admitted the connection under a fresh id, whose
+           [admit] came first; the old id ends here. *)
+        close channel ~time
       | Solve _ -> ()
       | Req_begin { rid; verb } ->
         let c = req_cell rid in

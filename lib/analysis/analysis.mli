@@ -62,7 +62,9 @@ val timeline : t -> int -> (float * int) list
     first appearance; empty for unknown ids.  A channel first seen
     through a level-change event (admission emits the water-filling
     upgrades {e before} the [admit] record) starts at that event's
-    [from_level]. *)
+    [from_level].  A [backup_activate] steps its channel to level 0,
+    and a [restore] ends the old id (the connection goes on under the
+    fresh id of the [admit] before it). *)
 
 (** {1 Residency} *)
 

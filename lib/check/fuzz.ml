@@ -103,6 +103,25 @@ let gen_ops cfg =
   let rng = Prng.create cfg.seed in
   Array.init cfg.ops (fun _ -> gen_op rng)
 
+let reduce ~nodes ~edges ~live ~failed op =
+  let nth l k = List.nth_opt l (k mod max 1 (List.length l)) in
+  let palette q = q mod Array.length qos_palette in
+  match op with
+  | Op.Admit { src; dst; qos } ->
+    if nodes <= 1 then None
+    else
+      let src = src mod nodes in
+      let dst = (src + 1 + (dst mod (nodes - 1))) mod nodes in
+      Some (Op.Admit { src; dst; qos = palette qos })
+  | Op.Terminate k -> Option.map (fun c -> Op.Terminate c) (nth live k)
+  | Op.Change_qos (k, q) ->
+    Option.map (fun c -> Op.Change_qos (c, palette q)) (nth live k)
+  | Op.Fail k -> if edges <= 0 then None else Some (Op.Fail (k mod edges))
+  | Op.Repair k ->
+    if edges <= 0 then None
+    else Some (Op.Repair (Option.value ~default:(k mod edges) (nth failed k)))
+  | Op.Set_auto _ | Op.Redistribute_all -> Some op
+
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 
@@ -144,11 +163,8 @@ let replay ?(extra_invariant = fun (_ : Drcomm.t) -> ()) cfg (ops : Op.t array) 
     Net_state.create ~multiplexing:cfg.multiplexing ~capacity:cfg.capacity g
   in
   let dconfig =
-    (* [backups=0] in a reproducer means "no backups", which the service
-       spells [with_backups:false]. *)
     Drcomm.Config.make ~policy:cfg.policy ~require_backup:false
-      ~with_backups:(cfg.backups_per_connection > 0)
-      ~backups_per_connection:(max 1 cfg.backups_per_connection)
+      ~backups_per_connection:cfg.backups_per_connection
       ~restore_on_failure:cfg.restore_on_failure ()
   in
   let t = Drcomm.create ~config:dconfig ~obs net in
@@ -180,68 +196,57 @@ let replay ?(extra_invariant = fun (_ : Drcomm.t) -> ()) cfg (ops : Op.t array) 
       restores = !restores;
     }
   in
-  let live_sorted () = List.sort compare (Drcomm.active_channels t) in
+  let channel id =
+    match Drcomm.channel_of_id t id with
+    | Some ch -> ch
+    | None -> failwith (Printf.sprintf "live channel %d has no handle" id)
+  in
   let apply op =
-    match op with
-    | Op.Admit { src; dst; qos } ->
-      let src = src mod n in
-      let dst = if n <= 1 then src else (src + 1 + (dst mod (n - 1))) mod n in
-      let qos = qos_palette.(qos mod Array.length qos_palette) in
-      (match Drcomm.admit t ~src ~dst ~qos with
+    let live = List.map Drcomm.Channel_id.to_int (Drcomm.active_channels t) in
+    let failed = Net_state.failed_edges net in
+    match
+      reduce ~nodes:n ~edges:ec ~live:(List.sort compare live)
+        ~failed:(List.sort compare failed) op
+    with
+    | None -> ()
+    | Some (Op.Admit { src; dst; qos }) -> (
+      match Drcomm.admit t ~src ~dst ~qos:qos_palette.(qos) with
       | Drcomm.Admitted _ -> incr admitted
       | Drcomm.Rejected _ -> incr rejected)
-    | Op.Terminate k -> (
-      match live_sorted () with
-      | [] -> ()
-      | ids ->
-        ignore (Drcomm.terminate t (List.nth ids (k mod List.length ids)));
-        incr terminated)
-    | Op.Change_qos (k, q) -> (
-      match live_sorted () with
-      | [] -> ()
-      | ids -> (
-        let id = List.nth ids (k mod List.length ids) in
-        match
-          Drcomm.change_qos t id qos_palette.(q mod Array.length qos_palette)
-        with
-        | `Changed -> incr qos_changed
-        | `Rejected -> incr qos_refused))
-    | Op.Fail k ->
-      if ec > 0 then begin
-        let e = k mod ec in
-        let fresh = not (Net_state.edge_failed net e) in
-        let r = Drcomm.fail_edge t e in
-        if fresh then incr edge_failures
-        else if
-          r.Drcomm.recoveries <> [] || r.Drcomm.event.Drcomm.transitions <> []
-        then failwith "fail_edge on an already-failed edge was not a no-op";
-        List.iter
-          (fun { Drcomm.outcome; _ } ->
-            match outcome with
-            | `Switched_to_backup _ -> incr activations
-            | `Dropped -> incr drops
-            | `Restored _ -> incr restores
-            | `Backup_lost _ -> incr backup_losses)
-          r.Drcomm.recoveries
-      end
-    | Op.Repair k ->
-      if ec > 0 then begin
-        match List.sort compare (Net_state.failed_edges net) with
-        | [] ->
-          (* Nothing failed: aim at a healthy edge — must be a strict
-             no-op, counters included. *)
-          Drcomm.repair_edge t (k mod ec)
-        | failed ->
-          Drcomm.repair_edge t (List.nth failed (k mod List.length failed));
-          incr edge_repairs
-      end
-    | Op.Set_auto b ->
+    | Some (Op.Terminate id) ->
+      ignore (Drcomm.terminate t (channel id));
+      incr terminated
+    | Some (Op.Change_qos (id, q)) -> (
+      match Drcomm.change_qos t (channel id) qos_palette.(q) with
+      | `Changed -> incr qos_changed
+      | `Rejected -> incr qos_refused)
+    | Some (Op.Fail e) ->
+      let fresh = not (Net_state.edge_failed net e) in
+      let r = Drcomm.fail_edge t e in
+      if fresh then incr edge_failures
+      else if
+        r.Drcomm.recoveries <> [] || r.Drcomm.event.Drcomm.transitions <> []
+      then failwith "fail_edge on an already-failed edge was not a no-op";
+      List.iter
+        (fun { Drcomm.outcome; _ } ->
+          match outcome with
+          | `Switched_to_backup _ -> incr activations
+          | `Dropped -> incr drops
+          | `Restored _ -> incr restores
+          | `Backup_lost _ -> incr backup_losses)
+        r.Drcomm.recoveries
+    | Some (Op.Repair e) ->
+      (* With nothing failed the op aims at a healthy edge: a strict
+         no-op, counters included. *)
+      if failed <> [] then incr edge_repairs;
+      Drcomm.repair_edge t e
+    | Some (Op.Set_auto b) ->
       let was = Drcomm.auto_redistribute t in
       Drcomm.set_auto_redistribute t b;
       (* Re-establish the water-filling fixed point the invariant
          expects whenever redistribution comes back on. *)
       if b && not was then Drcomm.redistribute_all t
-    | Op.Redistribute_all -> Drcomm.redistribute_all t
+    | Some Op.Redistribute_all -> Drcomm.redistribute_all t
   in
   let violation = ref None in
   let at = ref 0 in

@@ -54,6 +54,17 @@ val qos_palette : Qos.t array
 val gen_ops : config -> Op.t array
 (** The seed-determined op script of a run. *)
 
+val reduce :
+  nodes:int -> edges:int -> live:int list -> failed:int list -> Op.t -> Op.t option
+(** The one reduction of an op's raw draws against a state, shared by
+    {!replay} and the wire bridge: [live] is the sorted live channel-id
+    list, [failed] the sorted failed-edge list.  The result names its
+    targets: [Admit] distinct node ids and a {!qos_palette} index,
+    [Terminate]/[Change_qos] a live channel id (and a palette index),
+    [Fail]/[Repair] an edge id ([Repair] of a healthy edge, a no-op,
+    when nothing is failed).  [None] when the op has no target there
+    (no live channel, no edge, fewer than two nodes). *)
+
 type stats = {
   ops_run : int;
   admitted : int;

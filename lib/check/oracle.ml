@@ -29,10 +29,10 @@ let gamma0_average ~qos ~lambda =
   in
   Model.average_bandwidth_regularized p ~qos
 
-let check_gamma0_agreement ?(tol = 1e-6) qos =
+let check_gamma0_agreement qos =
   let bmax = float_of_int qos.Qos.b_max in
   let markov = gamma0_average ~qos ~lambda:1.0 in
-  if abs_float (markov -. bmax) > tol *. bmax then
+  if abs_float (markov -. bmax) > 1e-6 *. bmax then
     failf "gamma=0 chain average %.6f, but without failures every channel must \
            ride at b_max = %.0f"
       markov bmax;

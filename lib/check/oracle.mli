@@ -2,12 +2,12 @@
     of the paper's model must agree, or where an operation sequence must
     be an exact no-op.  All checks raise [Failure] with a diagnosis. *)
 
-val check_gamma0_agreement : ?tol:float -> Qos.t -> unit
+val check_gamma0_agreement : Qos.t -> unit
 (** The average bandwidth of the paper's Markov chain built for a
     failure-free, direct-chain-free regime ([gamma = 0], [P_f = 0],
     adjacent-level upgrade matrices), where redistribution alone must
-    drive the channel to its ceiling, must equal [b_max] within [tol]
-    (relative, default [1e-6]), and {!Ideal.bandwidth_capped} for an
+    drive the channel to its ceiling, must equal [b_max] within a
+    relative [1e-6], and {!Ideal.bandwidth_capped} for an
     uncontended channel must saturate at [b_max] exactly — the
     simulator, chain and formula agree in the degenerate regime. *)
 

@@ -12,27 +12,25 @@ module Config = struct
     hop_bound : int;
     route_search : [ `Flooding | `Sequential of int ];
     require_backup : bool;
-    with_backups : bool;
     backups_per_connection : int;
     restore_on_failure : bool;
   }
 
   let make ?(policy = Policy.equal_share) ?(hop_bound = 16)
-      ?(route_search = `Flooding) ?(require_backup = true) ?(with_backups = true)
+      ?(route_search = `Flooding) ?(require_backup = true)
       ?(backups_per_connection = 1) ?(restore_on_failure = false) () =
     if hop_bound < 1 then invalid_arg "Drcomm.Config.make: hop_bound >= 1";
     (match route_search with
     | `Sequential k when k < 1 ->
       invalid_arg "Drcomm.Config.make: route_search candidates >= 1"
     | `Sequential _ | `Flooding -> ());
-    if with_backups && backups_per_connection < 1 then
-      invalid_arg "Drcomm.Config.make: with_backups needs backups_per_connection >= 1";
+    if backups_per_connection < 0 then
+      invalid_arg "Drcomm.Config.make: backups_per_connection >= 0";
     {
       policy;
       hop_bound;
       route_search;
       require_backup;
-      with_backups;
       backups_per_connection;
       restore_on_failure;
     }
@@ -41,11 +39,6 @@ module Config = struct
 
   let policy t = t.policy
   let hop_bound t = t.hop_bound
-  let route_search t = t.route_search
-  let require_backup t = t.require_backup
-  let with_backups t = t.with_backups
-  let backups_per_connection t = t.backups_per_connection
-  let restore_on_failure t = t.restore_on_failure
 end
 
 (* [id] deliberately comes first: handles are compared structurally in a
@@ -463,31 +456,28 @@ let try_register_backup_path ?floor t ch blinks =
    held (mutual link-disjointness, so one failure never claims two).
    Returns how many were added. *)
 let top_up_backups t ch =
-  if not t.cfg.Config.with_backups then 0
-  else begin
-    let floor = ch.qos.Qos.b_min in
-    let req =
-      Flooding.request ~hop_bound:t.cfg.Config.hop_bound ~src:ch.src ~dst:ch.dst
-        ~floor ()
+  let floor = ch.qos.Qos.b_min in
+  let req =
+    Flooding.request ~hop_bound:t.cfg.Config.hop_bound ~src:ch.src ~dst:ch.dst
+      ~floor ()
+  in
+  let added = ref 0 in
+  let continue = ref true in
+  while !continue && List.length ch.backups < t.cfg.Config.backups_per_connection do
+    let banned_edges =
+      List.concat_map (List.map Dirlink.edge) ch.backups |> List.sort_uniq compare
     in
-    let added = ref 0 in
-    let continue = ref true in
-    while !continue && List.length ch.backups < t.cfg.Config.backups_per_connection do
-      let banned_edges =
-        List.concat_map (List.map Dirlink.edge) ch.backups |> List.sort_uniq compare
-      in
-      match find_backup_route ~banned_edges t req ~primary_edges:ch.primary_edges with
-      | None -> continue := false
-      | Some bpath ->
-        let blinks = Dirlink.of_path (Net_state.graph t.net) bpath in
-        if try_register_backup_path t ch blinks then begin
-          ch.backups <- ch.backups @ [ blinks ];
-          incr added
-        end
-        else continue := false
-    done;
-    !added
-  end
+    match find_backup_route ~banned_edges t req ~primary_edges:ch.primary_edges with
+    | None -> continue := false
+    | Some bpath ->
+      let blinks = Dirlink.of_path (Net_state.graph t.net) bpath in
+      if try_register_backup_path t ch blinks then begin
+        ch.backups <- ch.backups @ [ blinks ];
+        incr added
+      end
+      else continue := false
+  done;
+  !added
 
 (* ------------------------------------------------------------------ *)
 (* Admission                                                           *)
@@ -577,7 +567,7 @@ let admit ?(want_indirect = true) ?(want_report = true) t ~src ~dst ~qos =
     in
     let got_backups = top_up_backups t ch in
     match got_backups with
-    | 0 when t.cfg.Config.with_backups && t.cfg.Config.require_backup ->
+    | 0 when t.cfg.Config.backups_per_connection > 0 && t.cfg.Config.require_backup ->
       (* Roll the primary back; the retreated channels re-upgrade. *)
       List.iter
         (fun dl -> Link_state.release_primary (Net_state.link t.net dl) ~channel:id)
@@ -937,6 +927,7 @@ let nth_channel t i =
   t.live.(i)
 
 let mem _t ch = ch.slot >= 0
+let channel_of_id t id = Id_tbl.find_opt t.by_id id
 let level _t ch = (find ch).level
 
 let reserved_bandwidth _t handle =

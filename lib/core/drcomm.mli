@@ -62,7 +62,6 @@ module Config : sig
     ?hop_bound:int ->
     ?route_search:[ `Flooding | `Sequential of int ] ->
     ?require_backup:bool ->
-    ?with_backups:bool ->
     ?backups_per_connection:int ->
     ?restore_on_failure:bool ->
     unit ->
@@ -77,15 +76,15 @@ module Config : sig
         admission tests.
       - [require_backup]: reject a connection that cannot get a backup
         channel (the paper's dependability QoS); [false] gives the
-        non-dependable baseline.
-      - [with_backups]: [false] disables backups entirely (pure elastic
-        real-time service — ablation baseline).
+        non-dependable baseline.  Ignored when
+        [backups_per_connection = 0].
       - [backups_per_connection]: the paper's "one or more backup
         channels" — how many mutually link-disjoint backups each
         connection tries to hold (default 1; acceptance only requires
         the first, the rest are best-effort).  With [k] backups a
         connection survives [k] successive primary failures without
-        restoration.
+        restoration.  [0] means no backups at all (pure elastic
+        real-time service — ablation baseline).
       - [restore_on_failure]: when a failure leaves a connection without
         a usable backup, try to re-establish it from scratch (the
         {e reactive restoration} baseline the backup-channel scheme is
@@ -93,18 +92,13 @@ module Config : sig
         is the paper's §1 motivation).  Default [false].
 
       Raises [Invalid_argument] on [hop_bound < 1], [`Sequential k] with
-      [k < 1], or [with_backups] with [backups_per_connection < 1]. *)
+      [k < 1], or [backups_per_connection < 0]. *)
 
   val default : t
   (** [make ()]. *)
 
   val policy : t -> Policy.t
   val hop_bound : t -> int
-  val route_search : t -> [ `Flooding | `Sequential of int ]
-  val require_backup : t -> bool
-  val with_backups : t -> bool
-  val backups_per_connection : t -> int
-  val restore_on_failure : t -> bool
 end
 
 val create : ?config:Config.t -> ?obs:Obs.t -> Net_state.t -> t
@@ -270,6 +264,12 @@ val nth_channel : t -> int -> channel_id
     of range. *)
 
 val mem : t -> channel_id -> bool
+
+val channel_of_id : t -> int -> channel_id option
+(** The live connection whose {!Channel_id.to_int} is [id]; [None] for
+    an id never issued or no longer live (terminated, dropped, or
+    re-established by restoration under a fresh id).  O(1). *)
+
 val level : t -> channel_id -> int
 val reserved_bandwidth : t -> channel_id -> Bandwidth.t
 val qos_of : t -> channel_id -> Qos.t

@@ -26,14 +26,13 @@ type connection = { routes : Dirlink.id list list; per_route : Bandwidth.t }
 type t = {
   scheme : scheme;
   net : Net_state.t;
-  hop_bound : int;
   table : (connection_id, connection) Hashtbl.t;
   mutable next_id : int;
 }
 
-let create ?(hop_bound = 16) scheme net =
+let create scheme net =
   validate_scheme scheme;
-  { scheme; net; hop_bound; table = Hashtbl.create 64; next_id = 0 }
+  { scheme; net; table = Hashtbl.create 64; next_id = 0 }
 
 let count t = Hashtbl.length t.table
 
@@ -51,6 +50,9 @@ let edge_admissible t ~per_route e =
   && Link_state.admissible_primary (Net_state.link t.net (2 * e)) ~b_min:per_route
   && Link_state.admissible_primary (Net_state.link t.net ((2 * e) + 1)) ~b_min:per_route
 
+(* The route length limit, as in [Drcomm.Config.default]. *)
+let hop_bound = 16
+
 let admit t ~src ~dst ~bandwidth =
   if bandwidth <= 0 then invalid_arg "Replication.admit: non-positive bandwidth";
   let per_route = per_route_bandwidth t.scheme bandwidth in
@@ -58,7 +60,7 @@ let admit t ~src ~dst ~bandwidth =
   let usable = edge_admissible t ~per_route in
   let g = Net_state.graph t.net in
   let paths = Disjoint.paths ~usable g ~src ~dst ~k:needed in
-  let within_bound = List.for_all (fun p -> Paths.hop_count p <= t.hop_bound) paths in
+  let within_bound = List.for_all (fun p -> Paths.hop_count p <= hop_bound) paths in
   if List.length paths < needed || not within_bound then `Rejected
   else begin
     let id = t.next_id in

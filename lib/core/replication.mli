@@ -30,14 +30,14 @@ val total_bandwidth : scheme -> Bandwidth.t -> Bandwidth.t
 type t
 type connection_id = int
 
-val create : ?hop_bound:int -> scheme -> Net_state.t -> t
+val create : scheme -> Net_state.t -> t
 
 val admit :
   t -> src:int -> dst:int -> bandwidth:Bandwidth.t ->
   [ `Admitted of connection_id | `Rejected ]
 (** Reserves [per_route_bandwidth] on each of [routes_needed] mutually
     link-disjoint admissible routes; rejects when fewer disjoint routes
-    exist or any lacks bandwidth. *)
+    exist, any lacks bandwidth, or any is longer than 16 hops. *)
 
 val terminate : t -> connection_id -> unit
 (** Raises [Not_found] on unknown id. *)

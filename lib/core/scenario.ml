@@ -13,7 +13,6 @@ type config = {
   lambda : float;
   mu : float;
   gamma : float;
-  repair_rate : float;
   warmup_events : int;
   churn_events : int;
   seed : int;
@@ -30,7 +29,6 @@ let default =
     lambda = 0.001;
     mu = 0.001;
     gamma = 0.;
-    repair_rate = 0.01;
     warmup_events = 500;
     churn_events = 3000;
     seed = 1;
@@ -197,11 +195,14 @@ let churn_repair c =
     let e = Prng.pick_list c.rng edges in
     Drcomm.repair_edge c.service e
 
+(* Each failed edge comes back at this rate. *)
+let repair_rate = 0.01
+
 let rec schedule_churn c engine =
   if c.events_done < c.stop_after then begin
     let net = Drcomm.net c.service in
     let failed = Net_state.failed_count net in
-    let rate_repair = c.cfg.repair_rate *. float_of_int failed in
+    let rate_repair = repair_rate *. float_of_int failed in
     let rate_term = if Drcomm.count c.service > 0 then c.cfg.mu else 0. in
     let total = c.cfg.lambda +. rate_term +. c.cfg.gamma +. rate_repair in
     if total > 0. then begin
@@ -222,8 +223,7 @@ let run ?(obs = Obs.null) ?snapshot (cfg : config) =
   if cfg.offered < 0 then invalid_arg "Scenario.run: negative offered count";
   if cfg.lambda <= 0. || cfg.mu <= 0. then
     invalid_arg "Scenario.run: lambda and mu must be positive";
-  if cfg.gamma < 0. || cfg.repair_rate < 0. then
-    invalid_arg "Scenario.run: negative failure/repair rate";
+  if cfg.gamma < 0. then invalid_arg "Scenario.run: negative failure rate";
   let topo_rng = Prng.create cfg.seed in
   let workload_rng = Prng.split topo_rng in
   let graph = build_graph topo_rng cfg.topology in

@@ -5,7 +5,8 @@
 
     Rate conventions: [lambda], [mu] and [gamma] are {e network-wide}
     event rates (a new request, a termination of one random connection, a
-    failure of one random working edge).  This is the only reading under
+    failure of one random working edge); each failed edge is repaired at
+    rate 0.01 on its own.  This is the only reading under
     which the paper's Fig. 4 premise "the link failure rate is too small
     compared to the arrival rate" holds numerically, and it matches the
     model's use of [gamma] side-by-side with [lambda]. *)
@@ -30,7 +31,6 @@ type config = {
   lambda : float;
   mu : float;
   gamma : float;
-  repair_rate : float;  (** per failed edge; 0 disables repair. *)
   warmup_events : int;  (** churn events discarded before measuring. *)
   churn_events : int;  (** measured churn events. *)
   seed : int;

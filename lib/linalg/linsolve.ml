@@ -2,7 +2,7 @@ exception Singular
 
 let pivot_eps = 1e-13
 
-let approx_eq ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps
+let approx_eq a b = Float.abs (a -. b) <= 1e-9
 
 (* In-place elimination on a working copy; returns the solution. *)
 let gaussian a b =

@@ -23,8 +23,8 @@ val residual : Matrix.t -> float array -> float array -> float
 (** [residual a x b] is the infinity norm of [a x - b]; a cheap a-posteriori
     accuracy check. *)
 
-val approx_eq : ?eps:float -> float -> float -> bool
-(** [approx_eq a b] is [Float.abs (a -. b) <= eps] (default [eps] 1e-9) —
+val approx_eq : float -> float -> bool
+(** [approx_eq a b] is [Float.abs (a -. b) <= 1e-9] —
     the project's one named epsilon comparison.  Raw [=] / [<>] on
     computed floats is rejected by the linter (rule R1): use
     [Float.equal] where bit-exact identity is the intent (tie-breaking,

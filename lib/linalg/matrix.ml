@@ -73,6 +73,6 @@ let row_sums m =
 
 let max_abs m = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0. m.data
 
-let equal ?(eps = 1e-12) a b =
+let equal a b =
   a.rows = b.rows && a.cols = b.cols
-  && Array.for_all2 (fun x y -> Float.abs (x -. y) <= eps) a.data b.data
+  && Array.for_all2 (fun x y -> Float.abs (x -. y) <= 1e-12) a.data b.data

@@ -37,5 +37,5 @@ val row_sums : t -> float array
 val max_abs : t -> float
 (** Largest absolute element (infinity-like norm over entries). *)
 
-val equal : ?eps:float -> t -> t -> bool
-(** Element-wise comparison with tolerance [eps] (default 1e-12). *)
+val equal : t -> t -> bool
+(** Element-wise comparison with absolute tolerance 1e-12. *)

@@ -2,9 +2,6 @@ type t = {
   service : Drcomm.t;
   net : Net_state.t;
   obs : Obs.t;
-  (* wire id (Channel_id.to_int) -> live handle.  Entries leave on
-     teardown and when a failure drops the connection. *)
-  channels : (int, Drcomm.channel_id) Hashtbl.t;
   mutable requests : int;
   req_counter : Metrics.counter;
   err_counter : Metrics.counter;
@@ -38,7 +35,6 @@ let create ?config ?(obs = Obs.null) net =
       service;
       net;
       obs;
-      channels = Hashtbl.create 1024;
       requests = 0;
       req_counter = Obs.counter obs "serve.requests";
       err_counter = Obs.counter obs "serve.errors";
@@ -74,9 +70,9 @@ let edge_count t = Graph.edge_count (Net_state.graph t.net)
 let error fmt = Printf.ksprintf (fun message -> Serve_proto.Error_reply { message }) fmt
 
 let lookup t channel k =
-  match Hashtbl.find_opt t.channels channel with
-  | Some id when Drcomm.mem t.service id -> k id
-  | Some _ | None -> error "unknown channel %d" channel
+  match Drcomm.channel_of_id t.service channel with
+  | Some id -> k id
+  | None -> error "unknown channel %d" channel
 
 let reject_reason = function
   | Drcomm.No_primary_route -> "no_primary_route"
@@ -96,14 +92,12 @@ let apply t (req : Serve_proto.request) : Serve_proto.response =
       with
       | Drcomm.Admitted (id, _) ->
         let channel = Drcomm.Channel_id.to_int id in
-        Hashtbl.replace t.channels channel id;
         Serve_proto.Admitted { channel; level = Drcomm.level t.service id }
       | Drcomm.Rejected reason ->
         Serve_proto.Admit_rejected { reason = reject_reason reason })
   | Serve_proto.Teardown { channel } ->
     lookup t channel (fun id ->
         ignore (Drcomm.terminate ~report:false t.service id);
-        Hashtbl.remove t.channels channel;
         Serve_proto.Torn_down { channel })
   | Serve_proto.Change_qos { channel; qos } ->
     lookup t channel (fun id ->
@@ -130,11 +124,6 @@ let apply t (req : Serve_proto.request) : Serve_proto.response =
               | `Restored b -> (`Restored, b)
               | `Backup_lost b -> (`Backup_lost, b)
             in
-            (* A victim the service no longer carries leaves the wire
-               table too (drops, and restorations that re-admitted the
-               connection under a fresh handle). *)
-            if not (Drcomm.mem t.service victim) then
-              Hashtbl.remove t.channels channel;
             { Serve_proto.rw_channel = channel; rw_outcome; rw_reprotected })
           r.Drcomm.recoveries
       in

@@ -1,8 +1,8 @@
 (** Socket-free request dispatch for the QoS-broker daemon.
 
-    A broker owns one {!Drcomm} service plus the integer↔handle table
-    the wire protocol needs ({!Drcomm.channel_id} is abstract; the wire
-    speaks [Channel_id.to_int] integers).  {!dispatch} maps every
+    A broker owns one {!Drcomm} service and keeps no table of its own:
+    the wire speaks [Channel_id.to_int] integers, which the service
+    resolves ({!Drcomm.channel_of_id}).  {!dispatch} maps every
     {!Serve_proto.request} the codec can produce onto the service —
     connection-level requests ([subscribe], [shutdown]) come back as
     [Error_reply]; the server intercepts them before dispatch.

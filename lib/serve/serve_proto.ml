@@ -351,46 +351,17 @@ let is_push doc =
 (* ------------------------------------------------------------------ *)
 (* Fuzz-op bridge                                                      *)
 
-(* Mirrors the modular reduction in [Fuzz.replay] exactly, against the
-   state the caller reads off the live service ([live] sorted channel
-   ids, [failed] sorted failed edges). *)
 let request_of_op ~nodes ~edges ~live ~failed op =
-  let palette = Fuzz.qos_palette in
-  let nth_live k =
-    match live with
-    | [] -> None
-    | _ -> List.nth_opt live (k mod List.length live)
-  in
-  match op with
-  | Op.Admit { src; dst; qos } ->
-    if nodes <= 1 then None
-    else
-      let src = src mod nodes in
-      let dst = (src + 1 + (dst mod (nodes - 1))) mod nodes in
-      let qos = palette.(qos mod Array.length palette) in
-      Some (Admit { src; dst; qos })
-  | Op.Terminate k ->
-    Option.map (fun channel -> Teardown { channel }) (nth_live k)
-  | Op.Change_qos (k, q) ->
-    Option.map
-      (fun channel ->
-        Change_qos { channel; qos = palette.(q mod Array.length palette) })
-      (nth_live k)
-  | Op.Fail k -> if edges <= 0 then None else Some (Fail { edge = k mod edges })
-  | Op.Repair k ->
-    if edges <= 0 then None
-    else
-      let edge =
-        match failed with
-        | [] -> k mod edges
-        | l -> (
-          match List.nth_opt l (k mod List.length l) with
-          | Some e -> e
-          | None -> k mod edges)
-      in
-      Some (Repair { edge })
-  | Op.Set_auto b -> Some (Set_auto b)
-  | Op.Redistribute_all -> Some Redistribute
+  Option.map
+    (function
+      | Op.Admit { src; dst; qos } -> Admit { src; dst; qos = Fuzz.qos_palette.(qos) }
+      | Op.Terminate channel -> Teardown { channel }
+      | Op.Change_qos (channel, q) -> Change_qos { channel; qos = Fuzz.qos_palette.(q) }
+      | Op.Fail edge -> Fail { edge }
+      | Op.Repair edge -> Repair { edge }
+      | Op.Set_auto b -> Set_auto b
+      | Op.Redistribute_all -> Redistribute)
+    (Fuzz.reduce ~nodes ~edges ~live ~failed op)
 
 let palette_index qos =
   let n = Array.length Fuzz.qos_palette in

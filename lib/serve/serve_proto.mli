@@ -16,7 +16,7 @@
     contract.
 
     {b Fuzz bridge.}  {!request_of_op} maps the fuzzer's closed op
-    language ({!Op.t}) onto live requests with exactly the modular
+    language ({!Op.t}) onto live requests through {!Fuzz.reduce}, the
     reduction [Fuzz.replay] applies, so a recorded fuzz script replays
     over the socket against the same state trajectory; {!op_of_request}
     prints a request back into the op language where possible. *)
@@ -107,10 +107,10 @@ val request_of_op :
   Op.t ->
   request option
 (** Reduce a fuzz op to a live request against the current service
-    state, with [Fuzz.replay]'s exact semantics: [live] is the sorted
-    live channel-id list, [failed] the sorted failed-edge list.  [None]
-    when the op is a no-op there (terminate/chqos on an empty live set,
-    fail/repair with no edges, admit on a sub-2-node network). *)
+    state with {!Fuzz.reduce}: [live] is the sorted live channel-id
+    list, [failed] the sorted failed-edge list.  [None] when the op is a
+    no-op there (terminate/chqos on an empty live set, fail/repair with
+    no edges, admit on a sub-2-node network). *)
 
 val op_of_request : nodes:int -> request -> Op.t option
 (** Print a request back into the closed op language — the inverse of

@@ -1,19 +1,21 @@
-type spec = { nodes : int; alpha : float; beta : float; scale : float }
+type spec = { nodes : int; alpha : float; beta : float }
 
-let spec ?(scale = 100.) ~nodes ~alpha ~beta () =
+let spec ~nodes ~alpha ~beta () =
   if nodes < 1 then invalid_arg "Waxman.spec: need at least one node";
   if alpha <= 0. || alpha > 1. then invalid_arg "Waxman.spec: alpha in (0, 1]";
   if beta <= 0. || beta > 1. then invalid_arg "Waxman.spec: beta in (0, 1]";
-  if scale <= 0. then invalid_arg "Waxman.spec: scale must be positive";
-  { nodes; alpha; beta; scale }
+  { nodes; alpha; beta }
 
-let place rng s =
-  Array.init s.nodes (fun _ -> (Prng.float rng s.scale, Prng.float rng s.scale))
+(* Side of the placement square.  The edge law reads distance only over
+   [beta * side * sqrt 2], so the side does not change the graph law. *)
+let side = 100.
+
+let place rng s = Array.init s.nodes (fun _ -> (Prng.float rng side, Prng.float rng side))
 
 let distance (x1, y1) (x2, y2) = Float.hypot (x1 -. x2) (y1 -. y2)
 
 let edge_probability s ~dist =
-  let l = s.scale *. sqrt 2. in
+  let l = side *. sqrt 2. in
   s.alpha *. exp (-.dist /. (s.beta *. l))
 
 (* Join components by repeatedly adding the shortest missing edge between

@@ -1,9 +1,9 @@
 (** Waxman random graphs (Waxman, JSAC 1988) — the "Random" model of the
     paper, generated there with the GT-ITM package.
 
-    Nodes are placed uniformly at random in a square; the edge [{u, v}]
-    appears with probability [alpha * exp (-d(u,v) / (beta * l))] where [d]
-    is Euclidean distance and [l] the maximum possible distance.  Larger
+    Nodes are placed uniformly at random in a 100 × 100 square; the edge
+    [{u, v}] appears with probability [alpha * exp (-d(u,v) / (beta * l))]
+    where [d] is Euclidean distance and [l] the maximum possible distance.  Larger
     [alpha] gives denser graphs; larger [beta] gives relatively more long
     edges. *)
 
@@ -11,10 +11,9 @@ type spec = {
   nodes : int;
   alpha : float;  (** density knob, in (0, 1]. *)
   beta : float;  (** locality knob, in (0, 1]. *)
-  scale : float;  (** side of the placement square (default 100.). *)
 }
 
-val spec : ?scale:float -> nodes:int -> alpha:float -> beta:float -> unit -> spec
+val spec : nodes:int -> alpha:float -> beta:float -> unit -> spec
 
 val generate : Prng.t -> spec -> Graph.t
 (** Draws a graph and then, if it came out disconnected, links the

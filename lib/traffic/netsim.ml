@@ -142,7 +142,7 @@ let rec source_tick t flow_state () =
     Engine.schedule t.engine ~delay (fun _ -> source_tick t flow_state ())
   end
 
-let add_flow t ~path ~spec ~deadline ?start ~stop () =
+let add_flow t ~path ~spec ~deadline ~stop =
   if path = [] then invalid_arg "Netsim.add_flow: empty path";
   if deadline <= 0. then invalid_arg "Netsim.add_flow: non-positive deadline";
   List.iter
@@ -152,7 +152,6 @@ let add_flow t ~path ~spec ~deadline ?start ~stop () =
     path;
   let fid = t.next_flow in
   t.next_flow <- fid + 1;
-  let start = Option.value ~default:(Engine.now t.engine) start in
   let flow_state =
     {
       fid;
@@ -169,7 +168,7 @@ let add_flow t ~path ~spec ~deadline ?start ~stop () =
     }
   in
   Hashtbl.replace t.flows fid flow_state;
-  Engine.schedule_at t.engine ~time:(Float.max start (Engine.now t.engine)) (fun _ ->
+  Engine.schedule_at t.engine ~time:(Engine.now t.engine) (fun _ ->
       source_tick t flow_state ());
   fid
 

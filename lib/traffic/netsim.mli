@@ -28,12 +28,10 @@ val add_flow :
   path:Dirlink.id list ->
   spec:Traffic_spec.t ->
   deadline:float ->
-  ?start:float ->
   stop:float ->
-  unit ->
   flow_id
-(** A shaped source injecting packets along [path] from [start] (default
-    now) until [stop]; each packet must arrive within [deadline] seconds
+(** A shaped source injecting packets along [path] from now until
+    [stop]; each packet must arrive within [deadline] seconds
     of its creation.  The source sends as fast as its token bucket
     allows, i.e. at sustained rate [spec.rate] after an initial burst.
 

@@ -221,6 +221,20 @@ cmp "$tmpdir/u-analyze.txt" scripts/golden/analyze-run100-audit.txt || {
   exit 1
 }
 
+step "analyze golden: run trace with failures against scripts/golden/"
+# The step above runs at gamma 0, so no backup activation or drop reaches
+# the replay.  This run fails 90 links (688 backup activations, 75
+# drops), and its residency and audit table follow each activation's
+# restart at the floor.  Re-recorded like the golden above.
+dune exec bin/drqos_cli.exe -- run --offered 400 --churn 300 --warmup 50 \
+  --gamma 0.001 --capacity 2000 --trace "$tmpdir/f.jsonl" >/dev/null
+dune exec bin/drqos_cli.exe -- analyze "$tmpdir/f.jsonl" --audit \
+  > "$tmpdir/f-analyze.txt"
+cmp "$tmpdir/f-analyze.txt" scripts/golden/analyze-run400-failures-audit.txt || {
+  echo "FAIL: analyze --audit of the run trace with failures differs from scripts/golden/analyze-run400-failures-audit.txt" >&2
+  exit 1
+}
+
 step "examples: each runs to exit 0, stdout against scripts/golden/examples/"
 # The examples build with the tree but nothing else runs them; each
 # must exit 0 and print exactly its golden (about 7 s for all of them).

@@ -61,6 +61,63 @@ let test_upgrade_before_admit () =
     "timeline starts at from_level" [ (0., 0); (0., 3) ]
     (Analysis.timeline a 7)
 
+(* The residency replayed from a service's own trace equals the service's
+   level histogram summed over time.  Ops run at integer clock times, so
+   the histogram after op [i] holds over [i, i + 1), and the last op, an
+   admission attempt, sets the horizon.  Backup activation restarts a
+   channel at its floor and restoration re-admits it under a fresh id,
+   neither with a level event; the replay must follow both. *)
+let test_residency_matches_service () =
+  let ops = 1000 and max_levels = 8 in
+  let check name config ~feature =
+    let events = ref [] in
+    let sink =
+      { Trace.emit = (fun time ev -> events := (time, ev) :: !events); close = ignore }
+    in
+    let obs = Obs.create ~trace:(Trace.create sink) () in
+    let clock = ref 0 in
+    Obs.set_clock obs (fun () -> float_of_int !clock);
+    let g = Torus.generate ~rows:4 ~cols:4 in
+    let t = Drcomm.create ~config ~obs (Net_state.create ~capacity:1000 g) in
+    let rng = Prng.create 17 in
+    let sum = Array.make max_levels 0 in
+    for i = 0 to ops - 1 do
+      clock := i;
+      let dice = if i = ops - 1 then 0 else Prng.int rng 100 in
+      if dice < 50 then begin
+        let src, dst = Prng.sample_distinct_pair rng (Graph.node_count g) in
+        let b_min = 100 * (1 + Prng.int rng 3) in
+        let b_max = b_min + (100 * Prng.int rng 4) in
+        ignore (Drcomm.admit t ~src ~dst ~qos:(Qos.make ~b_min ~b_max ~increment:100 ()))
+      end
+      else if dice < 75 && Drcomm.count t > 0 then
+        let ch = Drcomm.nth_channel t (Prng.int rng (Drcomm.count t)) in
+        ignore (Drcomm.terminate t ch)
+      else begin
+        let e = Prng.int rng (Graph.edge_count g) in
+        ignore (Drcomm.fail_edge t e);
+        Drcomm.repair_edge t e
+      end;
+      if i < ops - 1 then
+        Array.iteri
+          (fun l n -> sum.(l) <- sum.(l) + n)
+          (Drcomm.level_histogram t ~max_levels)
+    done;
+    let a = Analysis.of_events (List.rev !events) in
+    Alcotest.(check bool) (name ^ ": the trace carries " ^ feature) true
+      (List.mem_assoc feature (Analysis.event_counts a));
+    let total = float_of_int (Array.fold_left ( + ) 0 sum) in
+    Alcotest.(check (array (float 0.)))
+      (name ^ ": residency")
+      (Array.map (fun n -> float_of_int n /. total) sum)
+      (Analysis.residency ~levels:max_levels a)
+  in
+  check "no backups" (Drcomm.Config.make ~backups_per_connection:0 ()) ~feature:"drop";
+  check "backups" Drcomm.Config.default ~feature:"backup_activate";
+  check "restoration"
+    (Drcomm.Config.make ~backups_per_connection:0 ~restore_on_failure:true ())
+    ~feature:"restore"
+
 let test_rejection_breakdown () =
   let events =
     [
@@ -775,6 +832,8 @@ let () =
             test_residency_closes_live_channels;
           Alcotest.test_case "upgrade before admit" `Quick
             test_upgrade_before_admit;
+          Alcotest.test_case "residency matches the service" `Quick
+            test_residency_matches_service;
           Alcotest.test_case "rejection breakdown" `Quick
             test_rejection_breakdown;
           Alcotest.test_case "failure windows" `Quick test_failure_windows;

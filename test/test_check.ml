@@ -198,7 +198,7 @@ let test_unshared_at_ceiling_oracle () =
   let g = Graph.create 3 in
   ignore (Graph.add_edge g 0 1);
   ignore (Graph.add_edge g 1 2);
-  let cfg = Drcomm.Config.make ~with_backups:false ~require_backup:false () in
+  let cfg = Drcomm.Config.make ~backups_per_connection:0 () in
   let t = Drcomm.create ~config:cfg (Net_state.create ~capacity:2000 g) in
   (match Drcomm.admit t ~src:0 ~dst:2 ~qos:(Qos.paper_spec ~increment:100) with
   | Drcomm.Admitted _ -> ()

@@ -23,7 +23,7 @@ let line ?(capacity = 600) ?config () =
 
 let qos5 = Qos.paper_spec ~increment:100 (* 100..500, 5 levels *)
 let channel_id = Alcotest.testable Drcomm.Channel_id.pp Drcomm.Channel_id.equal
-let no_backups = Drcomm.Config.make ~with_backups:false ~require_backup:false ()
+let no_backups = Drcomm.Config.make ~backups_per_connection:0 ()
 
 let admit_ok t ~src ~dst ~qos =
   match Drcomm.admit t ~src ~dst ~qos with
@@ -170,8 +170,7 @@ let test_equal_share_fairness () =
 
 let test_max_utility_monopolises () =
   let cfg =
-    Drcomm.Config.make ~with_backups:false ~require_backup:false
-      ~policy:Policy.max_utility ()
+    Drcomm.Config.make ~backups_per_connection:0 ~policy:Policy.max_utility ()
   in
   let t, _ = line ~capacity:700 ~config:cfg () in
   let cheap = Qos.make ~b_min:100 ~b_max:500 ~increment:100 ~utility:1. () in
@@ -185,8 +184,7 @@ let test_max_utility_monopolises () =
 
 let test_proportional_split () =
   let cfg =
-    Drcomm.Config.make ~with_backups:false ~require_backup:false
-      ~policy:Policy.proportional ()
+    Drcomm.Config.make ~backups_per_connection:0 ~policy:Policy.proportional ()
   in
   let t, _ = line ~capacity:600 ~config:cfg () in
   let cheap = Qos.make ~b_min:100 ~b_max:500 ~increment:100 ~utility:1. () in
@@ -322,8 +320,7 @@ let test_restoration_baseline () =
      backup-channel approach is designed to beat): on a ring, a failed
      primary is re-established over the surviving arc. *)
   let cfg =
-    Drcomm.Config.make ~with_backups:false ~require_backup:false
-      ~restore_on_failure:true ()
+    Drcomm.Config.make ~backups_per_connection:0 ~restore_on_failure:true ()
   in
   let t, _, (e01, _, _, _) = ring ~config:cfg () in
   let id, _ = admit_ok t ~src:0 ~dst:1 ~qos:qos5 in
@@ -345,8 +342,7 @@ let test_restoration_fails_under_partition () =
   (* When the failure disconnects the pair, restoration cannot help and
      the connection drops. *)
   let cfg =
-    Drcomm.Config.make ~with_backups:false ~require_backup:false
-      ~restore_on_failure:true ()
+    Drcomm.Config.make ~backups_per_connection:0 ~restore_on_failure:true ()
   in
   let t, _ = line ~config:cfg () in
   let id, _ = admit_ok t ~src:0 ~dst:1 ~qos:qos5 in
@@ -567,10 +563,9 @@ let test_single_backup_drops_on_second_failure () =
 let test_backups_validation () =
   (* Validation lives in the smart constructor: a Config.t is well-formed
      by construction, so an ill-formed one cannot even reach the service. *)
-  Alcotest.check_raises "zero backups with with_backups"
-    (Invalid_argument
-       "Drcomm.Config.make: with_backups needs backups_per_connection >= 1")
-    (fun () -> ignore (Drcomm.Config.make ~backups_per_connection:0 ()));
+  Alcotest.check_raises "negative backups"
+    (Invalid_argument "Drcomm.Config.make: backups_per_connection >= 0")
+    (fun () -> ignore (Drcomm.Config.make ~backups_per_connection:(-1) ()));
   Alcotest.check_raises "hop bound"
     (Invalid_argument "Drcomm.Config.make: hop_bound >= 1") (fun () ->
       ignore (Drcomm.Config.make ~hop_bound:0 ()))

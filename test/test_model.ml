@@ -146,7 +146,7 @@ let report ~existing ~direct ~indirect transitions =
 let handles =
   let g = Graph.create 2 in
   ignore (Graph.add_edge g 0 1);
-  let cfg = Drcomm.Config.make ~with_backups:false ~require_backup:false () in
+  let cfg = Drcomm.Config.make ~backups_per_connection:0 () in
   let t = Drcomm.create ~config:cfg (Net_state.create ~capacity:10_000 g) in
   Array.init 8 (fun _ ->
       match Drcomm.admit t ~src:0 ~dst:1 ~qos:(Qos.single_value 10) with

@@ -679,8 +679,7 @@ let test_policy_first_class () =
   let g = Graph.create 2 in
   ignore (Graph.add_edge g 0 1);
   let cfg =
-    Drcomm.Config.make ~policy:greedy ~with_backups:false ~require_backup:false
-      ()
+    Drcomm.Config.make ~policy:greedy ~backups_per_connection:0 ()
   in
   let t = Drcomm.create ~config:cfg (Net_state.create ~capacity:600 g) in
   let qos = Qos.make ~b_min:100 ~b_max:500 ~increment:100 () in

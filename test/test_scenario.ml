@@ -121,8 +121,7 @@ let test_restoration_scenario () =
     {
       (tiny ~offered:150 ~gamma:0.001 ()) with
       Scenario.service =
-        Drcomm.Config.make ~with_backups:false ~require_backup:false
-          ~restore_on_failure:true ();
+        Drcomm.Config.make ~backups_per_connection:0 ~restore_on_failure:true ();
     }
   in
   let r = Scenario.run cfg in

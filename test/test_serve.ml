@@ -204,49 +204,63 @@ let test_op_bridge_modular_reduction () =
   | _ -> Alcotest.fail "repair on healthy net did not reduce"
 
 (* Replaying a generated fuzz script through the wire bridge and broker
-   must walk the same state trajectory as [Fuzz.replay] itself. *)
+   must walk the same state trajectory as [Fuzz.replay] itself.  The
+   restoration case re-admits failure victims under fresh ids, which the
+   broker must resolve through the service. *)
 let test_op_bridge_matches_fuzz_replay () =
-  let cfg = Fuzz.config ~family:Fuzz.Waxman ~seed:42 ~ops:400 () in
-  let ops = Fuzz.gen_ops cfg in
-  let reference = Fuzz.replay cfg ops in
-  (match reference.Fuzz.violation with
-  | Some v -> Alcotest.failf "reference replay violated: %s" v.Fuzz.message
-  | None -> ());
-  let g = Fuzz.topology cfg in
-  let net =
-    Net_state.create ~multiplexing:cfg.Fuzz.multiplexing
-      ~capacity:cfg.Fuzz.capacity g
+  let bridge cfg =
+    let ops = Fuzz.gen_ops cfg in
+    let reference = Fuzz.replay cfg ops in
+    (match reference.Fuzz.violation with
+    | Some v -> Alcotest.failf "reference replay violated: %s" v.Fuzz.message
+    | None -> ());
+    let g = Fuzz.topology cfg in
+    let net =
+      Net_state.create ~multiplexing:cfg.Fuzz.multiplexing
+        ~capacity:cfg.Fuzz.capacity g
+    in
+    let config =
+      Drcomm.Config.make ~policy:cfg.Fuzz.policy ~require_backup:false
+        ~backups_per_connection:cfg.Fuzz.backups_per_connection
+        ~restore_on_failure:cfg.Fuzz.restore_on_failure ()
+    in
+    let obs = Obs.create ~metrics:(Metrics.create ()) () in
+    let broker = Serve_broker.create ~config ~obs net in
+    let nodes = Graph.node_count g and edges = Graph.edge_count g in
+    Array.iter
+      (fun op ->
+        match
+          Serve_proto.request_of_op ~nodes ~edges
+            ~live:(Serve_broker.live_channels broker)
+            ~failed:(Serve_broker.failed_edges broker)
+            op
+        with
+        | None -> ()
+        | Some req -> (
+          match Serve_broker.dispatch broker req with
+          | Serve_proto.Error_reply { message } ->
+            Alcotest.failf "dispatch errored on %s: %s" (Op.to_string op) message
+          | _ -> ()))
+      ops;
+    let svc = Serve_broker.service broker in
+    Alcotest.(check int)
+      "live connections match" reference.Fuzz.stats.Fuzz.live (Drcomm.count svc);
+    Alcotest.(check int)
+      "drops match" reference.Fuzz.stats.Fuzz.drops
+      (Drcomm.dropped_connections svc);
+    let restores = reference.Fuzz.stats.Fuzz.restores in
+    Alcotest.(check int)
+      "restores match" restores
+      (Metrics.count (Metrics.counter (Obs.metrics obs) "drcomm.restores"));
+    Drcomm.check_invariants svc;
+    restores
   in
-  let config =
-    Drcomm.Config.make ~policy:cfg.Fuzz.policy ~require_backup:false
-      ~with_backups:(cfg.Fuzz.backups_per_connection > 0)
-      ~backups_per_connection:(max 1 cfg.Fuzz.backups_per_connection)
-      ~restore_on_failure:cfg.Fuzz.restore_on_failure ()
+  ignore (bridge (Fuzz.config ~family:Fuzz.Waxman ~seed:42 ~ops:400 ()));
+  let restores =
+    bridge
+      (Fuzz.config ~family:Fuzz.Waxman ~seed:42 ~ops:400 ~restore:true ~backups:0 ())
   in
-  let broker = Serve_broker.create ~config ~obs:(Obs.create ()) net in
-  let nodes = Graph.node_count g and edges = Graph.edge_count g in
-  Array.iter
-    (fun op ->
-      match
-        Serve_proto.request_of_op ~nodes ~edges
-          ~live:(Serve_broker.live_channels broker)
-          ~failed:(Serve_broker.failed_edges broker)
-          op
-      with
-      | None -> ()
-      | Some req -> (
-        match Serve_broker.dispatch broker req with
-        | Serve_proto.Error_reply { message } ->
-          Alcotest.failf "dispatch errored on %s: %s" (Op.to_string op) message
-        | _ -> ()))
-    ops;
-  let svc = Serve_broker.service broker in
-  Alcotest.(check int)
-    "live connections match" reference.Fuzz.stats.Fuzz.live (Drcomm.count svc);
-  Alcotest.(check int)
-    "drops match" reference.Fuzz.stats.Fuzz.drops
-    (Drcomm.dropped_connections svc);
-  Drcomm.check_invariants svc
+  Alcotest.(check bool) "some victim was restored" true (restores > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Broker dispatch                                                     *)
@@ -443,16 +457,18 @@ let test_broker_snapshot_hot_links () =
 (* ------------------------------------------------------------------ *)
 (* Live socket session                                                 *)
 
-let with_server ?(wall_every = 0.05) ?slo ?max_pending_bytes ?trace_file ?slow_dir f =
+let with_server ?(wall_every = 0.05) ?slo ?max_pending_bytes ?trace_file ?slow_dir
+    ?address f =
   let path =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "drqos-serve-test-%d.sock" (Unix.getpid ()))
   in
+  let address = Option.value address ~default:(`Unix path) in
   let served =
     Domain.spawn (fun () ->
         Serve_server.run ~wall_every ?slo ?max_pending_bytes ?trace_file ?slow_dir
-          (`Unix path) (ring_net ()))
+          address (ring_net ()))
   in
   (* [join] waits for the server to finish shutting down — assertions
      about post-shutdown state (the socket file, say) must run after it,
@@ -471,14 +487,15 @@ let with_server ?(wall_every = 0.05) ?slo ?max_pending_bytes ?trace_file ?slow_d
   | exception e ->
     (* A failed check skipped the test's own shutdown: send one, or
        [join] would wait for the daemon forever.  The check may have
-       failed before the daemon bound its socket, so dial with retries. *)
-    (try
-       ignore
-         (Serve_client.request
-            (Serve_client.connect ~retries:50 (`Unix path))
-            Serve_proto.Shutdown)
-     with Unix.Unix_error _ | Failure _ | Sys_error _ -> ());
-    join ();
+       failed before the daemon bound its socket, so dial with retries.
+       A daemon no dial reaches (one bound elsewhere) is not joined. *)
+    (match
+       Serve_client.request
+         (Serve_client.connect ~retries:50 address)
+         Serve_proto.Shutdown
+     with
+    | _ -> join ()
+    | exception (Unix.Unix_error _ | Failure _ | Sys_error _) -> ());
     raise e
 
 (* A bad output path must fail before the listener is bound: neither the
@@ -568,6 +585,43 @@ let test_socket_session () =
       Serve_client.close c2;
       join ();
       Alcotest.(check bool) "socket removed on shutdown" false (Sys.file_exists path))
+
+(* [serve --port] listens on a [`Tcp] address.  A port the OS just
+   handed out (bind to port 0, read it back) is free for the daemon. *)
+let test_tcp_session () =
+  let port =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+        match Unix.getsockname fd with
+        | Unix.ADDR_INET (_, port) -> port
+        | Unix.ADDR_UNIX _ -> Alcotest.fail "an inet socket has no port")
+  in
+  let address = `Tcp ("127.0.0.1", port) in
+  with_server ~address (fun _path join ->
+      let c = Serve_client.connect ~retries:50 address in
+      let channel =
+        match
+          Serve_client.request c (Serve_proto.Admit { src = 0; dst = 2; qos = qos_a })
+        with
+        | Serve_proto.Admitted { channel; _ } -> channel
+        | _ -> Alcotest.fail "admit over TCP failed"
+      in
+      (match Serve_client.request c (Serve_proto.Teardown { channel }) with
+      | Serve_proto.Torn_down _ -> ()
+      | _ -> Alcotest.fail "teardown over TCP failed");
+      (match Serve_client.request c Serve_proto.Stats with
+      | Serve_proto.Stats_reply { live; requests; _ } ->
+        Alcotest.(check int) "nothing live after teardown" 0 live;
+        Alcotest.(check int) "admit, teardown and stats dispatched" 3 requests
+      | _ -> Alcotest.fail "stats over TCP failed");
+      (match Serve_client.request c Serve_proto.Shutdown with
+      | Serve_proto.Shutting_down -> ()
+      | _ -> Alcotest.fail "shutdown over TCP not acknowledged");
+      Serve_client.close c;
+      join ())
 
 let test_socket_heartbeat_push () =
   with_server (fun path _join ->
@@ -1106,6 +1160,7 @@ let () =
       ( "socket",
         [
           Alcotest.test_case "end-to-end session" `Slow test_socket_session;
+          Alcotest.test_case "tcp session" `Slow test_tcp_session;
           Alcotest.test_case "heartbeat subscription" `Slow
             test_socket_heartbeat_push;
           Alcotest.test_case "garbage line does not kill the connection" `Slow

@@ -93,7 +93,7 @@ let test_single_packet_delay () =
   let engine, sim = mk_sim g in
   (* 1000 Kbps links, 1000-bit packets: 1 ms per hop, 2 ms end-to-end. *)
   let spec = Traffic_spec.cbr ~rate:1 ~packet_bits:1000 in
-  let fid = Netsim.add_flow sim ~path ~spec ~deadline:0.01 ~stop:0.5 () in
+  let fid = Netsim.add_flow sim ~path ~spec ~deadline:0.01 ~stop:0.5 in
   ignore (Engine.run ~until:1.5 engine);
   let st = Netsim.stats sim fid in
   Alcotest.(check bool) "sent some" true (st.Netsim.sent >= 1);
@@ -106,7 +106,7 @@ let test_propagation_delay_added () =
   let g, path = line_links () in
   let engine, sim = mk_sim ~propagation_delay:0.003 g in
   let spec = Traffic_spec.cbr ~rate:1 ~packet_bits:1000 in
-  let fid = Netsim.add_flow sim ~path ~spec ~deadline:0.1 ~stop:0.5 () in
+  let fid = Netsim.add_flow sim ~path ~spec ~deadline:0.1 ~stop:0.5 in
   ignore (Engine.run ~until:2. engine);
   let st = Netsim.stats sim fid in
   (* 2 x 1 ms transmission + 2 x 3 ms propagation. *)
@@ -118,7 +118,7 @@ let test_cbr_throughput () =
   let engine, sim = mk_sim g in
   (* 100 Kbps flow, 1000-bit packets, for 1 s: ~100 packets. *)
   let spec = Traffic_spec.cbr ~rate:100 ~packet_bits:1000 in
-  let fid = Netsim.add_flow sim ~path ~spec ~deadline:0.05 ~stop:1.0 () in
+  let fid = Netsim.add_flow sim ~path ~spec ~deadline:0.05 ~stop:1.0 in
   ignore (Engine.run ~until:2. engine);
   let st = Netsim.stats sim fid in
   Alcotest.(check bool)
@@ -139,8 +139,8 @@ let test_edf_prioritises_tight_deadline () =
     Traffic_spec.make ~rate:800 ~burst_bits:8000 ~packet_bits:4000 ()
   in
   let urgent = Traffic_spec.cbr ~rate:100 ~packet_bits:500 in
-  let _bulk_id = Netsim.add_flow sim ~path ~spec:bulk ~deadline:0.5 ~stop:1.0 () in
-  let urgent_id = Netsim.add_flow sim ~path ~spec:urgent ~deadline:0.01 ~stop:1.0 () in
+  let _bulk_id = Netsim.add_flow sim ~path ~spec:bulk ~deadline:0.5 ~stop:1.0 in
+  let urgent_id = Netsim.add_flow sim ~path ~spec:urgent ~deadline:0.01 ~stop:1.0 in
   ignore (Engine.run ~until:3. engine);
   let st = Netsim.stats sim urgent_id in
   Alcotest.(check bool) "urgent flow ran" true (st.Netsim.delivered > 50);
@@ -156,8 +156,8 @@ let test_overload_misses () =
   (* Two 80 Kbps flows into a 100 Kbps link: overload -> growing queue ->
      misses. *)
   let spec = Traffic_spec.cbr ~rate:80 ~packet_bits:1000 in
-  let f1 = Netsim.add_flow sim ~path ~spec ~deadline:0.05 ~stop:2.0 () in
-  let f2 = Netsim.add_flow sim ~path ~spec ~deadline:0.05 ~stop:2.0 () in
+  let f1 = Netsim.add_flow sim ~path ~spec ~deadline:0.05 ~stop:2.0 in
+  let f2 = Netsim.add_flow sim ~path ~spec ~deadline:0.05 ~stop:2.0 in
   ignore (Engine.run ~until:4. engine);
   let m1 = (Netsim.stats sim f1).Netsim.missed in
   let m2 = (Netsim.stats sim f2).Netsim.missed in
@@ -169,7 +169,7 @@ let test_link_utilisation_accounting () =
   let dl = Dirlink.of_edge g ~edge:e ~src:0 in
   let engine, sim = mk_sim ~rate:1000 g in
   let spec = Traffic_spec.cbr ~rate:100 ~packet_bits:1000 in
-  let fid = Netsim.add_flow sim ~path:[ dl ] ~spec ~deadline:0.05 ~stop:1.0 () in
+  let fid = Netsim.add_flow sim ~path:[ dl ] ~spec ~deadline:0.05 ~stop:1.0 in
   ignore (Engine.run ~until:2. engine);
   let st = Netsim.stats sim fid in
   (* Each packet takes 1 ms on the wire. *)
@@ -186,7 +186,7 @@ let test_flow_validation () =
     (fun () ->
       ignore
         (Netsim.add_flow sim ~path:[] ~spec:(Traffic_spec.cbr ~rate:1 ~packet_bits:8)
-           ~deadline:1. ~stop:1. ()))
+           ~deadline:1. ~stop:1.))
 
 (* --- EDF link scheduling --- *)
 
@@ -197,12 +197,12 @@ let one_link ?(rate = 1000) () =
   let engine, sim = mk_sim ~rate g in
   (engine, sim, [ Dirlink.of_edge g ~edge:e ~src:0 ])
 
-(* A source that sends exactly one [bits]-bit packet at [start]: its
-   1 Kbps bucket has not refilled when the source stops. *)
-let one_packet sim ~path ~bits ~deadline ?(start = 0.) () =
+(* A source that sends exactly one [bits]-bit packet when added at
+   time [now]: its 1 Kbps bucket has not refilled when the source stops. *)
+let one_packet sim ~path ~bits ~deadline ?(now = 0.) () =
   Netsim.add_flow sim ~path
     ~spec:(Traffic_spec.cbr ~rate:1 ~packet_bits:bits)
-    ~deadline ~start ~stop:(start +. 1e-6) ()
+    ~deadline ~stop:(now +. 1e-6)
 
 let test_edf_orders_by_deadline () =
   (* 1000 Kbps: 1000 bits = 1 ms.  Two packets queue behind a blocker
@@ -228,11 +228,16 @@ let test_edf_detects_miss () =
   Alcotest.(check int) "missed" 1 st.Netsim.missed
 
 let test_edf_respects_release () =
+  (* A flow starts when it is added: an engine event releases this one
+     at 5 ms, and its packet's delay counts from there. *)
   let engine, sim, path = one_link () in
-  let f = one_packet sim ~path ~bits:1000 ~deadline:0.02 ~start:0.005 () in
+  let flow = ref None in
+  Engine.schedule_at engine ~time:0.005 (fun _ ->
+      flow := Some (one_packet sim ~path ~bits:1000 ~deadline:0.02 ~now:0.005 ()));
   ignore (Engine.run ~until:0.004 engine);
-  Alcotest.(check int) "nothing before release" 0 (Netsim.stats sim f).Netsim.sent;
+  Alcotest.(check int) "nothing before release" 0 (Netsim.total_delivered sim);
   ignore (Engine.run ~until:0.0059 engine);
+  let f = Option.get !flow in
   Alcotest.(check int) "in service from release" 1 (Netsim.stats sim f).Netsim.in_flight;
   ignore (Engine.run ~until:0.0061 engine);
   let st = Netsim.stats sim f in
@@ -318,7 +323,7 @@ let qcheck_feasible_flow_never_misses =
       let engine = Engine.create () in
       let sim = Netsim.create engine g ~rate_of:(fun _ -> 10 * rate_kbps) in
       let spec = Traffic_spec.cbr ~rate:rate_kbps ~packet_bits:1000 in
-      let fid = Netsim.add_flow sim ~path ~spec ~deadline:1. ~stop:1. () in
+      let fid = Netsim.add_flow sim ~path ~spec ~deadline:1. ~stop:1. in
       ignore (Engine.run ~until:3. engine);
       let st = Netsim.stats sim fid in
       st.Netsim.missed = 0 && st.Netsim.in_flight = 0 && st.Netsim.delivered = st.Netsim.sent)
